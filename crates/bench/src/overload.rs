@@ -384,7 +384,12 @@ mod tests {
             buffer_pages: 1_024,
             ..Default::default()
         };
-        let r = measure_overload_with(&cfg, 8, 6, &[1, 4]);
+        // 16-slot rounds, like the frozen shape: the two-round budget is
+        // priced from the *mean* warm query, and a round has to be long
+        // enough that one tail query (a PkNN whose far friend sits across
+        // a leaf boundary from its SV row's first page walks every round
+        // of the matrix, ~10 mean queries) cannot eat it at 1x.
+        let r = measure_overload_with(&cfg, 16, 6, &[1, 4]);
 
         assert!(r.ledger_identical, "two from-scratch sweeps produced different ledgers");
         assert!(r.calib_ticks_per_query > 0.0);

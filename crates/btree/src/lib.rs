@@ -50,7 +50,7 @@ pub mod tree;
 pub mod value;
 
 pub use msg::WriteStats;
-pub use multiscan::{coalesce_intervals, ScanStats, ScanTermination};
+pub use multiscan::{coalesce_intervals, ScanPlan, ScanStats, ScanTermination, Visit};
 pub use olc::{OlcStats, OLC_WRITE_RESTARTS};
 pub use tree::{BTree, TreeStats, OPT_MAX_RESTARTS};
 pub use value::RecordValue;

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use peb_storage::{CrashPoint, PageId, PAGE_SIZE};
 
 use crate::bulk::{MERGE_FILL, MERGE_REBUILD_RATIO};
-use crate::multiscan::coalesce_intervals;
+use crate::multiscan::{coalesce_intervals, ScanPlan, Visit};
 use crate::node;
 use crate::tree::BTree;
 use crate::value::RecordValue;
@@ -782,58 +782,64 @@ impl<V: RecordValue> BTree<V> {
 
     /// Merge an overlay into an ordered leaf-scan emission: overlay puts
     /// interleave by key, overlay entries matching a leaf key win (the
-    /// message is newer by construction), tombstones suppress. Returns
-    /// whether the merged scan ran to completion.
+    /// message is newer by construction), tombstones suppress. A
+    /// `SkipRow` verdict drops the rest of that row of `plan` from both
+    /// streams. Returns whether the merged scan ran to completion.
     pub(crate) fn scan_with_overlay(
         &self,
         overlay: BTreeMap<u128, Option<V>>,
-        inner: impl FnOnce(&mut dyn FnMut(u128, V) -> bool) -> bool,
-        visit: &mut dyn FnMut(u128, V) -> bool,
+        plan: &ScanPlan,
+        inner: impl FnOnce(&mut dyn FnMut(u128, V) -> Visit) -> bool,
+        visit: &mut dyn FnMut(u128, V) -> Visit,
     ) -> bool {
         let mut ov = overlay.into_iter().peekable();
         let mut stopped = false;
+        // Last key of the row most recently skipped, if any.
+        let mut skipped: Option<u128> = None;
+        // Hand one merged entry to the visitor unless its row was skipped;
+        // returns whether the merge goes on.
+        let mut emit = |k: u128, v: V, skipped: &mut Option<u128>| {
+            if skipped.is_some_and(|end| k <= end) {
+                return true;
+            }
+            match visit(k, v) {
+                Visit::Next => {}
+                Visit::SkipRow => *skipped = Some(plan.row_end(k)),
+                Visit::Stop => return false,
+            }
+            true
+        };
         let completed = inner(&mut |k: u128, v: V| {
             while ov.peek().is_some_and(|(ok, _)| *ok < k) {
                 let (okk, mv) = ov.next().expect("peeked");
-                if let Some(val) = mv {
-                    if !visit(okk, val) {
-                        stopped = true;
-                        return false;
-                    }
+                if mv.is_some_and(|val| !emit(okk, val, &mut skipped)) {
+                    stopped = true;
+                    return Visit::Stop;
                 }
             }
-            if ov.peek().is_some_and(|(ok, _)| *ok == k) {
-                let (okk, mv) = ov.next().expect("peeked");
-                return match mv {
-                    Some(val) => {
-                        if visit(okk, val) {
-                            true
-                        } else {
-                            stopped = true;
-                            false
-                        }
-                    }
-                    None => true, // tombstoned: skip the leaf entry
-                };
-            }
-            if visit(k, v) {
-                true
-            } else {
+            // An overlay entry for this very key wins: a put replaces the
+            // leaf value, a tombstone suppresses it.
+            let v = match ov.next_if(|(ok, _)| *ok == k) {
+                Some((_, None)) => return Visit::Next,
+                Some((_, Some(val))) => val,
+                None => v,
+            };
+            if !emit(k, v, &mut skipped) {
                 stopped = true;
-                false
+                return Visit::Stop;
+            }
+            if skipped.is_some_and(|end| k <= end) {
+                Visit::SkipRow // the leaf walk drops the row's runs too
+            } else {
+                Visit::Next
             }
         });
-        if stopped {
-            return false;
-        }
-        if !completed {
+        if stopped || !completed {
             return false;
         }
         for (k, mv) in ov {
-            if let Some(val) = mv {
-                if !visit(k, val) {
-                    return false;
-                }
+            if mv.is_some_and(|val| !emit(k, val, &mut skipped)) {
+                return false;
             }
         }
         true

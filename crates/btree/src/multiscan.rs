@@ -1,18 +1,36 @@
-//! Interval coalescing and scan-path counters for the fused
-//! multi-interval read path ([`BTree::multi_range_scan`]).
+//! Scan plans and scan-path counters for the fused multi-interval read
+//! path ([`BTree::try_scan_plan`]).
 //!
 //! The Bx/PEB query algorithms decompose one query into many key
 //! intervals — (partition × SV group × Z-range) — and the per-interval
-//! path pays one root-to-leaf descent per interval. The fused path sorts
-//! and coalesces the whole interval set once ([`coalesce_intervals`]),
-//! descends once, and walks the leaf sibling chain across intervals,
+//! path pays one root-to-leaf descent per interval. The fused path
+//! descends once and walks the leaf sibling chain across intervals,
 //! re-descending through a cached path only when the next interval lies
-//! beyond the current leaf's fence key. [`ScanStats`] is the
-//! deterministic ledger of that difference: descents performed and branch
-//! pages served from the descent cache instead of the buffer pool.
+//! beyond the current leaf's fence key.
 //!
-//! [`BTree::multi_range_scan`]: crate::BTree::multi_range_scan
+//! A [`ScanPlan`] separates the two things an interval list used to mean:
+//!
+//! * **navigation runs** say which leaves get read — the sorted, coalesced
+//!   intervals ([`coalesce_intervals`]); the walk reads exactly the pages
+//!   a scan of the runs alone would read, never one more;
+//! * **emission rows** say what a page that *was* read may answer for —
+//!   sorted disjoint spans, each run inside exactly one row. Every entry
+//!   of a page in hand that lies in a row goes to the visitor (ascending,
+//!   exactly once), whether or not a run covers it. A PEB row is one
+//!   `TID ⊕ SV` prefix: the leaf fetched for a friend's first Z-range
+//!   usually holds the friend, wherever in space they are.
+//!
+//! The visitor steers with a [`Visit`]: `SkipRow` drops the rest of the
+//! row it was just shown — its remaining runs are never navigated — so a
+//! row that fits one leaf costs one page however many runs it carried.
+//! Plain interval scans are plans with `rows == runs`
+//! ([`ScanPlan::from_intervals`]). [`ScanStats`] is the deterministic
+//! ledger: descents performed and branch pages served from the descent
+//! cache instead of the buffer pool.
+//!
+//! [`BTree::try_scan_plan`]: crate::BTree::try_scan_plan
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a deadline-aware scan ended — the typed answer of
@@ -119,17 +137,175 @@ impl ScanCounters {
 /// assert_eq!(runs, vec![(10, 30), (40, 60)]);
 /// ```
 pub fn coalesce_intervals(intervals: &[(u128, u128)]) -> Vec<(u128, u128)> {
-    let mut runs: Vec<(u128, u128)> =
-        intervals.iter().copied().filter(|(lo, hi)| lo <= hi).collect();
-    runs.sort_unstable();
-    let mut out: Vec<(u128, u128)> = Vec::with_capacity(runs.len());
-    for (lo, hi) in runs {
-        match out.last_mut() {
-            Some((_, phi)) if lo <= phi.saturating_add(1) => *phi = (*phi).max(hi),
-            _ => out.push((lo, hi)),
+    let mut runs = intervals.to_vec();
+    merge_sorted(&mut runs, 1);
+    runs
+}
+
+/// Canonicalize in place: drop reversed pairs, sort, and merge every pair
+/// that overlaps or lies within `slack` of its predecessor's end (1 also
+/// merges adjacent pairs, 0 only overlapping ones).
+fn merge_sorted(v: &mut Vec<(u128, u128)>, slack: u128) {
+    v.retain(|(lo, hi)| lo <= hi);
+    v.sort_unstable(); // linear on the already-sorted lists planners build
+    let mut w = 0usize;
+    for i in 0..v.len() {
+        let (lo, hi) = v[i];
+        if w > 0 && lo <= v[w - 1].1.saturating_add(slack) {
+            v[w - 1].1 = v[w - 1].1.max(hi);
+        } else {
+            v[w] = (lo, hi);
+            w += 1;
         }
     }
-    out
+    v.truncate(w);
+}
+
+/// A visitor's answer to one entry of a plan scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visit {
+    /// Keep going.
+    Next,
+    /// Nothing more is wanted from the emission row this entry lies in:
+    /// its remaining entries are not emitted and its remaining navigation
+    /// runs are dropped unread.
+    SkipRow,
+    /// End the scan (a voluntary early exit).
+    Stop,
+}
+
+impl Visit {
+    /// The plain interval scans' protocol: `true` continues, `false` stops.
+    pub fn next_if(proceed: bool) -> Visit {
+        if proceed {
+            Visit::Next
+        } else {
+            Visit::Stop
+        }
+    }
+}
+
+/// What one fused scan reads and what it may answer — see the module
+/// docs. The fields are private because the leaf walk relies on their
+/// invariants: `runs` sorted, disjoint and non-adjacent unless split at a
+/// row boundary; `rows` sorted and disjoint; every run inside one row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanPlan {
+    runs: Vec<(u128, u128)>,
+    rows: Vec<(u128, u128)>,
+}
+
+impl ScanPlan {
+    /// The plan of a plain multi-interval scan: the coalesced intervals
+    /// are both what is read and all that is emitted.
+    pub fn from_intervals(intervals: &[(u128, u128)]) -> ScanPlan {
+        let runs = coalesce_intervals(intervals);
+        ScanPlan { rows: runs.clone(), runs }
+    }
+
+    /// Build a plan from navigation `runs` and emission `rows` (inclusive
+    /// pairs, any order, overlap allowed). Runs are coalesced, overlapping
+    /// rows merged; a run crossing from one row into an adjacent one is
+    /// cut at the boundary, and a run that pokes out of the rows widens
+    /// them to hold it — so the result always satisfies the invariants,
+    /// whatever the caller assembled.
+    ///
+    /// ```
+    /// use peb_btree::ScanPlan;
+    ///
+    /// let plan = ScanPlan::new(vec![(40, 45), (10, 12), (13, 20)], vec![(0, 99)]);
+    /// assert_eq!(plan.runs(), &[(10, 20), (40, 45)]);
+    /// assert_eq!(plan.rows(), &[(0, 99)]);
+    /// ```
+    pub fn new(mut runs: Vec<(u128, u128)>, mut rows: Vec<(u128, u128)>) -> ScanPlan {
+        merge_sorted(&mut runs, 1);
+        merge_sorted(&mut rows, 0);
+        // The planners' case — every run already inside one row — is
+        // checked without copying anything.
+        let mut r = 0usize;
+        let fits = runs.iter().all(|&(lo, hi)| {
+            while r < rows.len() && rows[r].1 < lo {
+                r += 1;
+            }
+            r < rows.len() && rows[r].0 <= lo && hi <= rows[r].1
+        });
+        if !fits {
+            runs = match Self::cut_at_rows(&runs, &rows) {
+                Some(cut) => cut,
+                None => {
+                    rows.extend_from_slice(&runs);
+                    merge_sorted(&mut rows, 0);
+                    Self::cut_at_rows(&runs, &rows).expect("the rows now cover every run")
+                }
+            };
+        }
+        ScanPlan { runs, rows }
+    }
+
+    /// Cut each run where it crosses from one row into the adjacent next
+    /// one; `None` if some run pokes out of the rows.
+    fn cut_at_rows(runs: &[(u128, u128)], rows: &[(u128, u128)]) -> Option<Vec<(u128, u128)>> {
+        let mut cut = Vec::with_capacity(runs.len());
+        let mut r = 0usize;
+        for &(mut lo, hi) in runs {
+            while r < rows.len() && rows[r].1 < lo {
+                r += 1;
+            }
+            loop {
+                let &(row_lo, row_hi) = rows.get(r)?;
+                if row_lo > lo {
+                    return None;
+                }
+                if hi <= row_hi {
+                    cut.push((lo, hi));
+                    break;
+                }
+                cut.push((lo, row_hi));
+                lo = row_hi + 1;
+                r += 1;
+            }
+        }
+        Some(cut)
+    }
+
+    /// The navigation runs, ascending.
+    pub fn runs(&self) -> &[(u128, u128)] {
+        &self.runs
+    }
+
+    /// The emission rows, ascending.
+    pub fn rows(&self) -> &[(u128, u128)] {
+        &self.rows
+    }
+
+    /// Last key of the row `key` lies in (`key` itself when it lies in
+    /// none): what a `SkipRow` answered at `key` rules out.
+    pub fn row_end(&self, key: u128) -> u128 {
+        match self.rows.get(self.rows.partition_point(|&(_, hi)| hi < key)) {
+            Some(&(lo, hi)) if lo <= key => hi,
+            _ => key,
+        }
+    }
+
+    /// The part of the plan inside `[lo, hi]` — how the sharded index
+    /// routes one plan to the partition trees it touches. `None` when no
+    /// run reaches into the range (nothing would be read); borrowed when
+    /// the whole plan already lies inside it.
+    pub fn clipped(&self, lo: u128, hi: u128) -> Option<Cow<'_, ScanPlan>> {
+        let (first, last) = (self.rows.first()?, self.rows.last()?);
+        if first.0 >= lo && last.1 <= hi {
+            return (!self.runs.is_empty()).then_some(Cow::Borrowed(self));
+        }
+        let clip = |spans: &[(u128, u128)]| -> Vec<(u128, u128)> {
+            spans
+                .iter()
+                .filter(|(l, h)| *h >= lo && *l <= hi)
+                .map(|(l, h)| ((*l).max(lo), (*h).min(hi)))
+                .collect()
+        };
+        let runs = clip(&self.runs);
+        (!runs.is_empty()).then(|| Cow::Owned(ScanPlan { runs, rows: clip(&self.rows) }))
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +328,45 @@ mod tests {
             coalesce_intervals(&[(u128::MAX, u128::MAX), (0, 1)]),
             vec![(0, 1), (u128::MAX, u128::MAX)]
         );
+    }
+
+    #[test]
+    fn plan_construction_enforces_its_invariants() {
+        // rows == runs.
+        let p = ScanPlan::from_intervals(&[(40, 50), (10, 20), (21, 30)]);
+        assert_eq!(p.runs(), &[(10, 30), (40, 50)]);
+        assert_eq!(p.rows(), p.runs());
+        // Overlapping rows merge, adjacent rows stay apart; a run crossing
+        // from one row into the adjacent one is cut at the boundary.
+        let p = ScanPlan::new(vec![(5, 25)], vec![(0, 9), (10, 19), (15, 30)]);
+        assert_eq!(p.rows(), &[(0, 9), (10, 30)]);
+        assert_eq!(p.runs(), &[(5, 9), (10, 25)]);
+        // A run outside every row widens the rows to hold it.
+        let p = ScanPlan::new(vec![(50, 60), (95, 120)], vec![(90, 100)]);
+        assert_eq!(p.rows(), &[(50, 60), (90, 120)]);
+        assert_eq!(p.runs(), &[(50, 60), (95, 120)]);
+        // row_end: inside a row, between rows, past the last row.
+        assert_eq!((p.row_end(55), p.row_end(70), p.row_end(500)), (60, 70, 500));
+        // Degenerate inputs.
+        let empty = ScanPlan::new(vec![(9, 3)], vec![(0, 10)]);
+        assert!(empty.runs().is_empty());
+        assert!(empty.clipped(0, u128::MAX).is_none(), "nothing to navigate, nothing to read");
+        let full = ScanPlan::new(vec![(0, u128::MAX)], vec![]);
+        assert_eq!(full.rows(), &[(0, u128::MAX)]);
+    }
+
+    #[test]
+    fn clipping_keeps_runs_inside_rows() {
+        let p = ScanPlan::new(vec![(12, 14), (18, 22), (40, 41)], vec![(10, 30), (35, 50)]);
+        // Wholly inside: borrowed, untouched.
+        assert!(matches!(p.clipped(0, 100), Some(Cow::Borrowed(_))));
+        // Cut through a row and a run.
+        let c = p.clipped(20, 38).expect("one run reaches in");
+        assert_eq!(c.runs(), &[(20, 22)]);
+        assert_eq!(c.rows(), &[(20, 30), (35, 38)]);
+        // Rows reach in but no run does: nothing would be read.
+        assert!(p.clipped(23, 39).is_none());
+        assert!(p.clipped(60, 70).is_none());
     }
 
     #[test]
@@ -609,6 +824,224 @@ mod proptests {
                 .collect();
             let got_keys: Vec<u128> = got.iter().map(|(k, _)| *k).collect();
             prop_assert_eq!(got_keys, oracle);
+        }
+
+        /// Emission rows wider than the navigation runs: the visitor sees
+        /// ascending keys, each once, all inside the rows, at least every
+        /// in-run entry — and the scan reads exactly the pages the
+        /// `rows == runs` scan reads (emission never costs a page).
+        #[test]
+        fn wider_rows_emit_more_from_the_same_pages(
+            keys in proptest::collection::btree_set(0u128..6_000, 0..400),
+            ivs in proptest::collection::vec((0u128..6_000, 0u128..120), 1..24),
+            pad in proptest::collection::vec((0u128..500, 0u128..500), 24),
+            cap in 2usize..64,
+        ) {
+            use crate::BTree;
+            use peb_common::Deadline;
+            use peb_storage::BufferPool;
+            use std::sync::Arc;
+
+            let mut t: BTree<u64> = BTree::new(Arc::new(BufferPool::new(cap)));
+            for &k in &keys {
+                t.insert(k, (k as u64) ^ 0xABCD);
+            }
+            let intervals: Vec<(u128, u128)> =
+                ivs.iter().map(|(lo, len)| (*lo, lo + len)).collect();
+            // Every interval padded outwards: rows ⊇ runs by construction.
+            let rows: Vec<(u128, u128)> = intervals
+                .iter()
+                .zip(&pad)
+                .map(|((lo, hi), (below, above))| (lo.saturating_sub(*below), hi + above))
+                .collect();
+            let plan = ScanPlan::new(intervals.clone(), rows);
+            let unbounded = Deadline::unbounded(t.pool().clock());
+            let scan = |plan: &ScanPlan| {
+                t.pool().reset_stats();
+                let mut got: Vec<u128> = Vec::new();
+                let term = t
+                    .try_scan_plan(plan, &unbounded, |k, v| {
+                        assert_eq!(v, (k as u64) ^ 0xABCD);
+                        got.push(k);
+                        Visit::Next
+                    })
+                    .unwrap();
+                assert_eq!(term, ScanTermination::Complete);
+                (got, t.pool().stats().logical_reads)
+            };
+
+            // The reference navigates the very same runs, rows == runs.
+            let (narrow, narrow_reads) = scan(&ScanPlan::new(plan.runs().to_vec(), Vec::new()));
+            let in_runs: Vec<u128> = keys
+                .iter()
+                .copied()
+                .filter(|k| plan.runs().iter().any(|(lo, hi)| k >= lo && k <= hi))
+                .collect();
+            prop_assert_eq!(&narrow, &in_runs, "rows == runs emits exactly the in-run entries");
+            // ... and is the per-interval visit sequence.
+            let mut per_interval = Vec::new();
+            for (lo, hi) in coalesce_intervals(&intervals) {
+                t.range_scan(lo, hi, |k, _| {
+                    per_interval.push(k);
+                    true
+                });
+            }
+            prop_assert_eq!(&narrow, &per_interval);
+
+            let (wide, wide_reads) = scan(&plan);
+            prop_assert!(wide.windows(2).all(|w| w[0] < w[1]), "ascending, exactly once");
+            prop_assert!(
+                wide.iter().all(|k| plan.rows().iter().any(|(lo, hi)| k >= lo && k <= hi)),
+                "every emitted key lies in a row"
+            );
+            prop_assert!(in_runs.iter().all(|k| wide.binary_search(k).is_ok()), "superset");
+            prop_assert_eq!(wide_reads, narrow_reads, "emission must not cost a page");
+        }
+
+        /// `SkipRow` drops exactly that row's remainder: nothing more of a
+        /// skipped row is emitted, every other row still delivers all its
+        /// in-run entries, and the scan reads no more pages than the
+        /// unskipped scan. (The pool holds the whole tree: past a skipped
+        /// row the walk re-descends where it would have followed sibling
+        /// links, which is free only while the cached branch pages are
+        /// still resident.)
+        #[test]
+        fn skip_row_drops_that_row_and_nothing_else(
+            keys in proptest::collection::btree_set(0u128..8_000, 50..500),
+            starts in proptest::collection::btree_set(0u128..16, 2..8),
+            windows in proptest::collection::vec((0u128..400, 1u128..60), 1..6),
+            skip_mask in 0u32..256,
+            cap in 32usize..64,
+        ) {
+            use crate::BTree;
+            use peb_common::Deadline;
+            use peb_storage::BufferPool;
+            use std::sync::Arc;
+
+            let mut t: BTree<u64> = BTree::new(Arc::new(BufferPool::new(cap)));
+            for &k in &keys {
+                t.insert(k, k as u64);
+            }
+            // rows × windows, like a PEB plan: row j spans [500 j, 500 j + 499].
+            let rows: Vec<(u128, u128)> = starts.iter().map(|j| (j * 500, j * 500 + 499)).collect();
+            let runs: Vec<(u128, u128)> = rows
+                .iter()
+                .flat_map(|(base, _)| {
+                    windows.iter().map(move |(off, len)| (base + off, (base + off + len).min(base + 499)))
+                })
+                .collect();
+            let plan = ScanPlan::new(runs, rows.clone());
+            let skipped = |k: u128| {
+                rows.iter().position(|(lo, hi)| k >= *lo && k <= *hi)
+                    .is_some_and(|j| skip_mask & (1 << j) != 0)
+            };
+            let unbounded = Deadline::unbounded(t.pool().clock());
+
+            t.pool().reset_stats();
+            t.try_scan_plan(&plan, &unbounded, |_, _| Visit::Next).unwrap();
+            let full_reads = t.pool().stats().logical_reads;
+
+            t.pool().reset_stats();
+            let mut got: Vec<u128> = Vec::new();
+            let term = t
+                .try_scan_plan(&plan, &unbounded, |k, _| {
+                    got.push(k);
+                    if skipped(k) { Visit::SkipRow } else { Visit::Next }
+                })
+                .unwrap();
+            prop_assert_eq!(term, ScanTermination::Complete, "a skip is not a stop");
+            prop_assert!(t.pool().stats().logical_reads <= full_reads);
+            prop_assert!(got.windows(2).all(|w| w[0] < w[1]));
+            for (lo, hi) in &rows {
+                let of_row = got.iter().filter(|k| *k >= lo && *k <= hi).count();
+                if skipped(*lo) {
+                    prop_assert!(of_row <= 1, "a skipped row shows one entry at most");
+                }
+            }
+            for k in keys.iter().filter(|k| !skipped(**k)) {
+                if plan.runs().iter().any(|(lo, hi)| k >= lo && k <= hi) {
+                    prop_assert!(got.binary_search(k).is_ok(), "kept row lost in-run key {}", k);
+                }
+            }
+        }
+
+        /// With buffered messages pending, everything a plan scan emits —
+        /// in-run or merely in-row on a page in hand — is the *current*
+        /// truth: the overlay is collected over the rows, so no overwritten
+        /// value and no deleted key rides along, and skipping a row skips
+        /// its pending puts too.
+        #[test]
+        fn pending_messages_overlay_the_rows_not_just_the_runs(
+            keys in proptest::collection::btree_set(0u128..4_000, 20..300),
+            ops in proptest::collection::vec((0u128..4_000, 0u8..3), 1..60),
+            ivs in proptest::collection::vec((0u128..4_000, 0u128..80), 1..12),
+            pad in proptest::collection::vec((0u128..600, 0u128..600), 12),
+            skip_every in 0u128..4,
+        ) {
+            use crate::BTree;
+            use peb_common::Deadline;
+            use peb_storage::BufferPool;
+            use std::collections::BTreeMap;
+            use std::sync::Arc;
+
+            let mut t: BTree<u64> = BTree::new(Arc::new(BufferPool::new(64)));
+            let mut model: BTreeMap<u128, u64> = BTreeMap::new();
+            for &k in &keys {
+                t.insert(k, k as u64);
+                model.insert(k, k as u64);
+            }
+            t.set_buffered_writes(true);
+            for (n, (k, op)) in ops.iter().enumerate() {
+                if *op == 0 {
+                    t.buffered_delete(*k);
+                    model.remove(k);
+                } else {
+                    t.buffered_insert(*k, 7_000_000 + n as u64);
+                    model.insert(*k, 7_000_000 + n as u64);
+                }
+            }
+            prop_assert!(t.pending_messages() > 0, "the messages must still be parked");
+            let intervals: Vec<(u128, u128)> =
+                ivs.iter().map(|(lo, len)| (*lo, lo + len)).collect();
+            let rows: Vec<(u128, u128)> = intervals
+                .iter()
+                .zip(&pad)
+                .map(|((lo, hi), (below, above))| (lo.saturating_sub(*below), hi + above))
+                .collect();
+            let plan = ScanPlan::new(intervals, rows);
+            // Skip every row whose index is a multiple of `skip_every`.
+            let skip_row = |j: usize| skip_every > 0 && (j as u128).is_multiple_of(skip_every);
+            let row_of = |k: u128| plan.rows().iter().position(|(lo, hi)| k >= *lo && k <= *hi);
+            let skipped = |k: u128| row_of(k).is_some_and(skip_row);
+
+            let unbounded = Deadline::unbounded(t.pool().clock());
+            let mut got: Vec<(u128, u64)> = Vec::new();
+            let term = t
+                .try_scan_plan(&plan, &unbounded, |k, v| {
+                    got.push((k, v));
+                    if skipped(k) { Visit::SkipRow } else { Visit::Next }
+                })
+                .unwrap();
+            prop_assert_eq!(term, ScanTermination::Complete);
+            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ascending, exactly once");
+            for (k, v) in &got {
+                prop_assert!(row_of(*k).is_some(), "emitted key {} lies in no row", k);
+                prop_assert_eq!(model.get(k), Some(v), "stale or deleted entry emitted at {}", k);
+            }
+            for (j, (lo, hi)) in plan.rows().iter().enumerate() {
+                let of_row = got.iter().filter(|(k, _)| k >= lo && k <= hi).count();
+                if skip_row(j) {
+                    prop_assert!(of_row <= 1, "a skipped row shows one entry at most");
+                }
+            }
+            for (k, _) in model.iter().filter(|(k, _)| !skipped(**k)) {
+                if plan.runs().iter().any(|(lo, hi)| k >= lo && k <= hi) {
+                    prop_assert!(
+                        got.binary_search_by_key(k, |(g, _)| *g).is_ok(),
+                        "current in-run key {} not emitted", k
+                    );
+                }
+            }
         }
     }
 }

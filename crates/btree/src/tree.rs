@@ -29,7 +29,7 @@ use peb_common::Deadline;
 use peb_storage::{BufferPool, IoFault, OptimisticRead, Page, PageId, PageSnapshot};
 
 use crate::msg::{MsgState, WriteCounters};
-use crate::multiscan::{coalesce_intervals, ScanCounters, ScanStats, ScanTermination};
+use crate::multiscan::{ScanCounters, ScanPlan, ScanStats, ScanTermination, Visit};
 use crate::node::{self, branch_capacity, leaf_capacity, HEADER};
 use crate::olc::OlcCounters;
 use crate::value::RecordValue;
@@ -1048,14 +1048,15 @@ impl<V: RecordValue> BTree<V> {
         let mut fault = None;
         let done = self.scan_with_overlay(
             overlay,
-            |f| match self.scan_leaves(lo, hi, f) {
+            &ScanPlan::from_intervals(&[(lo, hi)]),
+            |f| match self.scan_leaves(lo, hi, |k, v| f(k, v) == Visit::Next) {
                 Ok(done) => done,
                 Err(e) => {
                     fault = Some(e);
                     false
                 }
             },
-            &mut visit,
+            &mut |k, v| Visit::next_if(visit(k, v)),
         );
         match fault {
             Some(e) => Err(e),
@@ -1362,15 +1363,8 @@ impl<V: RecordValue> BTree<V> {
     /// bounded by theirs; the visit sequence is identical to per-interval
     /// scans over the coalesced set.
     ///
-    /// Leaves are read from lock-free versioned snapshots when published
-    /// and from the locked page otherwise, exactly like
-    /// [`BTree::range_scan`]'s chain walk; entries are handed to `visit`
-    /// with no page borrow or lock held.
-    ///
-    /// With buffered messages pending, the newest in-union message per key
-    /// is overlaid on the leaf emission exactly as in
-    /// [`BTree::range_scan`]; with nothing pending the fused path below
-    /// runs untouched.
+    /// A thin wrapper: the plan with `rows == runs`
+    /// ([`ScanPlan::from_intervals`]) run by [`BTree::try_scan_plan`].
     pub fn multi_range_scan(
         &self,
         intervals: &[(u128, u128)],
@@ -1387,73 +1381,81 @@ impl<V: RecordValue> BTree<V> {
     pub fn try_multi_range_scan(
         &self,
         intervals: &[(u128, u128)],
-        mut visit: impl FnMut(u128, V) -> bool,
+        visit: impl FnMut(u128, V) -> bool,
     ) -> Result<bool, IoFault> {
-        if self.msgs.pending == 0 {
-            return self.multi_range_scan_leaves(intervals, visit, &mut || true);
-        }
-        let overlay = self.collect_overlay(intervals);
-        // Same fault-parking composition as [`BTree::try_range_scan`].
-        let mut fault = None;
-        let done = self.scan_with_overlay(
-            overlay,
-            |f| match self.multi_range_scan_leaves(intervals, f, &mut || true) {
-                Ok(done) => done,
-                Err(e) => {
-                    fault = Some(e);
-                    false
-                }
-            },
-            &mut visit,
-        );
-        match fault {
-            Some(e) => Err(e),
-            None => Ok(done),
-        }
+        let unbounded = Deadline::unbounded(self.pool.clock());
+        Ok(self.try_multi_range_scan_deadline(intervals, &unbounded, visit)?.is_complete())
     }
 
-    /// Deadline-checked [`BTree::try_multi_range_scan`]: the identical
-    /// fused traversal, with the deadline consulted at every **leaf-page
-    /// boundary** and before every entry visit — so once it expires, the
-    /// scan stops within one page visit (the cooperative-cancellation
-    /// epsilon the chaos harness asserts). The prefix already emitted is
-    /// exact and in order; the typed [`ScanTermination`] tells the caller
-    /// whether it saw everything, stopped voluntarily, or ran out of
-    /// budget.
-    ///
-    /// [`ScanTermination`]: crate::multiscan::ScanTermination
+    /// Deadline-checked [`BTree::try_multi_range_scan`]; see
+    /// [`BTree::try_scan_plan`] for the checkpoint and termination
+    /// contract.
     pub fn try_multi_range_scan_deadline(
         &self,
         intervals: &[(u128, u128)],
         deadline: &Deadline,
         mut visit: impl FnMut(u128, V) -> bool,
     ) -> Result<ScanTermination, IoFault> {
-        let mut expired = false;
+        self.try_scan_plan(&ScanPlan::from_intervals(intervals), deadline, |k, v| {
+            Visit::next_if(visit(k, v))
+        })
+    }
+
+    /// Execute a [`ScanPlan`]: read the leaves its navigation runs name
+    /// (one descent, then the sibling chain, re-descending through the
+    /// cached path only past a fence key) and hand `visit` every entry of
+    /// every page read that lies in one of the plan's emission rows —
+    /// ascending, exactly once. That is every in-run entry, plus whatever
+    /// else of the rows the pages in hand happen to hold. `visit` steers
+    /// with a [`Visit`]; `SkipRow` drops the rest of that row, including
+    /// its runs not yet navigated, so the scan never reads a page the
+    /// runs alone would not have read, and often fewer.
+    ///
+    /// The deadline is consulted at every **leaf-page boundary** and
+    /// before every entry visit — so once it expires, the scan stops
+    /// within one page visit (the cooperative-cancellation epsilon the
+    /// chaos harness asserts). The prefix already emitted is exact and in
+    /// order; the typed [`ScanTermination`] tells the caller whether the
+    /// plan ran out, the visitor stopped it, or the budget did.
+    ///
+    /// Leaves are read from lock-free versioned snapshots when published
+    /// and from the locked page otherwise, exactly like
+    /// [`BTree::range_scan`]'s chain walk; entries are handed to `visit`
+    /// with no page borrow or lock held. With buffered messages pending,
+    /// the newest message per key **over the rows** (not just the runs —
+    /// an out-of-run entry must not be served stale) is overlaid on the
+    /// leaf emission exactly as in [`BTree::range_scan`]. Under the OLC
+    /// write path each run walks the strict frontier-validated chain scan
+    /// and only in-run entries are emitted.
+    pub fn try_scan_plan(
+        &self,
+        plan: &ScanPlan,
+        deadline: &Deadline,
+        mut visit: impl FnMut(u128, V) -> Visit,
+    ) -> Result<ScanTermination, IoFault> {
         let mut stopped = false;
-        let wrapped = |k: u128, v: V| {
+        let mut wrapped = |k: u128, v: V| {
             if deadline.expired() {
-                expired = true;
-                return false;
+                return Visit::Stop;
             }
-            if !visit(k, v) {
-                stopped = true;
-                return false;
-            }
-            true
+            let verdict = visit(k, v);
+            stopped |= verdict == Visit::Stop;
+            verdict
         };
-        // The leaf-boundary checkpoint: cheaper than wrapping because it
-        // also fires on leaves that contribute *no* entries (interval
-        // gaps), which the per-entry check alone would walk past.
+        // The leaf-boundary checkpoint also fires on leaves that
+        // contribute *no* entries (gaps), which the per-entry check alone
+        // would walk past.
         let mut checkpoint = || !deadline.expired();
         let done = if self.msgs.pending == 0 {
-            self.multi_range_scan_leaves(intervals, wrapped, &mut checkpoint)?
+            self.scan_plan_leaves(plan, &mut wrapped, &mut checkpoint)?
         } else {
-            let overlay = self.collect_overlay(intervals);
+            let overlay = self.collect_overlay(plan.rows());
+            // Same fault-parking composition as [`BTree::try_range_scan`].
             let mut fault = None;
-            let mut wrapped = wrapped;
             let done = self.scan_with_overlay(
                 overlay,
-                |f| match self.multi_range_scan_leaves(intervals, f, &mut checkpoint) {
+                plan,
+                |f| match self.scan_plan_leaves(plan, f, &mut checkpoint) {
                     Ok(done) => done,
                     Err(e) => {
                         fault = Some(e);
@@ -1472,50 +1474,63 @@ impl<V: RecordValue> BTree<V> {
         } else if stopped {
             ScanTermination::Stopped
         } else {
-            // Either the visitor wrapper or a leaf-boundary checkpoint
-            // saw the expiry (the overlay merge can stop the leaf walk
-            // without consulting the wrapper, so `expired` alone is not
-            // authoritative).
-            debug_assert!(expired || deadline.expired());
+            // The visitor wrapper or a leaf-boundary checkpoint saw the
+            // expiry.
+            debug_assert!(deadline.expired());
             ScanTermination::Expired
         })
     }
 
-    /// The leaf-only body of [`BTree::multi_range_scan`] (no overlay).
+    /// The leaf-only body of [`BTree::try_scan_plan`] (no overlay).
     /// `checkpoint` is consulted once per leaf-page iteration (and per
-    /// coalesced run on the OLC path); returning `false` ends the scan
-    /// like a visitor early-exit — the deadline hook of
-    /// [`BTree::try_multi_range_scan_deadline`].
-    fn multi_range_scan_leaves(
+    /// run on the OLC path); returning `false` ends the scan like a
+    /// visitor's `Stop`. Returns whether the plan ran out.
+    fn scan_plan_leaves(
         &self,
-        intervals: &[(u128, u128)],
-        mut visit: impl FnMut(u128, V) -> bool,
+        plan: &ScanPlan,
+        visit: &mut dyn FnMut(u128, V) -> Visit,
         checkpoint: &mut dyn FnMut() -> bool,
     ) -> Result<bool, IoFault> {
-        let runs = coalesce_intervals(intervals);
-        if runs.is_empty() {
-            return Ok(true);
-        }
+        let (runs, rows) = (plan.runs(), plan.rows());
         if self.olc_enabled() {
             // The fused descent-path cache validates each cached level's
             // version in isolation — there is no parent-after-child
             // handshake — which is only sound while writers are excluded.
-            // Under the OLC write path each coalesced run walks the
-            // strict frontier-validated chain scan instead (one descent
-            // per run; the cache saving is deliberately forgone).
-            for &(lo, hi) in &runs {
+            // Under the OLC write path each run walks the strict
+            // frontier-validated chain scan instead (one descent per run;
+            // the cache saving and the out-of-run emission are forgone).
+            let mut i = 0usize;
+            while i < runs.len() {
                 if !checkpoint() {
                     return Ok(false);
                 }
-                if !self.range_scan_leaves_olc(lo, hi, &mut visit)? {
+                let (lo, hi) = runs[i];
+                let mut skip = false;
+                let done = self.range_scan_leaves_olc(lo, hi, |k, v| {
+                    let verdict = visit(k, v);
+                    skip = verdict == Visit::SkipRow;
+                    verdict == Visit::Next
+                })?;
+                if skip {
+                    let end = plan.row_end(lo);
+                    while i < runs.len() && runs[i].0 <= end {
+                        i += 1;
+                    }
+                } else if !done {
                     return Ok(false);
+                } else {
+                    i += 1;
                 }
             }
             return Ok(true);
         }
         let vsize = Self::vsize();
         let mut path: Vec<PathLevel> = (1..self.height()).map(|_| PathLevel::default()).collect();
-        let mut i = 0usize;
+        // `i`: first run not yet consumed; `r`: first row reaching the
+        // frontier; `frontier`: smallest key not yet dealt with —
+        // everything below was emitted, lies in no row, or was skipped.
+        let (mut i, mut r) = (0usize, 0usize);
+        let mut frontier = 0u128;
         'runs: while i < runs.len() {
             // Checked before the descent too: a freshly expired deadline
             // must not pay height-many branch reads for a run it will
@@ -1533,23 +1548,23 @@ impl<V: RecordValue> BTree<V> {
                 if !checkpoint() {
                     return Ok(false);
                 }
-                // Collect this leaf's in-union entries from one
-                // consistent page image, then emit with no page borrow
-                // (and no lock) held across the callback.
+                // Collect this leaf's in-row entries from the frontier on
+                // out of one consistent page image, then emit with no
+                // page borrow (and no lock) held across the callback.
                 let read_leaf = |p: &Page| {
                     let n = node::count(p);
                     let mut batch: Vec<(u128, V)> = Vec::new();
-                    let mut ri = i;
-                    let mut idx = node::leaf_lower_bound(p, runs[ri].0, vsize);
-                    while idx < n && ri < runs.len() {
+                    let mut ri = r;
+                    let mut idx = node::leaf_lower_bound(p, frontier.max(rows[ri].0), vsize);
+                    while idx < n {
                         let k = node::leaf_key(p, idx, vsize);
-                        while ri < runs.len() && runs[ri].1 < k {
+                        while ri < rows.len() && rows[ri].1 < k {
                             ri += 1;
                         }
-                        if ri == runs.len() {
+                        if ri == rows.len() {
                             break;
                         }
-                        if k >= runs[ri].0 {
+                        if k >= rows[ri].0 {
                             batch.push((
                                 k,
                                 V::read(p.bytes(node::leaf_entry_off(idx, vsize) + 16, vsize)),
@@ -1557,29 +1572,41 @@ impl<V: RecordValue> BTree<V> {
                             idx += 1;
                         } else {
                             // Jump over the intra-leaf gap to the next
-                            // interval's first possible entry.
-                            idx = node::leaf_lower_bound(p, runs[ri].0, vsize);
+                            // row's first possible entry.
+                            idx = node::leaf_lower_bound(p, rows[ri].0, vsize);
                         }
                     }
                     let last_key = if n > 0 { Some(node::leaf_key(p, n - 1, vsize)) } else { None };
-                    (batch, node::right_sibling(p), ri, last_key)
+                    (batch, node::right_sibling(p), last_key)
                 };
-                let (batch, next, mut ri, last_key) = match self.pool.read_versioned(pid, read_leaf)
-                {
-                    OptimisticRead::Hit(r, _) => r,
+                let (batch, next, last_key) = match self.pool.read_versioned(pid, read_leaf) {
+                    OptimisticRead::Hit(leaf, _) => leaf,
                     OptimisticRead::Unpublished | OptimisticRead::Conflict => {
                         self.pool.try_read(pid, read_leaf)?
                     }
                 };
                 for (k, v) in batch {
-                    if !visit(k, v) {
-                        return Ok(false);
+                    if k < frontier {
+                        continue; // the rest of a row the visitor skipped
+                    }
+                    match visit(k, v) {
+                        Visit::Next => {}
+                        Visit::Stop => return Ok(false),
+                        Visit::SkipRow => {
+                            while rows[r].1 < k {
+                                r += 1;
+                            }
+                            match rows[r].1.checked_add(1) {
+                                Some(past_row) => frontier = past_row,
+                                None => return Ok(true),
+                            }
+                        }
                     }
                 }
-                // Drop intervals this leaf fully consumed: everything up
-                // to the last key seen, plus — when the fence is known —
-                // everything below it (keys in the gap between the last
-                // entry and the fence exist nowhere else in the tree).
+                // This leaf settles everything up to the last key seen,
+                // plus — when the fence is known — everything below it
+                // (keys in the gap between the last entry and the fence
+                // exist nowhere else in the tree).
                 let covered = match (fence, last_key) {
                     // `f - 1` is safe: f == u128::MAX means "unbounded",
                     // already excluded by the match guard.
@@ -1589,26 +1616,33 @@ impl<V: RecordValue> BTree<V> {
                     // empty): nothing exists at all.
                     _ => u128::MAX,
                 };
-                while ri < runs.len() && runs[ri].1 <= covered {
-                    ri += 1;
+                let Some(past_leaf) = covered.checked_add(1) else {
+                    return Ok(true);
+                };
+                frontier = frontier.max(past_leaf);
+                // Drop the runs this leaf (or a skipped row) consumed.
+                while i < runs.len() && runs[i].1 < frontier {
+                    i += 1;
                 }
-                i = ri;
-                if i == runs.len() {
+                if i == runs.len() || !next.is_valid() {
+                    // Plan exhausted — or the rightmost leaf: no key
+                    // beyond it, the remaining runs are empty.
                     return Ok(true);
                 }
-                if !next.is_valid() {
-                    // Rightmost leaf: no key beyond it, the remaining
-                    // intervals are empty.
-                    return Ok(true);
+                // Run `i` ends at or past the frontier, so its row does.
+                while rows[r].1 < frontier {
+                    r += 1;
                 }
-                // The next needed interval starts at or beyond this
-                // leaf's coverage. If it starts within coverage (it
-                // straddles into the next leaf), follow the sibling
-                // pointer; otherwise the gap is of unknown width — re-
-                // descend through the cached path (upper levels are
+                // The next needed run starts at or beyond this leaf's
+                // coverage. If it starts within coverage (it straddles
+                // into the next leaf) or right at its edge (whatever it
+                // holds begins on the very next leaf — a run cut at a row
+                // boundary walks on like the uncut one), follow the
+                // sibling pointer; otherwise the gap is of unknown width
+                // — re-descend through the cached path (upper levels are
                 // normally still valid, so the re-route costs one leaf
                 // read, like a sibling step).
-                if runs[i].0 <= covered {
+                if runs[i].0 <= past_leaf {
                     pid = next;
                     fence = None;
                 } else {

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 /// An instrumented protocol boundary. The variants are deliberately
 /// coarse — schedules perturb *classes* of sites; precise single-point
@@ -209,22 +209,37 @@ fn waiters() -> &'static Mutex<HashMap<&'static str, usize>> {
     WAITERS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// The controller (injector flag, seed, gate table) is process-global, and
+/// `cargo test` runs tests on parallel threads: every section serializes
+/// here so one test's [`disable`] can never open another test's gates.
+/// Poison-tolerant — a test that panicked inside its section must not
+/// fail every later one.
+fn section_lock() -> MutexGuard<'static, ()> {
+    static SECTION: Mutex<()> = Mutex::new(());
+    SECTION.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// RAII guard: enables the seeded injector on construction, disables it
 /// (and opens all gates) on drop — including on panic, so one failing
-/// seed never wedges the rest of the test binary.
-pub struct SeededSection;
+/// seed never wedges the rest of the test binary. Holds the process-wide
+/// section lock for its whole lifetime, so sections never overlap.
+pub struct SeededSection {
+    _serial: MutexGuard<'static, ()>,
+}
 
 impl SeededSection {
-    /// Enable the injector for this scope.
+    /// Enable the injector for this scope (waits for any other live
+    /// section in the process to end first).
     pub fn new(seed: u64) -> Self {
+        let _serial = section_lock();
         enable_seeded(seed);
-        SeededSection
+        SeededSection { _serial }
     }
 }
 
 impl Drop for SeededSection {
     fn drop(&mut self) {
-        disable();
+        disable(); // before the lock field drops
     }
 }
 
@@ -233,8 +248,17 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Spin until some thread is parked on `name` (a yield, not a sleep:
+    /// the test proceeds exactly when the condition holds).
+    fn wait_until_blocked(name: &'static str) {
+        while !is_blocked(name) {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn disabled_probe_is_a_noop() {
+        let _serial = section_lock();
         disable();
         probe(Site::LatchAcquire);
         gate("never-closed");
@@ -259,8 +283,7 @@ mod tests {
             gate("t-gate"); // second arrival blocks until open()
             true
         });
-        // Give the thread a moment to park, then release it.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_until_blocked("t-gate");
         assert!(!th.is_finished(), "second arrival must be parked on the gate");
         open("t-gate");
         assert!(th.join().unwrap());
@@ -268,10 +291,11 @@ mod tests {
 
     #[test]
     fn disable_opens_leftover_gates() {
+        let _serial = section_lock();
         enable_seeded(2);
         close("leak-gate", 0);
         let th = std::thread::spawn(|| gate("leak-gate"));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_until_blocked("leak-gate");
         disable();
         th.join().unwrap();
     }

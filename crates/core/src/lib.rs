@@ -28,6 +28,7 @@
 pub mod baseline;
 pub mod circle;
 pub mod context;
+mod friends;
 pub mod keys;
 pub mod oracle;
 pub mod partial;

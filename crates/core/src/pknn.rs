@@ -13,14 +13,28 @@
 //! inscribed circle of the current round's window. A final vertical scan
 //! (all rows, window shrunk to twice the current k'th candidate distance)
 //! guarantees no closer qualified user was missed.
+//!
+//! The default (fused) plan issues **one scan per anti-diagonal**: a
+//! [`ScanPlan`] whose navigation runs are the fresh flanks of the
+//! diagonal's unresolved cells and whose emission rows are those rows'
+//! whole SV rows, so the leaf read for a row's first, smallest window
+//! usually locates the row's friends outright and the row answers
+//! `SkipRow` ever after. The paper's "k within this radius" test runs
+//! over the diagonal's cells once its scan returns. Locating a friend
+//! early only removes work: every candidate is refined and ranked exactly
+//! as before and the vertical scan still closes the k'th distance, so the
+//! answer is the same exact kNN. The per-interval plan
+//! ([`PebTree::set_fused_scans`] off) scans cell by cell, flank by flank,
+//! and is the A/B reference.
 
 use std::collections::{HashMap, HashSet};
 
-use peb_btree::ScanTermination;
+use peb_btree::{ScanPlan, ScanTermination};
 use peb_bx::estimated_knn_distance;
 use peb_common::{Deadline, MovingPoint, Point, Rect, Timestamp, UserId};
 use peb_index::{IndexError, ObjectRecord};
 
+use crate::friends::Friends;
 use crate::partial::Partial;
 use crate::tree::PebTree;
 
@@ -45,7 +59,9 @@ impl PebTree {
     /// Fallible twin of [`PebTree::pknn`]: an unresolvable media fault
     /// anywhere in the search-matrix scans surfaces as
     /// [`IndexError::Io`] instead of panicking. The result set of a
-    /// completed query is identical to the infallible path's.
+    /// completed query is identical to the infallible path's. On the
+    /// fused plan this is [`PebTree::try_pknn_deadline`] under a deadline
+    /// that never expires; below is the per-interval reference plan.
     pub fn try_pknn(
         &self,
         issuer: UserId,
@@ -53,19 +69,16 @@ impl PebTree {
         k: usize,
         tq: Timestamp,
     ) -> Result<Vec<(MovingPoint, f64)>, IndexError> {
+        if self.fused_scans() {
+            let unbounded = Deadline::unbounded(self.pool().clock());
+            return Ok(self.try_pknn_deadline(issuer, q, k, tq, &unbounded)?.value);
+        }
         let groups = self.ctx().friend_sv_groups(issuer);
         if groups.is_empty() || k == 0 || self.is_empty() {
             return Ok(Vec::new());
         }
         let m = groups.len();
-        let n_objects = self.len();
-
-        // Initial radius r_q = D_k / k (Fig 10 line 2), floored at one grid
-        // cell so tiny estimates still make progress.
-        let rq = (estimated_knn_distance(k, n_objects, self.space().side) / k as f64)
-            .max(self.space().cell_size() * peb_bx::tree::KNN_STEP_FLOOR_CELLS);
-        let max_radius = self.space().side * 4.0;
-        let max_rounds = (max_radius / rq).ceil() as usize;
+        let (rq, max_rounds) = self.pknn_rounds(k);
 
         let partitions = self.live_partitions();
         let mut scanned: ScannedMap = HashMap::new();
@@ -116,66 +129,51 @@ impl PebTree {
 
         // Vertical-scan refinement: make sure every friend row is covered
         // out to twice the current k'th candidate distance, then re-rank.
-        // On the fused plan the whole column is one multi-interval scan
-        // (every unresolved group's fresh intervals, all partitions)
-        // instead of one cell — and therefore one descent — per row.
         let kth_dist = pool[k - 1].1;
         let radius = kth_dist.max(self.space().cell_size() * 0.5);
-        if self.fused_scans() {
-            let mut intervals: Vec<(u128, u128)> = Vec::new();
-            for (sv_code, members) in &groups {
-                if members.iter().all(|u| resolved.contains(u)) {
-                    continue;
-                }
-                intervals.extend(self.cell_intervals(
-                    *sv_code,
-                    q,
-                    tq,
-                    radius,
-                    &partitions,
-                    &mut scanned,
-                ));
-            }
-            self.try_scan_intervals_fused(&intervals, |rec| {
-                self.pknn_refine(issuer, q, tq, rec, &mut resolved, &mut pool);
-                // Once every friend is located no further record can
-                // qualify; stop the column scan early.
-                resolved.len() < total_friends
-            })?;
-        } else {
-            for group in &groups {
-                self.scan_cell(
-                    issuer,
-                    q,
-                    tq,
-                    group,
-                    radius,
-                    &partitions,
-                    &mut scanned,
-                    &mut resolved,
-                    &mut pool,
-                )?;
-            }
+        for group in &groups {
+            self.scan_cell(
+                issuer,
+                q,
+                tq,
+                group,
+                radius,
+                &partitions,
+                &mut scanned,
+                &mut resolved,
+                &mut pool,
+            )?;
         }
         pool.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.uid.cmp(&b.0.uid)));
         pool.truncate(k);
         Ok(pool)
     }
 
-    /// Deadline-bounded PkNN: the graceful-degradation entry point of the
-    /// serving layer.
+    /// The round step `r_q = D_k / k` (Fig 10 line 2), floored at one grid
+    /// cell so tiny estimates still make progress, and how many rounds
+    /// reach the maximum search radius.
+    fn pknn_rounds(&self, k: usize) -> (f64, usize) {
+        let rq = (estimated_knn_distance(k, self.len(), self.space().side) / k as f64)
+            .max(self.space().cell_size() * peb_bx::tree::KNN_STEP_FLOOR_CELLS);
+        let max_radius = self.space().side * 4.0;
+        (rq, (max_radius / rq).ceil() as usize)
+    }
+
+    /// Deadline-bounded PkNN: the fused plan, and the graceful-degradation
+    /// entry point of the serving layer.
     ///
-    /// Walks the same search matrix as [`PebTree::try_pknn`] with
-    /// `deadline` checked at every page visit and cell boundary. Expiry
-    /// returns the best-`k` candidates refined so far — each one passed
-    /// the same policy/distance checks as the unbounded query, but a
-    /// closer qualified friend the budget never reached may be missing,
-    /// so the ranking is a *candidate* ranking, not a proof. Because the
-    /// matrix's cells interleave every live partition (each cell scans
-    /// all of them at one radius), no single partition's coverage
-    /// survives an expiry: a degraded PkNN tags **all** partitions
-    /// incomplete, and a completed one tags all complete — the
-    /// [`Partial::is_complete`] flag is the answer's integrity bit.
+    /// Walks the search matrix of [`PebTree::try_pknn`] one anti-diagonal
+    /// per scan (see the module docs) with `deadline` checked at every
+    /// page visit and diagonal boundary. Expiry returns the best-`k`
+    /// candidates refined so far — each one passed the same
+    /// policy/distance checks as the unbounded query, but a closer
+    /// qualified friend the budget never reached may be missing, so the
+    /// ranking is a *candidate* ranking, not a proof. Because every
+    /// diagonal's scan interleaves all live partitions, no single
+    /// partition's coverage survives an expiry: a degraded PkNN tags
+    /// **all** partitions incomplete, and a completed one tags all
+    /// complete — the [`Partial::is_complete`] flag is the answer's
+    /// integrity bit.
     pub fn try_pknn_deadline(
         &self,
         issuer: UserId,
@@ -192,53 +190,61 @@ impl PebTree {
             return Ok(Partial::complete(Vec::new(), tids));
         }
         let m = groups.len();
-        let n_objects = self.len();
-
-        let rq = (estimated_knn_distance(k, n_objects, self.space().side) / k as f64)
-            .max(self.space().cell_size() * peb_bx::tree::KNN_STEP_FLOOR_CELLS);
-        let max_radius = self.space().side * 4.0;
-        let max_rounds = (max_radius / rq).ceil() as usize;
+        let (rq, max_rounds) = self.pknn_rounds(k);
+        let keys = *self.key_layout();
 
         let mut scanned: ScannedMap = HashMap::new();
-        let mut resolved: HashSet<UserId> = HashSet::new();
+        let mut friends = Friends::new(&groups);
         let mut pool: Vec<(MovingPoint, f64)> = Vec::new();
-
-        let total_friends: usize = groups.iter().map(|(_, ms)| ms.len()).sum();
-        let mut done = false;
-        let mut expired = false;
-        'diagonals: for d in 0..(m + max_rounds) {
-            for (row, group) in groups.iter().enumerate().take(d.min(m - 1) + 1) {
-                let round = d - row + 1;
-                if round > max_rounds {
+        // One plan scan over `cells` = [(row, radius)]: the unresolved
+        // cells' fresh flanks navigate, their whole SV rows answer.
+        // Returns whether the deadline cut the scan short.
+        let mut scan_cells = |cells: &[(usize, f64)],
+                              friends: &mut Friends,
+                              pool: &mut Vec<(MovingPoint, f64)>|
+         -> Result<bool, IndexError> {
+            let (mut runs, mut rows) = (Vec::new(), Vec::new());
+            for &(row, radius) in cells {
+                if friends.group_done(row) {
                     continue;
                 }
-                if deadline.expired() {
-                    expired = true;
-                    break 'diagonals;
-                }
-                let radius = round as f64 * rq;
-                if self.scan_cell_deadline(
-                    issuer,
-                    q,
-                    tq,
-                    group,
-                    radius,
-                    &partitions,
-                    &mut scanned,
-                    &mut resolved,
-                    &mut pool,
-                    deadline,
-                )? {
-                    expired = true;
-                    break 'diagonals;
-                }
-                if pool.iter().filter(|(_, dist)| *dist <= radius).count() >= k {
-                    done = true;
-                    break 'diagonals;
-                }
-                if resolved.len() >= total_friends {
-                    break 'diagonals;
-                }
+                let sv_code = groups[row].0;
+                runs.extend(self.cell_intervals(sv_code, q, tq, radius, &partitions, &mut scanned));
+                rows.extend(partitions.iter().map(|(tid, _)| self.sv_row(*tid, sv_code)));
+            }
+            let plan = ScanPlan::new(runs, rows);
+            let report = self.index().try_scan_plan(&plan, deadline, |key, rec| {
+                self.pknn_refine(issuer, q, tq, rec, |uid| friends.locate(uid), pool);
+                friends.verdict(keys.sv_of(key))
+            })?;
+            Ok(report.termination == ScanTermination::Expired)
+        };
+
+        // Triangular order over the search matrix, one anti-diagonal —
+        // the cells (row, round) with row + (round − 1) = d — per scan.
+        let mut done = false;
+        let mut expired = false;
+        for d in 0..(m + max_rounds) {
+            let cells: Vec<(usize, f64)> = (0..=d.min(m - 1))
+                .filter(|row| d - row < max_rounds)
+                .map(|row| (row, (d - row + 1) as f64 * rq))
+                .collect();
+            expired = deadline.expired() || scan_cells(&cells, &mut friends, &mut pool)?;
+            if expired {
+                break;
+            }
+            // The paper's per-cell test, over the diagonal just scanned:
+            // radii shrink down a diagonal, so its first cell decides.
+            if cells.first().is_some_and(|&(_, widest)| {
+                pool.iter().filter(|(_, dist)| *dist <= widest).count() >= k
+            }) {
+                done = true;
+                break;
+            }
+            if friends.all_done() {
+                // Every friend has been located: no further cell can add
+                // candidates, so the matrix is effectively empty.
+                break;
             }
         }
 
@@ -254,65 +260,21 @@ impl PebTree {
             return Ok(Partial::complete(pool, tids));
         }
 
-        // Vertical-scan refinement under the same deadline, as one fused
-        // multi-interval column scan.
+        // Vertical-scan refinement under the same deadline: every
+        // unresolved row out to twice the current k'th candidate
+        // distance, as one column scan, then re-rank.
         let kth_dist = pool[k - 1].1;
         let radius = kth_dist.max(self.space().cell_size() * 0.5);
-        let mut intervals: Vec<(u128, u128)> = Vec::new();
-        for (sv_code, members) in &groups {
-            if members.iter().all(|u| resolved.contains(u)) {
-                continue;
-            }
-            intervals.extend(self.cell_intervals(
-                *sv_code,
-                q,
-                tq,
-                radius,
-                &partitions,
-                &mut scanned,
-            ));
-        }
-        let report = self.try_scan_intervals_deadline(&intervals, deadline, |rec| {
-            self.pknn_refine(issuer, q, tq, rec, &mut resolved, &mut pool);
-            resolved.len() < total_friends
-        })?;
+        let column: Vec<(usize, f64)> = (0..m).map(|row| (row, radius)).collect();
+        let expired = scan_cells(&column, &mut friends, &mut pool)?;
         pool.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.uid.cmp(&b.0.uid)));
         pool.truncate(k);
-        if report.termination == ScanTermination::Expired {
+        if expired {
             // k candidates exist but the closer-friend sweep was cut off:
             // the ranking is unverified, so the answer stays degraded.
             return Ok(Partial::degraded(pool, tids));
         }
         Ok(Partial::complete(pool, tids))
-    }
-
-    /// Deadline-bounded twin of [`PebTree::scan_cell`]: the cell's fresh
-    /// intervals execute as one deadline-checked multi-interval scan.
-    /// Returns whether the deadline expired inside the cell.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_cell_deadline(
-        &self,
-        issuer: UserId,
-        q: Point,
-        tq: Timestamp,
-        group: &(u64, Vec<UserId>),
-        radius: f64,
-        partitions: &[(u8, Timestamp)],
-        scanned: &mut ScannedMap,
-        resolved: &mut HashSet<UserId>,
-        pool: &mut Vec<(MovingPoint, f64)>,
-        deadline: &Deadline,
-    ) -> Result<bool, IndexError> {
-        let (sv_code, members) = group;
-        if members.iter().all(|u| resolved.contains(u)) {
-            return Ok(false);
-        }
-        let intervals = self.cell_intervals(*sv_code, q, tq, radius, partitions, scanned);
-        let report = self.try_scan_intervals_deadline(&intervals, deadline, |rec| {
-            self.pknn_refine(issuer, q, tq, rec, resolved, pool);
-            !members.iter().all(|u| resolved.contains(u))
-        })?;
-        Ok(report.termination == ScanTermination::Expired)
     }
 
     /// The fresh key intervals of one search-matrix cell: the single
@@ -368,25 +330,22 @@ impl PebTree {
     }
 
     /// PkNN candidate refinement, shared by every scan plan: resolve the
-    /// friend (a user has only one location), check the policy, and rank
-    /// the qualified candidate by predicted distance.
+    /// friend (a user has only one location — `first_sighting` records it
+    /// and says whether it is news), check the policy, and rank the
+    /// qualified candidate by predicted distance.
     fn pknn_refine(
         &self,
         issuer: UserId,
         q: Point,
         tq: Timestamp,
         rec: ObjectRecord,
-        resolved: &mut HashSet<UserId>,
+        first_sighting: impl FnOnce(UserId) -> bool,
         pool: &mut Vec<(MovingPoint, f64)>,
     ) {
         let uid = UserId(rec.uid);
-        if uid == issuer || resolved.contains(&uid) {
+        if uid == issuer || self.ctx().store.policy(uid, issuer).is_none() || !first_sighting(uid) {
             return;
         }
-        if self.ctx().store.policy(uid, issuer).is_none() {
-            return;
-        }
-        resolved.insert(uid);
         let mp = rec.to_moving_point();
         let pos = mp.position_at(tq);
         if self.ctx().store.permits(uid, issuer, &pos, tq) {
@@ -394,11 +353,9 @@ impl PebTree {
         }
     }
 
-    /// Scan one search-matrix cell (one SV group at one radius, every
-    /// live partition). On the per-interval plan each fresh interval is
-    /// its own B+-tree scan; on the fused plan the cell's intervals
-    /// execute as one multi-interval scan (one descent instead of one per
-    /// partition × fresh flank).
+    /// Scan one search-matrix cell of the per-interval plan (one SV group
+    /// at one radius, every live partition): each fresh interval is its
+    /// own B+-tree scan.
     #[allow(clippy::too_many_arguments)]
     fn scan_cell(
         &self,
@@ -416,21 +373,11 @@ impl PebTree {
         if members.iter().all(|u| resolved.contains(u)) {
             return Ok(());
         }
-        let intervals = self.cell_intervals(*sv_code, q, tq, radius, partitions, scanned);
-        if self.fused_scans() {
-            self.try_scan_intervals_fused(&intervals, |rec| {
-                self.pknn_refine(issuer, q, tq, rec, resolved, pool);
-                // Only this SV group's friends appear under this SV code;
-                // once all of them are located the cell has nothing left.
-                !members.iter().all(|u| resolved.contains(u))
+        for (lo, hi) in self.cell_intervals(*sv_code, q, tq, radius, partitions, scanned) {
+            self.try_scan_key_interval(lo, hi, |rec| {
+                self.pknn_refine(issuer, q, tq, rec, |uid| resolved.insert(uid), pool);
+                true
             })?;
-        } else {
-            for (lo, hi) in intervals {
-                self.try_scan_key_interval(lo, hi, |rec| {
-                    self.pknn_refine(issuer, q, tq, rec, resolved, pool);
-                    true
-                })?;
-            }
         }
         Ok(())
     }
@@ -618,9 +565,14 @@ mod tests {
 
     #[test]
     fn expired_pknn_returns_refined_candidates_tagged_degraded() {
+        // Policies of different extents: different compatibilities, hence
+        // distinct SV rows — several diagonals, each paying its own page
+        // read, so small budgets can die between them. (One shared SV row
+        // in a one-leaf tree is located whole by the first page read.)
         let mut store = PolicyStore::new();
         for f in 1..=30u64 {
-            store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, WHOLE, ALWAYS));
+            let locr = Rect::new(0.0, 1000.0 - 20.0 * f as f64, 0.0, 1000.0);
+            store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, locr, ALWAYS));
         }
         let mut t = build(store, 31);
         for f in 1..=30u64 {

@@ -16,14 +16,25 @@
 //!    friend's SV is skipped once all friends of the group are resolved.
 //!    Refinement checks the actual predicted position against `R` and the
 //!    friend's policy against the issuer and query time.
+//!
+//! The default (fused) plan executes steps 3–4 as **one scan per live
+//! partition**: a [`ScanPlan`] whose navigation runs are the unresolved
+//! groups' `SV × Z-range` intervals — generated in key order, nothing to
+//! sort — and whose emission rows are those groups' whole SV rows
+//! `[TID ⊕ SV ⊕ 0 ; TID ⊕ SV ⊕ max]`. A page read for one Z-range
+//! answers for every friend row it holds, and a group whose friends are
+//! all located answers `SkipRow`, so its remaining Z-ranges are never
+//! navigated. The per-interval plan ([`PebTree::set_fused_scans`] off) is
+//! the paper's literal formulation and the A/B reference.
 
 use std::collections::HashSet;
 
-use peb_btree::ScanTermination;
+use peb_btree::{ScanPlan, ScanTermination};
 use peb_common::{Deadline, MovingPoint, Rect, Timestamp, UserId};
 use peb_index::IndexError;
 use peb_zorder::{coarsen, decompose};
 
+use crate::friends::Friends;
 use crate::partial::Partial;
 use crate::tree::PebTree;
 
@@ -32,12 +43,12 @@ impl PebTree {
     /// `issuer` see them there and then. Results are sorted by uid.
     ///
     /// Two execution strategies produce the identical result set: the
-    /// paper's per-interval plan (one B+-tree descent per partition × SV
-    /// group × Z-range — the default, and the frozen-ledger reference)
-    /// and, when [`PebTree::set_fused_scans`] opted in, the fused plan
-    /// that builds the whole key-interval set up front and executes it as
-    /// one coalesced multi-interval scan per partition (see
-    /// docs/ARCHITECTURE.md, "Query execution").
+    /// fused plan — the default: one scan per live partition over all
+    /// unresolved friend rows, see the module docs and
+    /// docs/ARCHITECTURE.md, "Query execution" — and, with
+    /// [`PebTree::set_fused_scans`] off, the paper's per-interval plan
+    /// (one B+-tree descent per partition × SV group × Z-range), kept as
+    /// the A/B reference.
     pub fn prq(&self, issuer: UserId, r: &Rect, tq: Timestamp) -> Vec<MovingPoint> {
         self.try_prq(issuer, r, tq).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
     }
@@ -45,19 +56,21 @@ impl PebTree {
     /// Fallible twin of [`PebTree::prq`]: an unresolvable media fault
     /// anywhere in the interval scans surfaces as [`IndexError::Io`]
     /// instead of panicking. The result set of a completed query is
-    /// identical to the infallible path's.
+    /// identical to the infallible path's. On the fused plan this is
+    /// [`PebTree::try_prq_deadline`] under a deadline that never expires.
     pub fn try_prq(
         &self,
         issuer: UserId,
         r: &Rect,
         tq: Timestamp,
     ) -> Result<Vec<MovingPoint>, IndexError> {
+        if self.fused_scans() {
+            let unbounded = Deadline::unbounded(self.pool().clock());
+            return Ok(self.try_prq_deadline(issuer, r, tq, &unbounded)?.value);
+        }
         let groups = self.ctx().friend_sv_groups(issuer);
         if groups.is_empty() {
             return Ok(Vec::new());
-        }
-        if self.fused_scans() {
-            return self.prq_fused(issuer, &groups, r, tq);
         }
 
         let mut results: Vec<MovingPoint> = Vec::new();
@@ -105,19 +118,28 @@ impl PebTree {
         Ok(results)
     }
 
-    /// Deadline-bounded PRQ: the graceful-degradation entry point of the
-    /// serving layer.
+    /// Deadline-bounded PRQ: the fused plan, and the graceful-degradation
+    /// entry point of the serving layer.
     ///
-    /// Runs the fused plan partition by partition with `deadline` checked
-    /// at every page visit and shard boundary. A query whose budget
-    /// expires mid-flight returns early with whatever it has **proved** —
-    /// every returned user passed the same `r.contains` + policy
-    /// refinement as the unbounded query, so [`Partial::value`] is always
-    /// an exact subset of [`PebTree::try_prq`]'s answer — and the
-    /// [`Partial::partitions`] tags say which rotating time partitions
-    /// were fully covered before the budget died. With an unbounded (or
-    /// unexpired-throughout) deadline the answer equals the unbounded
-    /// query's exactly and every partition is tagged complete.
+    /// Runs one plan scan per live partition with `deadline` checked at
+    /// every page visit. Per partition the enlarged window is
+    /// Z-decomposed once and coarsened to the cost model's interval
+    /// budget ([`peb_costmodel::interval_budget`] — more ranges than the
+    /// candidates' leaves cannot pay for themselves); a group located in
+    /// an earlier partition contributes no runs to a later one, and a
+    /// partition with nobody left to find is not scanned at all.
+    /// Refinement is the per-interval plan's — a candidate outside the
+    /// window, whether it came from a coarsened-in cell or from the rest
+    /// of its SV row on a page in hand, fails the `r.contains` check like
+    /// any other enlargement false positive — so the result set is
+    /// provably identical.
+    ///
+    /// A query whose budget expires mid-flight returns early with
+    /// whatever it has **proved**: [`Partial::value`] is always an exact
+    /// subset of the unbounded answer, and the [`Partial::partitions`]
+    /// tags say which rotating time partitions were fully covered before
+    /// the budget died. With an unbounded (or unexpired-throughout)
+    /// deadline every partition is tagged complete.
     pub fn try_prq_deadline(
         &self,
         issuer: UserId,
@@ -132,141 +154,61 @@ impl PebTree {
             // on an already-expired budget.
             return Ok(Partial::complete(Vec::new(), parts.iter().map(|(t, _)| *t)));
         }
+        let mut friends = Friends::new(&groups);
         let total_friends: usize = groups.iter().map(|(_, m)| m.len()).sum();
         let budget = self.query_interval_budget(total_friends);
         let keys = *self.key_layout();
 
         let mut results: Vec<MovingPoint> = Vec::new();
-        let mut resolved: HashSet<UserId> = HashSet::new();
         let mut partitions: Vec<(u8, bool)> = Vec::with_capacity(parts.len());
         for (tid, t_lab) in parts {
             if deadline.expired() {
                 partitions.push((tid, false));
                 continue;
             }
+            if friends.all_done() {
+                partitions.push((tid, true)); // nobody left to find here
+                continue;
+            }
             let enlarged = self.enlarge(r, t_lab, tq);
             let (x0, x1, y0, y1) = self.space().to_grid_rect(&enlarged);
             let zranges = coarsen(decompose(x0, x1, y0, y1, self.space().grid_bits), budget);
-            let mut covered = true;
-            for (sv_code, members) in &groups {
-                if members.iter().all(|u| resolved.contains(u)) {
+            // rows × windows, unresolved groups only, already in key order.
+            let mut rows: Vec<(u128, u128)> = Vec::with_capacity(groups.len());
+            let mut runs: Vec<(u128, u128)> = Vec::with_capacity(groups.len() * zranges.len());
+            for (g, (sv_code, _)) in groups.iter().enumerate() {
+                if friends.group_done(g) {
                     continue; // every friend at this SV already located
                 }
-                let intervals: Vec<(u128, u128)> = zranges
-                    .iter()
-                    .map(|zr| {
-                        (
-                            keys.range_start(tid, *sv_code, zr.lo),
-                            keys.range_end(tid, *sv_code, zr.hi),
-                        )
-                    })
-                    .collect();
-                let mut outstanding = members.iter().filter(|u| !resolved.contains(u)).count();
-                let report = self.try_scan_intervals_deadline(&intervals, deadline, |rec| {
-                    let uid = UserId(rec.uid);
-                    if uid == issuer || resolved.contains(&uid) {
-                        return true;
-                    }
-                    if self.ctx().store.policy(uid, issuer).is_none() {
-                        return true;
-                    }
-                    resolved.insert(uid);
-                    outstanding -= 1;
+                rows.push(self.sv_row(tid, *sv_code));
+                runs.extend(zranges.iter().map(|zr| {
+                    (keys.range_start(tid, *sv_code, zr.lo), keys.range_end(tid, *sv_code, zr.hi))
+                }));
+            }
+            let plan = ScanPlan::new(runs, rows);
+            let report = self.index().try_scan_plan(&plan, deadline, |key, rec| {
+                let uid = UserId(rec.uid);
+                // Only friends can qualify; others sharing the SV code
+                // are skipped without policy evaluation.
+                if uid != issuer
+                    && self.ctx().store.policy(uid, issuer).is_some()
+                    && friends.locate(uid)
+                {
                     let m = rec.to_moving_point();
                     let pos = m.position_at(tq);
                     if r.contains(&pos) && self.ctx().store.permits(uid, issuer, &pos, tq) {
                         results.push(m);
                     }
-                    outstanding > 0
-                })?;
-                if report.termination == ScanTermination::Expired {
-                    covered = false;
-                    break;
                 }
-            }
-            // A partition whose every group scan ran to completion (or
-            // voluntary resolve-all stop) is complete even if the budget
-            // expired on its very last page.
-            partitions.push((tid, covered));
+                friends.verdict(keys.sv_of(key))
+            })?;
+            // A partition whose scan ran out (or stopped with everyone
+            // located) is complete even if the budget expired on its very
+            // last page.
+            partitions.push((tid, report.termination != ScanTermination::Expired));
         }
         results.sort_by_key(|m| m.uid);
         Ok(Partial { value: results, partitions })
-    }
-
-    /// The fused PRQ plan: per (partition × friend-SV group) leaf-chain
-    /// segments, each a coalesced multi-interval scan.
-    ///
-    /// Per live partition the enlarged window is Z-decomposed once and
-    /// coarsened to the cost model's interval budget
-    /// ([`peb_costmodel::interval_budget`] — more ranges than the
-    /// candidates' leaves cannot pay for themselves); each friend-SV
-    /// group's crossing with the surviving Z-ranges then executes as one
-    /// coalesced multi-interval scan — one descent plus a leaf-chain walk
-    /// per segment instead of one descent per Z-range, so the shared
-    /// root/branch pages the per-interval plan re-reads for every
-    /// interval are touched once per segment. Before each segment the
-    /// remaining intervals are intersected against the unresolved
-    /// friends: a group whose members have all been located ("a user has
-    /// only one location") is skipped outright, so a group resolved in an
-    /// early partition contributes **zero** page touches in every later
-    /// one — the same early exit the per-interval plan applies. Within a
-    /// segment the scan stops the moment its own group resolves.
-    /// Refinement is the per-interval plan's: candidates outside the
-    /// coarsened-in cells fail the `r.contains` check exactly like any
-    /// other enlargement false positive, so the result set is provably
-    /// identical.
-    fn prq_fused(
-        &self,
-        issuer: UserId,
-        groups: &[(u64, Vec<UserId>)],
-        r: &Rect,
-        tq: Timestamp,
-    ) -> Result<Vec<MovingPoint>, IndexError> {
-        let total_friends: usize = groups.iter().map(|(_, m)| m.len()).sum();
-        let budget = self.query_interval_budget(total_friends);
-        let keys = *self.key_layout();
-
-        let mut results: Vec<MovingPoint> = Vec::new();
-        let mut resolved: HashSet<UserId> = HashSet::new();
-        for (tid, t_lab) in self.live_partitions() {
-            let enlarged = self.enlarge(r, t_lab, tq);
-            let (x0, x1, y0, y1) = self.space().to_grid_rect(&enlarged);
-            let zranges = coarsen(decompose(x0, x1, y0, y1, self.space().grid_bits), budget);
-            for (sv_code, members) in groups {
-                if members.iter().all(|u| resolved.contains(u)) {
-                    continue; // every friend at this SV already located
-                }
-                let intervals: Vec<(u128, u128)> = zranges
-                    .iter()
-                    .map(|zr| {
-                        (
-                            keys.range_start(tid, *sv_code, zr.lo),
-                            keys.range_end(tid, *sv_code, zr.hi),
-                        )
-                    })
-                    .collect();
-                let mut outstanding = members.iter().filter(|u| !resolved.contains(u)).count();
-                self.try_scan_intervals_fused(&intervals, |rec| {
-                    let uid = UserId(rec.uid);
-                    if uid == issuer || resolved.contains(&uid) {
-                        return true;
-                    }
-                    if self.ctx().store.policy(uid, issuer).is_none() {
-                        return true;
-                    }
-                    resolved.insert(uid);
-                    outstanding -= 1;
-                    let m = rec.to_moving_point();
-                    let pos = m.position_at(tq);
-                    if r.contains(&pos) && self.ctx().store.permits(uid, issuer, &pos, tq) {
-                        results.push(m);
-                    }
-                    outstanding > 0
-                })?;
-            }
-        }
-        results.sort_by_key(|m| m.uid);
-        Ok(results)
     }
 }
 
@@ -436,10 +378,11 @@ mod tests {
     #[test]
     fn fused_prq_skips_groups_resolved_in_earlier_partitions() {
         // Two friends with different policies (distinct SV groups), living
-        // in different time partitions. The fused plan scans per
-        // (partition × group) segments; the group resolved in the first
-        // partition must contribute zero segments — hence zero descents
-        // and zero page touches — in the second.
+        // in different time partitions. The fused plan issues one scan —
+        // one descent — per partition over the groups still unresolved;
+        // the group located in the first partition contributes no runs to
+        // the second, and once nobody is left to find a partition is not
+        // entered at all.
         let mut store = PolicyStore::new();
         store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
         store.add(
@@ -451,7 +394,7 @@ mod tests {
                 TimeInterval::new(0.0, 1000.0),
             ),
         );
-        let mut t = build(store, 3);
+        let mut t = build(store, 4);
         let groups = t.context().friend_sv_groups(UserId(0));
         assert_eq!(groups.len(), 2, "distinct policies must map to distinct SV groups");
         // One friend per rotation phase → two live partitions.
@@ -460,23 +403,28 @@ mod tests {
         assert_eq!(t.live_partitions().len(), 2);
 
         let window = Rect::new(0.0, 300.0, 0.0, 300.0);
-        t.set_fused_scans(false);
-        let per = t.prq(UserId(0), &window, 40.0);
-        t.set_fused_scans(true);
-        let _ = t.prq(UserId(0), &window, 40.0); // warm the pool
-        t.reset_scan_stats();
-        let fused = t.prq(UserId(0), &window, 40.0);
-        assert_eq!(per, fused, "the early exit must not change results");
-        assert_eq!(fused.iter().map(|m| m.uid.0).collect::<Vec<_>>(), vec![1, 2]);
+        let fused_descents = |t: &mut PebTree| {
+            t.set_fused_scans(false);
+            let per = t.prq(UserId(0), &window, 40.0);
+            t.set_fused_scans(true);
+            let _ = t.prq(UserId(0), &window, 40.0); // warm the pool
+            t.reset_scan_stats();
+            let fused = t.prq(UserId(0), &window, 40.0);
+            assert_eq!(per, fused, "the early exit must not change results");
+            assert_eq!(fused.iter().map(|m| m.uid.0).collect::<Vec<_>>(), vec![1, 2]);
+            t.scan_stats().descents
+        };
+        // A friend in each partition: one descent per partition (the
+        // per-group plan paid 2 × 2 − 1 = 3).
+        assert_eq!(fused_descents(&mut t), 2, "one scan per live partition");
 
-        // 2 partitions × 2 groups = 4 segments; whichever group resolved
-        // in the first partition is skipped in the second, so exactly one
-        // segment — one descent — is saved.
-        assert_eq!(
-            t.scan_stats().descents,
-            3,
-            "a group resolved in partition 1 must not be scanned in partition 2"
-        );
+        // Both friends in the first partition, the second kept alive by a
+        // stranger: everyone is located by the first scan, so the second
+        // partition costs nothing.
+        t.upsert(MovingPoint::new(UserId(2), Point::new(120.0, 120.0), Vec2::ZERO, 10.0));
+        t.upsert(MovingPoint::new(UserId(3), Point::new(130.0, 130.0), Vec2::ZERO, 70.0));
+        assert_eq!(t.live_partitions().len(), 2);
+        assert_eq!(fused_descents(&mut t), 1, "a partition with nobody left to find is skipped");
     }
 
     #[test]

@@ -139,16 +139,15 @@ impl PebTree {
         }
     }
 
-    /// Opt into the fused multi-interval query pipeline: [`PebTree::prq`]
-    /// and [`PebTree::pknn`] construct their whole key-interval set up
-    /// front (partitions × friend-SV groups × Z-ranges, coarsened to the
-    /// cost model's [`peb_costmodel::interval_budget`]) and execute it
-    /// through [`peb_index::ShardedMovingIndex::scan_keys_multi`] — one
-    /// descent plus a leaf-chain walk per partition instead of one
-    /// descent per interval. Results are identical either way; only page
-    /// accesses differ. On by default since the post-soak promotion (the
-    /// frozen benchmarks pin the fused ledger; the knob stays for A/B
-    /// against the legacy per-interval plan).
+    /// Choose between the fused query plans (on, the default) and the
+    /// paper's per-interval plans (off, the A/B reference):
+    /// fused, [`PebTree::prq`] issues one [`peb_btree::ScanPlan`] scan
+    /// per live partition and [`PebTree::pknn`] one per anti-diagonal of
+    /// its search matrix, through
+    /// [`peb_index::ShardedMovingIndex::try_scan_plan`]; per-interval,
+    /// every (partition × friend-SV group × Z-range) interval is its own
+    /// B+-tree descent. Results are identical either way; only page
+    /// accesses differ (the frozen benchmarks pin the fused ledger).
     pub fn set_fused_scans(&mut self, enabled: bool) {
         self.fused_scans = enabled;
     }
@@ -421,29 +420,13 @@ impl PebTree {
         self.idx.try_scan_keys(lo, hi, |_, rec| f(rec))
     }
 
-    /// Scan the union of pre-built PEB-key intervals through the fused
-    /// multi-interval pipeline (see
-    /// [`peb_index::ShardedMovingIndex::scan_keys_multi`]), handing every
-    /// stored record to the callback once, in key order.
-    pub(crate) fn try_scan_intervals_fused(
-        &self,
-        intervals: &[(u128, u128)],
-        mut f: impl FnMut(ObjectRecord) -> bool,
-    ) -> Result<bool, IndexError> {
-        self.idx.try_scan_keys_multi(intervals, |_, rec| f(rec))
-    }
-
-    /// Deadline-bounded twin of [`PebTree::try_scan_intervals_fused`]: the
-    /// scan checks `deadline` at every page visit and shard boundary (see
-    /// [`peb_index::ShardedMovingIndex::try_scan_keys_multi_deadline`])
-    /// and reports how it ended plus which partitions it finished.
-    pub(crate) fn try_scan_intervals_deadline(
-        &self,
-        intervals: &[(u128, u128)],
-        deadline: &peb_common::Deadline,
-        mut f: impl FnMut(ObjectRecord) -> bool,
-    ) -> Result<peb_index::ScanReport, IndexError> {
-        self.idx.try_scan_keys_multi_deadline(intervals, deadline, |_, rec| f(rec))
+    /// The whole SV row `[TID ⊕ SV ⊕ 0 ; TID ⊕ SV ⊕ max]` of one partition:
+    /// the emission row of every fused plan (a page in hand answers for
+    /// all of a friend group, wherever in space its members are).
+    pub(crate) fn sv_row(&self, tid: u8, sv_code: u64) -> (u128, u128) {
+        let keys = &self.idx.layout().keys;
+        let max_zv = (1u64 << keys.zv_bits) - 1;
+        (keys.range_start(tid, sv_code, 0), keys.range_end(tid, sv_code, max_zv))
     }
 
     /// The cost-model interval budget for this tree's current shape: how

@@ -75,13 +75,14 @@
 //! brand-new object or a genuine delete may or may not see it, as
 //! before.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use peb_btree::{
-    coalesce_intervals, BTree, OlcStats, ScanStats, ScanTermination, TreeStats, WriteStats,
+    BTree, OlcStats, ScanPlan, ScanStats, ScanTermination, TreeStats, Visit, WriteStats,
 };
 use peb_common::{sched, Deadline, MovingPoint, Rect, SpaceConfig, Timestamp, UserId};
 use peb_storage::{BufferPool, IoFault, IoStats, LockStats, PageId, WalRecovery};
@@ -1053,24 +1054,10 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// [`ShardedMovingIndex::scan_keys`] call per interval. Returns
     /// `false` if `visit` stopped the scan.
     ///
-    /// The set is coalesced once ([`peb_btree::coalesce_intervals`]),
-    /// clipped to each shard's partition range, and executed per shard by
-    /// [`peb_btree::BTree::multi_range_scan`]: one descent per shard plus
-    /// a leaf-chain walk across that shard's intervals, with upper-level
-    /// pages re-routed through a version-validated descent cache instead
-    /// of fresh root-to-leaf descents. Partition ranges are disjoint and
-    /// ascending in `tid`, so per-shard execution preserves the global
-    /// key order.
-    ///
-    /// Consistency matches [`ShardedMovingIndex::scan_keys`] exactly: a
-    /// set touching a **single** shard (every PEB/Bx query's interval
-    /// set for one partition is one) streams under that shard's read
-    /// lock with the early-exit contract intact; a multi-shard set takes
-    /// the migration-epoch validated path — buffer, revalidate, retry,
-    /// and after `SCAN_EPOCH_RETRIES` failures wait out in-flight
-    /// migration spans and hold every intersecting shard lock (in
-    /// ascending key order, the same total order `scan_keys` uses) for a
-    /// true snapshot.
+    /// A thin wrapper over [`ShardedMovingIndex::try_scan_plan`] with the
+    /// plain-interval plan ([`ScanPlan::from_intervals`]: what is read is
+    /// all that is emitted); routing, consistency and early-exit contract
+    /// are documented there.
     pub fn scan_keys_multi(
         &self,
         intervals: &[(u128, u128)],
@@ -1087,133 +1074,73 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     pub fn try_scan_keys_multi(
         &self,
         intervals: &[(u128, u128)],
-        mut visit: impl FnMut(u128, ObjectRecord) -> bool,
+        visit: impl FnMut(u128, ObjectRecord) -> bool,
     ) -> Result<bool, IndexError> {
-        let runs = coalesce_intervals(intervals);
-        if runs.is_empty() {
-            return Ok(true);
-        }
-        // Clip the coalesced runs to each shard's partition range, then
-        // order the shards by their first clipped key: partition ranges
-        // are disjoint (the `KeyLayout` contract), so per-shard execution
-        // in that order preserves the global ascending key order even for
-        // layouts whose ranges do not ascend with tid.
-        let mut spans: Vec<(usize, Vec<(u128, u128)>)> = Vec::new();
-        for tid in 0..self.shards.len() {
-            let (plo, phi) = self.layout.partition_range(tid as u8);
-            let clipped: Vec<(u128, u128)> = runs
-                .iter()
-                .filter(|(lo, hi)| *hi >= plo && *lo <= phi)
-                .map(|(lo, hi)| ((*lo).max(plo), (*hi).min(phi)))
-                .collect();
-            if !clipped.is_empty() {
-                spans.push((tid, clipped));
-            }
-        }
-        spans.sort_unstable_by_key(|(_, clipped)| clipped[0].0);
-        if spans.is_empty() {
-            return Ok(true);
-        }
-
-        // Single-shard fast path: atomic under one read lock, streams
-        // with the visitor's early exit intact (the hot query path).
-        if let [(tid, clipped)] = &spans[..] {
-            return Ok(self.shards[*tid].read().btree.try_multi_range_scan(clipped, &mut visit)?);
-        }
-
-        for _ in 0..SCAN_EPOCH_RETRIES {
-            let done = self.mig_done.load(Ordering::SeqCst);
-            let started = self.mig_started.load(Ordering::SeqCst);
-            if done != started {
-                std::thread::yield_now();
-                continue;
-            }
-            let mut buf: Vec<(u128, ObjectRecord)> = Vec::new();
-            for (tid, clipped) in &spans {
-                let s = self.shards[*tid].read();
-                s.btree.try_multi_range_scan(clipped, |k, rec| {
-                    buf.push((k, rec));
-                    true
-                })?;
-            }
-            if self.mig_started.load(Ordering::SeqCst) == started {
-                for (k, rec) in buf {
-                    if !visit(k, rec) {
-                        return Ok(false);
-                    }
-                }
-                return Ok(true);
-            }
-        }
-
-        // Persistent migration traffic: same fallback as `scan_keys` —
-        // wait out in-flight spans, hold every intersecting shard lock at
-        // once (ascending key order, the same total order `scan_keys`
-        // acquires in; writers take one lock at a time, so any shared
-        // total order is deadlock-free), re-verify the epoch under the
-        // locks, stream.
-        loop {
-            let done = self.mig_done.load(Ordering::SeqCst);
-            let started = self.mig_started.load(Ordering::SeqCst);
-            if done != started {
-                std::thread::yield_now();
-                continue;
-            }
-            let guards: Vec<_> = spans.iter().map(|(tid, _)| self.shards[*tid].read()).collect();
-            if self.mig_started.load(Ordering::SeqCst) != started
-                || self.mig_done.load(Ordering::SeqCst) != started
-            {
-                drop(guards);
-                std::thread::yield_now();
-                continue;
-            }
-            for ((_, clipped), s) in spans.iter().zip(guards.iter()) {
-                if !s.btree.try_multi_range_scan(clipped, &mut visit)? {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
+        let unbounded = Deadline::unbounded(self.pool.clock());
+        let report = self.try_scan_keys_multi_deadline(intervals, &unbounded, visit)?;
+        Ok(report.termination != ScanTermination::Stopped)
     }
 
-    /// Deadline-bounded twin of [`ShardedMovingIndex::try_scan_keys_multi`]:
-    /// the identical fused traversal with `deadline` consulted at every
-    /// page and entry checkpoint **inside** each shard tree
-    /// ([`peb_btree::BTree::try_multi_range_scan_deadline`]) and at every
-    /// **shard boundary**, so an expiring query stops within one page
-    /// visit wherever it happens to be. Instead of a bare bool it returns
-    /// a [`ScanReport`] tagging each intersected time partition with
-    /// whether its range was fully delivered — the raw material for the
-    /// serving layer's explicitly-partial query answers.
-    ///
-    /// Consistency: the single-shard fast path and the all-locks fallback
-    /// are exactly as consistent as the unbounded scan. The epoch-
-    /// validated multi-shard path buffers, then revalidates — an expired
-    /// buffer that passes revalidation is emitted as a *consistent
-    /// prefix* (no migration overlapped it); one that fails revalidation
-    /// is retried, and each retry re-reads pages and therefore burns more
-    /// of the deadline, degrading the answer rather than blocking it.
-    /// Records already handed to `visit` before a fault stay delivered.
+    /// Deadline-bounded twin of [`ShardedMovingIndex::try_scan_keys_multi`]
+    /// (same wrapper, the caller's deadline): returns the [`ScanReport`]
+    /// of [`ShardedMovingIndex::try_scan_plan`].
     pub fn try_scan_keys_multi_deadline(
         &self,
         intervals: &[(u128, u128)],
         deadline: &Deadline,
         mut visit: impl FnMut(u128, ObjectRecord) -> bool,
     ) -> Result<ScanReport, IndexError> {
-        let runs = coalesce_intervals(intervals);
-        let mut spans: Vec<(usize, Vec<(u128, u128)>)> = Vec::new();
-        for tid in 0..self.shards.len() {
-            let (plo, phi) = self.layout.partition_range(tid as u8);
-            let clipped: Vec<(u128, u128)> = runs
-                .iter()
-                .filter(|(lo, hi)| *hi >= plo && *lo <= phi)
-                .map(|(lo, hi)| ((*lo).max(plo), (*hi).min(phi)))
-                .collect();
-            if !clipped.is_empty() {
-                spans.push((tid, clipped));
-            }
-        }
-        spans.sort_unstable_by_key(|(_, clipped)| clipped[0].0);
+        self.try_scan_plan(&ScanPlan::from_intervals(intervals), deadline, |k, rec| {
+            Visit::next_if(visit(k, rec))
+        })
+    }
+
+    /// Execute one [`ScanPlan`] across the partition trees it touches:
+    /// the single implementation behind every fused scan of the index.
+    ///
+    /// The plan is clipped to each shard's partition range (rows and runs
+    /// alike — both carry the TID, so a PEB/Bx plan for one partition
+    /// passes through untouched) and executed per shard by
+    /// [`peb_btree::BTree::try_scan_plan`]: one descent per shard plus a
+    /// leaf-chain walk across that shard's runs, every entry of a page
+    /// read that lies in a plan row handed to `visit`, `SkipRow` dropping
+    /// the rest of a row unread. Shards are visited in the order of their
+    /// first clipped key: partition ranges are disjoint (the `KeyLayout`
+    /// contract), so this preserves the global ascending key order even
+    /// for layouts whose ranges do not ascend with tid.
+    ///
+    /// `deadline` is consulted at every page and entry checkpoint
+    /// **inside** each shard tree and at every **shard boundary**, so an
+    /// expiring query stops within one page visit wherever it happens to
+    /// be. The [`ScanReport`] tags each intersected time partition with
+    /// whether its range was fully delivered — the raw material for the
+    /// serving layer's explicitly-partial query answers.
+    ///
+    /// Consistency matches [`ShardedMovingIndex::scan_keys`] exactly: a
+    /// plan touching a **single** shard streams under that shard's read
+    /// lock with the early-exit contract intact; a multi-shard plan takes
+    /// the migration-epoch validated path — buffer, revalidate, retry
+    /// (each retry re-reads pages and therefore burns more of the
+    /// deadline, degrading the answer rather than blocking it; an expired
+    /// buffer that passes revalidation is emitted as a *consistent
+    /// prefix*), and after `SCAN_EPOCH_RETRIES` failures wait out
+    /// in-flight migration spans and hold every intersecting shard lock
+    /// (in ascending key order, the same total order `scan_keys` uses)
+    /// for a true snapshot. Records already handed to `visit` before a
+    /// fault stay delivered.
+    pub fn try_scan_plan(
+        &self,
+        plan: &ScanPlan,
+        deadline: &Deadline,
+        mut visit: impl FnMut(u128, ObjectRecord) -> Visit,
+    ) -> Result<ScanReport, IndexError> {
+        let mut spans: Vec<(usize, Cow<'_, ScanPlan>)> = (0..self.shards.len())
+            .filter_map(|tid| {
+                let (plo, phi) = self.layout.partition_range(tid as u8);
+                plan.clipped(plo, phi).map(|clipped| (tid, clipped))
+            })
+            .collect();
+        spans.sort_unstable_by_key(|(_, clipped)| clipped.runs()[0].0);
         if spans.is_empty() {
             return Ok(ScanReport {
                 termination: ScanTermination::Complete,
@@ -1222,12 +1149,10 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         }
 
         // Single-shard fast path: stream under one read lock, deadline
-        // checkpoints running inside the tree walk.
+        // checkpoints running inside the tree walk (the hot query path).
         if let [(tid, clipped)] = &spans[..] {
-            let term = self.shards[*tid]
-                .read()
-                .btree
-                .try_multi_range_scan_deadline(clipped, deadline, &mut visit)?;
+            let term =
+                self.shards[*tid].read().btree.try_scan_plan(clipped, deadline, &mut visit)?;
             return Ok(ScanReport {
                 termination: term,
                 partitions: vec![(*tid as u8, term == ScanTermination::Complete)],
@@ -1239,17 +1164,22 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         // and in every wait below so a query whose budget ran out can
         // never be wedged behind migration traffic: it degrades to an
         // all-incomplete answer instead of blocking on writers.
-        let expired_report = |spans: &[(usize, Vec<(u128, u128)>)]| ScanReport {
+        let expired_report = || ScanReport {
             termination: ScanTermination::Expired,
             partitions: spans.iter().map(|(tid, _)| (*tid as u8, false)).collect(),
         };
         for _ in 0..SCAN_EPOCH_RETRIES {
             if deadline.expired() {
-                return Ok(expired_report(&spans));
+                return Ok(expired_report());
             }
+            // Valid start state: no migration in flight. (`mig_done` is
+            // read first so a span completing in between reads as "in
+            // flight" — conservative, never unsound.)
             let done = self.mig_done.load(Ordering::SeqCst);
             let started = self.mig_started.load(Ordering::SeqCst);
             if done != started {
+                // Let the migrator finish its span instead of burning the
+                // scheduling quantum (the CI box has one CPU).
                 std::thread::yield_now();
                 continue;
             }
@@ -1265,22 +1195,32 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                     continue;
                 }
                 let s = self.shards[*tid].read();
-                let term = s.btree.try_multi_range_scan_deadline(clipped, deadline, |k, rec| {
+                let term = s.btree.try_scan_plan(clipped, deadline, |k, rec| {
                     buf.push((k, rec));
-                    true
+                    Visit::Next
                 })?;
                 parts.push((*tid as u8, term == ScanTermination::Complete));
                 if term == ScanTermination::Expired {
                     termination = ScanTermination::Expired;
                 }
             }
+            // No migration started during the scan (and none was in
+            // flight when it began) ⇒ no re-key overlapped any part of
+            // it: the buffer is migration-consistent and can be emitted.
             if self.mig_started.load(Ordering::SeqCst) == started {
+                // Last key of the row the visitor skipped most recently.
+                let mut skipped: Option<u128> = None;
                 for (k, rec) in buf {
-                    if !visit(k, rec) {
-                        return Ok(ScanReport {
-                            termination: ScanTermination::Stopped,
-                            partitions: parts,
-                        });
+                    if skipped.is_some_and(|end| k <= end) {
+                        continue;
+                    }
+                    match visit(k, rec) {
+                        Visit::Next => {}
+                        Visit::SkipRow => skipped = Some(plan.row_end(k)),
+                        Visit::Stop => {
+                            termination = ScanTermination::Stopped;
+                            break;
+                        }
                     }
                 }
                 return Ok(ScanReport { termination, partitions: parts });
@@ -1288,13 +1228,15 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         }
 
         // Persistent migration traffic: wait out in-flight spans and hold
-        // every intersecting shard lock at once (same fallback order as
-        // the unbounded scan), then stream with the deadline intact. The
-        // waits burn wall time, never virtual ticks, so waiting cannot by
-        // itself expire a query.
+        // every intersecting shard lock at once (ascending key order, the
+        // same total order `scan_keys` acquires in; writers take one lock
+        // at a time, so any shared total order is deadlock-free),
+        // re-verify the epoch under the locks, then stream with the
+        // deadline intact. The waits burn wall time, never virtual ticks,
+        // so waiting cannot by itself expire a query.
         loop {
             if deadline.expired() {
-                return Ok(expired_report(&spans));
+                return Ok(expired_report());
             }
             let done = self.mig_done.load(Ordering::SeqCst);
             let started = self.mig_started.load(Ordering::SeqCst);
@@ -1317,7 +1259,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                     parts.push((*tid as u8, false));
                     continue;
                 }
-                let term = s.btree.try_multi_range_scan_deadline(clipped, deadline, &mut visit)?;
+                let term = s.btree.try_scan_plan(clipped, deadline, &mut visit)?;
                 parts.push((*tid as u8, term == ScanTermination::Complete));
                 if term != ScanTermination::Complete {
                     termination = term;
