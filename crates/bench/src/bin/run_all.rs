@@ -2,104 +2,78 @@
 //!
 //! Flags:
 //! * `--baseline-only` — skip the figures; measure the fixed perf baseline
-//!   and write it to `BENCH_seed.json` (what CI runs), plus the
-//!   update-throughput trajectory entry to `BENCH_updates.json`, the
-//!   concurrent-scan trajectory entry to `BENCH_scans.json`, the
-//!   optimistic-read trajectory entry to `BENCH_optreads.json`, and the
-//!   fused-scan query-I/O trajectory entry to `BENCH_queryio.json`, the
-//!   buffered-ingestion trajectory entry to `BENCH_ingest.json`, the
-//!   durability/recovery trajectory entry to `BENCH_recovery.json`, the
-//!   write-concurrency trajectory entry to `BENCH_writeconc.json`, the
-//!   faulty-media trajectory entry to `BENCH_faults.json`, and the
-//!   overload/goodput trajectory entry to `BENCH_overload.json`.
-//!   `BENCH_seed.json` keeps the seed configuration and is never edited —
-//!   new measurement shapes get new files, so the trajectory extends
-//!   instead of rewriting history (protocol: docs/BENCHMARKS.md). None of
-//!   the files is written by casual figure runs.
-//! * `PEB_BASELINE_OUT` / `PEB_UPDATES_OUT` / `PEB_SCANS_OUT` /
-//!   `PEB_OPTREADS_OUT` / `PEB_QUERYIO_OUT` / `PEB_INGEST_OUT` /
-//!   `PEB_RECOVERY_OUT` / `PEB_WRITECONC_OUT` / `PEB_FAULTS_OUT` /
-//!   `PEB_OVERLOAD_OUT` — override the output paths.
+//!   (what CI runs) and every per-feature trajectory entry, and write them
+//!   as `BENCH_seed.json`, `BENCH_updates.json`, `BENCH_scans.json`,
+//!   `BENCH_optreads.json`, `BENCH_recovery.json`, `BENCH_writeconc.json`,
+//!   `BENCH_faults.json` and `BENCH_overload.json` into the output
+//!   directory. The committed `BENCH_*.json` at the repo root are frozen
+//!   history (protocol: docs/BENCHMARKS.md) and are never written here.
+//! * `--out-dir <dir>` — where `--baseline-only` writes (default
+//!   `target/bench/`, created if missing).
+use std::path::{Path, PathBuf};
+
 use peb_bench::experiments;
 use peb_bench::faults;
-use peb_bench::ingest;
 use peb_bench::optreads;
 use peb_bench::overload;
-use peb_bench::queryio;
 use peb_bench::recovery;
 use peb_bench::report;
 use peb_bench::scans;
 use peb_bench::updates;
 use peb_bench::writeconc;
 
+fn write_entry(dir: &Path, file: &str, what: &str, json: String) {
+    let path = dir.join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    eprintln!("{what} written to {}", path.display());
+}
+
 fn main() {
-    if std::env::args().any(|a| a == "--baseline-only") {
-        let out_path =
-            std::env::var("PEB_BASELINE_OUT").unwrap_or_else(|_| "BENCH_seed.json".to_string());
-        let baseline = peb_bench::baseline::measure();
-        std::fs::write(&out_path, baseline.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-        eprintln!("baseline written to {out_path}");
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--baseline-only") {
+        let dir: PathBuf = match args.iter().position(|a| a == "--out-dir") {
+            Some(i) => args.get(i + 1).expect("--out-dir needs a directory").into(),
+            None => "target/bench".into(),
+        };
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
 
-        let upd_path =
-            std::env::var("PEB_UPDATES_OUT").unwrap_or_else(|_| "BENCH_updates.json".to_string());
-        let upd = updates::measure_updates();
-        std::fs::write(&upd_path, upd.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {upd_path}: {e}"));
-        eprintln!("update-throughput trajectory written to {upd_path}");
+        write_entry(&dir, "BENCH_seed.json", "baseline", peb_bench::baseline::measure().to_json());
+        write_entry(
+            &dir,
+            "BENCH_updates.json",
+            "update-throughput trajectory",
+            updates::measure_updates().to_json(),
+        );
+        write_entry(
+            &dir,
+            "BENCH_scans.json",
+            "concurrent-scan trajectory",
+            scans::measure_scans().to_json(),
+        );
+        write_entry(
+            &dir,
+            "BENCH_optreads.json",
+            "optimistic-read trajectory",
+            optreads::measure_optreads().to_json(),
+        );
+        write_entry(
+            &dir,
+            "BENCH_recovery.json",
+            "durability/recovery trajectory",
+            recovery::measure_recovery().to_json(),
+        );
+        write_entry(
+            &dir,
+            "BENCH_writeconc.json",
+            "write-concurrency trajectory",
+            writeconc::measure_writeconc().to_json(),
+        );
 
-        let scans_path =
-            std::env::var("PEB_SCANS_OUT").unwrap_or_else(|_| "BENCH_scans.json".to_string());
-        let scan = scans::measure_scans();
-        std::fs::write(&scans_path, scan.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {scans_path}: {e}"));
-        eprintln!("concurrent-scan trajectory written to {scans_path}");
-
-        let opt_path =
-            std::env::var("PEB_OPTREADS_OUT").unwrap_or_else(|_| "BENCH_optreads.json".to_string());
-        let opt = optreads::measure_optreads();
-        std::fs::write(&opt_path, opt.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {opt_path}: {e}"));
-        eprintln!("optimistic-read trajectory written to {opt_path}");
-
-        let qio_path =
-            std::env::var("PEB_QUERYIO_OUT").unwrap_or_else(|_| "BENCH_queryio.json".to_string());
-        let qio = queryio::measure_queryio();
-        std::fs::write(&qio_path, qio.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {qio_path}: {e}"));
-        eprintln!("fused-scan query-I/O trajectory written to {qio_path}");
-
-        let ing_path =
-            std::env::var("PEB_INGEST_OUT").unwrap_or_else(|_| "BENCH_ingest.json".to_string());
-        let ing = ingest::measure_ingest();
-        std::fs::write(&ing_path, ing.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {ing_path}: {e}"));
-        eprintln!("buffered-ingestion trajectory written to {ing_path}");
-
-        let rec_path =
-            std::env::var("PEB_RECOVERY_OUT").unwrap_or_else(|_| "BENCH_recovery.json".to_string());
-        let rec = recovery::measure_recovery();
-        std::fs::write(&rec_path, rec.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {rec_path}: {e}"));
-        eprintln!("durability/recovery trajectory written to {rec_path}");
-
-        let wc_path = std::env::var("PEB_WRITECONC_OUT")
-            .unwrap_or_else(|_| "BENCH_writeconc.json".to_string());
-        let wc = writeconc::measure_writeconc();
-        std::fs::write(&wc_path, wc.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {wc_path}: {e}"));
-        eprintln!("write-concurrency trajectory written to {wc_path}");
-
-        let flt_path =
-            std::env::var("PEB_FAULTS_OUT").unwrap_or_else(|_| "BENCH_faults.json".to_string());
         let flt = faults::measure_faults();
         assert_eq!(flt.answers_divergent, 0, "faulted battery diverged from the clean answers");
-        std::fs::write(&flt_path, flt.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {flt_path}: {e}"));
-        eprintln!("faulty-media trajectory written to {flt_path}");
+        write_entry(&dir, "BENCH_faults.json", "faulty-media trajectory", flt.to_json());
 
-        let ov_path =
-            std::env::var("PEB_OVERLOAD_OUT").unwrap_or_else(|_| "BENCH_overload.json".to_string());
         let ov = overload::measure_overload();
         assert!(ov.ledger_identical, "overload sweep ledgers diverged between runs");
         let prot4 = ov.protected.last().expect("sweep has points");
@@ -122,9 +96,7 @@ fn main() {
                 p.p99_overshoot
             );
         }
-        std::fs::write(&ov_path, ov.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {ov_path}: {e}"));
-        eprintln!("overload/goodput trajectory written to {ov_path}");
+        write_entry(&dir, "BENCH_overload.json", "overload/goodput trajectory", ov.to_json());
         return;
     }
 
@@ -161,10 +133,7 @@ fn main() {
     report::header("Fig 19", "cost function estimate vs actual PEB-tree PRQ I/O");
     report::cost_table(&experiments::fig19_cost_model());
     println!();
-    report::header(
-        "Updates",
-        "update throughput: sequential vs batched (sharded) vs unsharded single-tree",
-    );
+    report::header("Updates", "update throughput: sequential vs batched");
     updates::print_table(&updates::measure_updates());
     println!();
     report::header(
@@ -178,18 +147,6 @@ fn main() {
         "locks acquired per warm query: locked vs optimistic read path, both engines",
     );
     optreads::print_table(&optreads::measure_optreads());
-    println!();
-    report::header(
-        "QueryIO",
-        "logical page accesses and descents per warm query: per-interval vs fused plans",
-    );
-    queryio::print_table(&queryio::measure_queryio());
-    println!();
-    report::header(
-        "Ingest",
-        "sustained upserts and leaf pages written: direct vs buffered write path, both engines",
-    );
-    ingest::print_table(&ingest::measure_ingest());
     println!();
     report::header(
         "Recovery",

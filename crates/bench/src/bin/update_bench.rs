@@ -1,13 +1,9 @@
 //! Update-throughput experiment on the frozen 8K-user baseline shape:
-//! sharded sequential vs sharded batched vs unsharded single-tree (see
-//! `peb_bench::updates`).
+//! sequential vs batched (see `peb_bench::updates`).
 
 use peb_bench::{report, updates};
 
 fn main() {
-    report::header(
-        "Updates",
-        "update throughput: sequential vs batched (sharded) vs unsharded single-tree",
-    );
+    report::header("Updates", "update throughput: sequential vs batched");
     updates::print_table(&updates::measure_updates());
 }

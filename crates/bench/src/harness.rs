@@ -31,21 +31,6 @@ pub struct RunConfig {
     /// identical either way). The optimistic-reads experiment builds a
     /// `false` world as its locked-path comparison point.
     pub optimistic_reads: bool,
-    /// Whether queries run through the fused multi-interval scan
-    /// pipeline. The default of `true` is the production configuration
-    /// since the post-soak promotion; the frozen I/O measurements pin the
-    /// fused ledger (fusing changes which pages a query touches, so
-    /// ledgers are only comparable at a fixed plan). The query-I/O
-    /// experiment builds a `false` world as its legacy per-interval
-    /// comparison point.
-    pub fused_scans: bool,
-    /// Whether updates run through the B-epsilon-style message buffers.
-    /// The default of `false` is the paper-exact direct write path every
-    /// frozen I/O measurement uses (buffering changes which pages an
-    /// update touches, so ledgers are only comparable at a fixed write
-    /// path); the ingestion experiment builds a `true` world as its
-    /// buffered comparison point.
-    pub buffered_writes: bool,
     /// Whether updates run through the optimistic-lock-coupling write
     /// path (per-page latches under the shard read lock) instead of
     /// whole-shard exclusion. The default of `false` is the paper-exact
@@ -53,8 +38,7 @@ pub struct RunConfig {
     /// path publishes structural modifications from finished images, so
     /// write ledgers are only comparable at a fixed protocol); the
     /// write-concurrency experiment builds a `true` world as its
-    /// latched comparison point. Mutually exclusive with
-    /// `buffered_writes`.
+    /// latched comparison point.
     pub olc_writes: bool,
     /// Whether the write-ahead-log durability protocol is on for both
     /// engines. The default of `false` is the paper-exact configuration
@@ -84,8 +68,6 @@ impl Default for RunConfig {
             buffer_pages: 50,
             pool_shards: 1,
             optimistic_reads: true,
-            fused_scans: true,
-            buffered_writes: false,
             olc_writes: false,
             durable: false,
             seed: 0xC0FFEE,
@@ -166,10 +148,6 @@ impl World {
         };
         let mut peb = PebTree::new(pool(cfg), space, part, cfg.max_speed, Arc::clone(&ctx));
         let mut baseline = SpatialBaseline::new(BxTree::new(pool(cfg), space, part, cfg.max_speed));
-        peb.set_fused_scans(cfg.fused_scans);
-        baseline.set_fused_scans(cfg.fused_scans);
-        peb.set_buffered_writes(cfg.buffered_writes);
-        baseline.set_buffered_writes(cfg.buffered_writes);
         peb.set_olc_writes(cfg.olc_writes);
         baseline.set_olc_writes(cfg.olc_writes);
         if cfg.durable {

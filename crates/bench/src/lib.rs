@@ -14,10 +14,8 @@ pub mod baseline;
 pub mod experiments;
 pub mod faults;
 pub mod harness;
-pub mod ingest;
 pub mod optreads;
 pub mod overload;
-pub mod queryio;
 pub mod recovery;
 pub mod report;
 pub mod scans;

@@ -17,9 +17,11 @@
 //! against the lock that *would* serve it; with the read path lock-free
 //! the honest metric is the share of the locks actually taken.
 //!
-//! Both pools of a pair return identical query results and identical I/O
-//! counters — the experiment cross-checks this — so the entry isolates
-//! locking, not workload drift.
+//! Both pools of a pair return identical query results and identical
+//! physical I/O — the experiment cross-checks this — so the entry isolates
+//! locking, not workload drift. (Logical reads legitimately differ: the
+//! scan's descent cache validates through the versioned-page mirror, so a
+//! locked pool re-reads branch pages an optimistic pool serves from it.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,13 +78,6 @@ pub struct OptReadReport {
 
 /// The frozen optimistic-read configuration: the `BENCH_scans.json`
 /// dataset shape with the same warm 2048-page pool.
-///
-/// The plan is pinned to the legacy per-interval scans even though fused
-/// scans are on by default now: this experiment's locked-vs-optimistic
-/// cross-check requires a plan whose I/O ledger is independent of the
-/// read path, and the fused descent cache validates through the
-/// versioned-page mirror — on a locked pool it has no cache at all, so
-/// the fused ledgers legitimately differ between the two pools.
 pub fn optread_config() -> RunConfig {
     RunConfig {
         num_users: 8_000,
@@ -91,7 +86,6 @@ pub fn optread_config() -> RunConfig {
         queries: 64,
         seed: 0xBA5E,
         buffer_pages: 2_048,
-        fused_scans: false,
         ..Default::default()
     }
 }
@@ -190,7 +184,11 @@ fn measure_pair<'a>(
         let (locked_stats, locked_io, _) = batch(locked);
         let (opt_stats, opt_io, opt_shards) = batch(opt);
 
-        assert_eq!(locked_io, opt_io, "optimistic reads must leave the warm I/O ledger untouched");
+        assert_eq!(
+            (locked_io.physical_reads, locked_io.physical_writes),
+            (opt_io.physical_reads, opt_io.physical_writes),
+            "optimistic reads must leave the warm physical I/O untouched"
+        );
 
         let acquired_total: u64 = opt_shards.iter().map(|s| s.lock_acquisitions).sum();
         let acquired_max: u64 = opt_shards.iter().map(|s| s.lock_acquisitions).max().unwrap_or(0);
@@ -275,10 +273,6 @@ mod tests {
             queries: 12,
             seed: 0x0097,
             buffer_pages: 512,
-            // Per-interval plan, as in `optread_config`: the fused descent
-            // cache only exists on optimistic pools, so fused ledgers
-            // differ between the locked and optimistic worlds by design.
-            fused_scans: false,
             ..Default::default()
         };
         let r = measure_optreads_with(&cfg, &[1, 4]);

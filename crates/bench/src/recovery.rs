@@ -77,7 +77,7 @@ impl RecoveryBenchReport {
     }
 
     /// Flat JSON trajectory entry (same style as
-    /// [`crate::ingest::IngestBenchReport::to_json`]).
+    /// [`crate::updates::UpdateBenchReport::to_json`]).
     pub fn to_json(&self) -> String {
         use crate::report::json_f64 as f;
         let rows: Vec<(&str, String)> = vec![
@@ -138,7 +138,6 @@ pub fn measure_recovery_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> R
         cfg.max_speed,
         Arc::clone(&ctx),
     );
-    tree.set_buffered_writes(cfg.buffered_writes);
     tree.set_durable(true);
     for m in &dataset.users {
         tree.upsert(*m);

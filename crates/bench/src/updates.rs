@@ -1,16 +1,13 @@
 //! Update-throughput experiment: the sharded index's batched update path
-//! vs the sequential single-object path, plus the unsharded single-tree
-//! core as a reference — the workload behind the paper's Fig 18-style
-//! update rounds, measured on the same frozen 8K-user configuration as
-//! `BENCH_seed.json`.
+//! vs the sequential single-object path — the workload behind the paper's
+//! Fig 18-style update rounds, measured on the same frozen 8K-user
+//! configuration as `BENCH_seed.json`.
 //!
-//! Three variants apply the **identical** pre-generated update rounds
+//! Two variants apply the **identical** pre-generated update rounds
 //! (same seed, same order) to identically bulk-loaded PEB indexes:
 //!
-//! * `seq`       — sharded index, one `upsert` per object;
-//! * `batch`     — sharded index, one `upsert_batch` per round;
-//! * `unsharded` — the single-tree [`peb_index::MovingIndex`], one
-//!   `upsert` per object (the pre-sharding core, for the trajectory).
+//! * `seq`   — one `upsert` per object;
+//! * `batch` — one `upsert_batch` per round.
 //!
 //! Reported per variant: wall-clock upserts/second and the deterministic
 //! buffer-pool counters (logical page accesses + physical I/O), which is
@@ -24,10 +21,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use peb_common::MovingPoint;
-use peb_index::MovingIndex;
 use peb_storage::BufferPool;
 use peb_workload::{Dataset, DatasetBuilder, UpdateStream};
-use pebtree::{PebIndexLayout, PebKeyLayout, PebTree, PrivacyContext};
+use pebtree::{PebTree, PrivacyContext};
 
 use crate::harness::{clone_store, RunConfig};
 
@@ -43,7 +39,7 @@ pub struct UpdateVariant {
     pub physical_io: u64,
 }
 
-/// The whole experiment: three variants over identical update rounds.
+/// The whole experiment: two variants over identical update rounds.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateBenchReport {
     pub users: usize,
@@ -54,7 +50,6 @@ pub struct UpdateBenchReport {
     pub updates_total: usize,
     pub seq: UpdateVariant,
     pub batch: UpdateVariant,
-    pub unsharded: UpdateVariant,
 }
 
 impl UpdateBenchReport {
@@ -79,9 +74,6 @@ impl UpdateBenchReport {
             ("batch_upserts_per_sec", f(self.batch.upserts_per_sec)),
             ("batch_logical_io", self.batch.logical_io.to_string()),
             ("batch_physical_io", self.batch.physical_io.to_string()),
-            ("unsharded_upserts_per_sec", f(self.unsharded.upserts_per_sec)),
-            ("unsharded_logical_io", self.unsharded.logical_io.to_string()),
-            ("unsharded_physical_io", self.unsharded.physical_io.to_string()),
             ("batch_speedup_over_seq", f(self.batch_speedup())),
         ];
         crate::report::json_object(&rows)
@@ -121,7 +113,7 @@ pub fn measure_updates_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> Up
         (0..rounds).map(|_| stream.next_round(&mut rng, fraction)).collect();
     let updates_total: usize = all_rounds.iter().map(|r| r.len()).sum();
 
-    // Sharded index, sequential single-object path.
+    // Sequential single-object path.
     let seq = {
         let tree = build_peb(cfg, &dataset, &ctx);
         let pool = Arc::clone(tree.pool());
@@ -136,7 +128,7 @@ pub fn measure_updates_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> Up
         variant(started, updates_total, &pool)
     };
 
-    // Sharded index, batched path.
+    // Batched path.
     let batch = {
         let tree = build_peb(cfg, &dataset, &ctx);
         let pool = Arc::clone(tree.pool());
@@ -148,32 +140,6 @@ pub fn measure_updates_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> Up
         variant(started, updates_total, &pool)
     };
 
-    // Unsharded single-tree core, sequential path.
-    let unsharded = {
-        let pool = Arc::new(BufferPool::new(cfg.buffer_pages));
-        let layout = PebIndexLayout {
-            keys: PebKeyLayout::new(dataset.space.grid_bits),
-            ctx: Arc::clone(&ctx),
-        };
-        let mut tree = MovingIndex::bulk_load(
-            Arc::clone(&pool),
-            layout,
-            dataset.space,
-            peb_index::TimePartitioning::default(),
-            cfg.max_speed,
-            &dataset.users,
-            1.0,
-        );
-        pool.reset_stats();
-        let started = Instant::now();
-        for round in &all_rounds {
-            for m in round {
-                tree.upsert(*m);
-            }
-        }
-        variant(started, updates_total, &pool)
-    };
-
     UpdateBenchReport {
         users: dataset.users.len(),
         rounds,
@@ -181,7 +147,6 @@ pub fn measure_updates_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> Up
         updates_total,
         seq,
         batch,
-        unsharded,
     }
 }
 
@@ -215,7 +180,7 @@ pub fn print_table(r: &UpdateBenchReport) {
         r.rounds,
         r.round_fraction * 100.0
     );
-    for (name, v) in [("seq", &r.seq), ("batch", &r.batch), ("unsharded", &r.unsharded)] {
+    for (name, v) in [("seq", &r.seq), ("batch", &r.batch)] {
         println!("{name}\t{:.0}\t{}\t{}", v.upserts_per_sec, v.logical_io, v.physical_io);
     }
     println!("batch_speedup_over_seq\t{:.2}x", r.batch_speedup());
@@ -245,7 +210,6 @@ mod tests {
             r.seq.logical_io
         );
         assert!(r.seq.upserts_per_sec > 0.0 && r.batch.upserts_per_sec > 0.0);
-        assert!(r.unsharded.logical_io > 0);
     }
 
     #[test]
@@ -258,11 +222,10 @@ mod tests {
             updates_total: 8000,
             seq: v,
             batch: UpdateVariant { upserts_per_sec: 2000.0, ..v },
-            unsharded: v,
         };
         let j = r.to_json();
         assert!(j.starts_with("{\n") && j.ends_with("}\n"));
-        assert_eq!(j.matches(':').count(), 14, "one key per field");
+        assert_eq!(j.matches(':').count(), 11, "one key per field");
         assert!(j.contains("\"batch_speedup_over_seq\": 2.00"));
     }
 }

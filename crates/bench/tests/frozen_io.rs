@@ -1,8 +1,8 @@
 //! Exact-IoStats equivalence on a frozen workload.
 //!
 //! The expected numbers below are the **fused-scan ledger**, re-measured
-//! when `fused_scans` flipped default-on (the post-soak promotion) on the
-//! same sharded pool in its 1-shard configuration — what every I/O
+//! when the fused plans became the default (the post-soak promotion) on
+//! the same sharded pool in its 1-shard configuration — what every I/O
 //! measurement runs on — and again when the fused plans became one scan
 //! per partition / per anti-diagonal with SV-row emission: the Bx
 //! baseline, which scans plain intervals (`rows == runs`), and the PEB
@@ -52,11 +52,7 @@ fn update_counters_are_reproducible_run_to_run() {
     };
     let a = measure_updates_with(&cfg, 2, 0.25);
     let b = measure_updates_with(&cfg, 2, 0.25);
-    for (x, y, name) in [
-        (a.seq, b.seq, "seq"),
-        (a.batch, b.batch, "batch"),
-        (a.unsharded, b.unsharded, "unsharded"),
-    ] {
+    for (x, y, name) in [(a.seq, b.seq, "seq"), (a.batch, b.batch, "batch")] {
         assert_eq!(x.logical_io, y.logical_io, "{name} logical I/O not reproducible");
         assert_eq!(x.physical_io, y.physical_io, "{name} physical I/O not reproducible");
     }

@@ -190,13 +190,12 @@ impl<V: RecordValue> BTree<V> {
 
 /// Batches at least this fraction of the tree's size are merged by
 /// rebuilding the tree through [`BTree::bulk_load`] instead of one
-/// root-to-leaf descent per entry (see [`BTree::merge_sorted`]; the
-/// message-buffer flush applies the same regime split).
-pub(crate) const MERGE_REBUILD_RATIO: usize = 4;
+/// root-to-leaf descent per entry (see [`BTree::merge_sorted`]).
+const MERGE_REBUILD_RATIO: usize = 4;
 
 /// Leaf fill factor used when a merge rebuilds the tree: slightly below
 /// full so the next few single-key inserts do not split immediately.
-pub(crate) const MERGE_FILL: f64 = 0.9;
+const MERGE_FILL: f64 = 0.9;
 
 impl<V: RecordValue> BTree<V> {
     /// Merge a batch of entries **sorted by strictly increasing key** into
@@ -219,10 +218,6 @@ impl<V: RecordValue> BTree<V> {
     /// # Panics
     /// Panics if the batch keys are not strictly increasing.
     pub fn merge_sorted(&mut self, entries: Vec<(u128, V)>) -> usize {
-        // A merge is a structural operation: anything still in the message
-        // buffer must reach the leaves first so the batch is ordered after
-        // it (no-op when buffering is off or drained).
-        self.flush_messages();
         if entries.is_empty() {
             return 0;
         }
@@ -267,20 +262,16 @@ impl<V: RecordValue> BTree<V> {
         let added = merged.len() - old_len;
         let scans = self.scan_stats();
         let writes = self.write_stats();
-        let buffered = self.msgs.buffered;
-        let seq = self.msgs.seq;
         let tree_id = self.tree_id;
         let olc = self.olc_enabled();
         *self = BTree::bulk_load(Arc::clone(self.pool()), merged, MERGE_FILL);
         // The rebuild replaced `self` wholesale; the scan and write
         // ledgers outlive structural maintenance like every other counter
         // does (the rebuild's own leaf writes are part of this merge's
-        // cost), and the buffering knob, sequence counter, and WAL
-        // identity carry over (with the moved root logged for recovery).
+        // cost), and the WAL identity carries over (with the moved root
+        // logged for recovery).
         self.restore_scan_stats(scans);
         self.restore_write_stats(writes.merged(&self.write_stats()));
-        self.msgs.buffered = buffered;
-        self.msgs.seq = seq;
         self.tree_id = tree_id;
         if olc {
             self.set_olc_writes(true);

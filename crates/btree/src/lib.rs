@@ -25,12 +25,6 @@
 //!   after following its child pointer, restart from the root on a
 //!   mismatch) and fall back to the locked read path per page or — after
 //!   bounded restarts — wholesale; see the [`tree`] module docs.
-//! * **Optional B-epsilon-style write buffering.** With
-//!   [`BTree::set_buffered_writes`] on, upserts and deletes append
-//!   messages to sidecar chain pages at the root and flush downward in
-//!   sorted batches; reads overlay in-flight messages so results are
-//!   unchanged. Off (the default) the write path is untouched; see the
-//!   [`msg`] module docs.
 //! * **Optional optimistic-lock-coupling writes.** With
 //!   [`BTree::set_olc_writes`] on, [`BTree::olc_insert`] and
 //!   [`BTree::olc_delete`] run through `&self` under per-page latches
@@ -42,15 +36,13 @@
 #![warn(missing_docs)]
 
 pub mod bulk;
-pub mod msg;
 pub mod multiscan;
 pub mod node;
 pub mod olc;
 pub mod tree;
 pub mod value;
 
-pub use msg::WriteStats;
 pub use multiscan::{coalesce_intervals, ScanPlan, ScanStats, ScanTermination, Visit};
 pub use olc::{OlcStats, OLC_WRITE_RESTARTS};
-pub use tree::{BTree, TreeStats, OPT_MAX_RESTARTS};
+pub use tree::{BTree, TreeStats, WriteStats, OPT_MAX_RESTARTS};
 pub use value::RecordValue;

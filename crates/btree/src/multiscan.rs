@@ -71,7 +71,7 @@ impl ScanTermination {
 /// therefore never landed on the I/O ledger.
 ///
 /// [`BTree::range_scan`]: crate::BTree::range_scan
-/// [`BTree::multi_range_scan`]: crate::BTree::multi_range_scan
+/// [`BTree::try_multi_range_scan`]: crate::BTree::try_multi_range_scan
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Root-to-leaf descents performed by the scan API.
@@ -123,12 +123,12 @@ impl ScanCounters {
 
 /// Sort an inclusive interval list and merge overlapping or adjacent
 /// pairs; reversed pairs (`lo > hi`) are dropped. The result is the
-/// canonical form [`BTree::multi_range_scan`] executes: sorted, pairwise
+/// canonical form [`BTree::try_multi_range_scan`] executes: sorted, pairwise
 /// disjoint, non-adjacent intervals covering exactly the input's union —
 /// so the fused scan visits every key of the union once, in ascending
 /// order, no matter how redundantly the caller assembled the set.
 ///
-/// [`BTree::multi_range_scan`]: crate::BTree::multi_range_scan
+/// [`BTree::try_multi_range_scan`]: crate::BTree::try_multi_range_scan
 ///
 /// ```
 /// use peb_btree::coalesce_intervals;
@@ -445,10 +445,12 @@ mod fused_tests {
         pool.reset_stats();
         t.reset_scan_stats();
         let mut got = Vec::new();
-        assert!(t.multi_range_scan(&intervals, |k, v| {
-            got.push((k, v));
-            true
-        }));
+        assert!(t
+            .try_multi_range_scan(&intervals, |k, v| {
+                got.push((k, v));
+                true
+            })
+            .unwrap());
         let fused_io = pool.stats();
         let fused_scans = t.scan_stats();
 
@@ -490,13 +492,14 @@ mod fused_tests {
         let pool = Arc::clone(t.pool());
         let intervals: Vec<(u128, u128)> =
             (0..40u128).map(|j| (j * 200_003, j * 200_003 + 2_000)).collect();
-        t.multi_range_scan(&intervals, |_, _| true); // warm + publish
+        t.try_multi_range_scan(&intervals, |_, _| true).unwrap(); // warm + publish
         pool.reset_stats();
         let mut n = 0usize;
-        t.multi_range_scan(&intervals, |_, _| {
+        t.try_multi_range_scan(&intervals, |_, _| {
             n += 1;
             true
-        });
+        })
+        .unwrap();
         assert!(n > 0, "the interval set must hit stored keys");
         let locks = pool.lock_stats();
         assert_eq!(locks.lock_acquisitions, 0, "warm fused scan must not touch a pool mutex");
@@ -508,40 +511,44 @@ mod fused_tests {
     fn early_exit_and_degenerate_sets() {
         let t = tree_with(256, 2_000);
         // Empty set, reversed-only set: complete immediately.
-        assert!(t.multi_range_scan(&[], |_, _| true));
-        assert!(t.multi_range_scan(&[(9, 3)], |_, _| true));
+        assert!(t.try_multi_range_scan(&[], |_, _| true).unwrap());
+        assert!(t.try_multi_range_scan(&[(9, 3)], |_, _| true).unwrap());
         // Early exit propagates.
         let mut seen = 0usize;
-        let completed = t.multi_range_scan(&[(0, u128::MAX)], |_, _| {
-            seen += 1;
-            seen < 5
-        });
+        let completed = t
+            .try_multi_range_scan(&[(0, u128::MAX)], |_, _| {
+                seen += 1;
+                seen < 5
+            })
+            .unwrap();
         assert!(!completed);
         assert_eq!(seen, 5);
         // Single interval behaves exactly like range_scan.
         let a = t.range(1_000, 500_000);
         let mut b = Vec::new();
-        t.multi_range_scan(&[(1_000, 500_000)], |k, v| {
+        t.try_multi_range_scan(&[(1_000, 500_000)], |k, v| {
             b.push((k, v));
             true
-        });
+        })
+        .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_and_single_leaf_trees() {
         let empty: BTree<u64> = BTree::new(Arc::new(BufferPool::new(8)));
-        assert!(empty.multi_range_scan(&[(0, u128::MAX), (5, 10)], |_, _| true));
+        assert!(empty.try_multi_range_scan(&[(0, u128::MAX), (5, 10)], |_, _| true).unwrap());
         let mut tiny: BTree<u64> = BTree::new(Arc::new(BufferPool::new(8)));
         for k in [4u128, 8, 15, 16, 23, 42] {
             tiny.insert(k, k as u64);
         }
         assert_eq!(tiny.height(), 1);
         let mut got = Vec::new();
-        tiny.multi_range_scan(&[(40, 100), (0, 5), (15, 16)], |k, _| {
+        tiny.try_multi_range_scan(&[(40, 100), (0, 5), (15, 16)], |k, _| {
             got.push(k);
             true
-        });
+        })
+        .unwrap();
         assert_eq!(got, vec![4, 15, 16, 42]);
     }
 
@@ -556,10 +563,11 @@ mod fused_tests {
         let runs = coalesce_intervals(&intervals);
         let want = per_interval(&t, &runs);
         let mut got = Vec::new();
-        t.multi_range_scan(&intervals, |k, v| {
+        t.try_multi_range_scan(&intervals, |k, v| {
             got.push((k, v));
             true
-        });
+        })
+        .unwrap();
         assert_eq!(got, want);
         assert!(!want.is_empty());
     }
@@ -584,10 +592,11 @@ mod deadline_tests {
 
     fn full(t: &BTree<u64>, intervals: &[(u128, u128)]) -> Vec<(u128, u64)> {
         let mut out = Vec::new();
-        t.multi_range_scan(intervals, |k, v| {
+        t.try_multi_range_scan(intervals, |k, v| {
             out.push((k, v));
             true
-        });
+        })
+        .unwrap();
         out
     }
 
@@ -672,48 +681,6 @@ mod deadline_tests {
         assert_eq!(term, ScanTermination::Expired);
         assert_eq!(seen, 0);
         assert_eq!(t.pool().stats().logical_reads, before, "checkpoint precedes the first read");
-    }
-
-    #[test]
-    fn overlay_path_honors_deadlines_and_completes_unbounded() {
-        // Pending buffered messages route the scan through the overlay
-        // merge; both termination kinds must survive that composition.
-        let mut t = tree_with(512, 4_000);
-        t.set_buffered_writes(true);
-        for i in 0..30u128 {
-            t.buffered_insert(i * 3 + 1, 0xBEEF + i as u64);
-        }
-        assert!(t.pending_messages() > 0, "messages must still be parked");
-        let intervals = [(0u128, u128::MAX)];
-        let mut want = Vec::new();
-        assert!(t
-            .try_multi_range_scan(&intervals, |k, v| {
-                want.push((k, v));
-                true
-            })
-            .unwrap());
-        let clock = t.pool().clock().clone();
-        let mut got = Vec::new();
-        let term = t
-            .try_multi_range_scan_deadline(&intervals, &Deadline::unbounded(&clock), |k, v| {
-                got.push((k, v));
-                true
-            })
-            .unwrap();
-        assert_eq!(term, ScanTermination::Complete);
-        assert_eq!(got, want);
-
-        let deadline = Deadline::after(&clock, 4);
-        let mut part = Vec::new();
-        let term = t
-            .try_multi_range_scan_deadline(&intervals, &deadline, |k, v| {
-                part.push((k, v));
-                true
-            })
-            .unwrap();
-        assert_eq!(term, ScanTermination::Expired);
-        assert!(part.len() < want.len());
-        assert_eq!(part[..], want[..part.len()]);
     }
 
     #[test]
@@ -802,10 +769,10 @@ mod proptests {
 
             t.pool().reset_stats();
             let mut got = Vec::new();
-            prop_assert!(t.multi_range_scan(&intervals, |k, v| {
+            prop_assert!(t.try_multi_range_scan(&intervals, |k, v| {
                 got.push((k, v));
                 true
-            }));
+            }).unwrap());
             let fused_logical = t.pool().stats().logical_reads;
 
             prop_assert_eq!(got, want);
@@ -961,85 +928,6 @@ mod proptests {
             for k in keys.iter().filter(|k| !skipped(**k)) {
                 if plan.runs().iter().any(|(lo, hi)| k >= lo && k <= hi) {
                     prop_assert!(got.binary_search(k).is_ok(), "kept row lost in-run key {}", k);
-                }
-            }
-        }
-
-        /// With buffered messages pending, everything a plan scan emits —
-        /// in-run or merely in-row on a page in hand — is the *current*
-        /// truth: the overlay is collected over the rows, so no overwritten
-        /// value and no deleted key rides along, and skipping a row skips
-        /// its pending puts too.
-        #[test]
-        fn pending_messages_overlay_the_rows_not_just_the_runs(
-            keys in proptest::collection::btree_set(0u128..4_000, 20..300),
-            ops in proptest::collection::vec((0u128..4_000, 0u8..3), 1..60),
-            ivs in proptest::collection::vec((0u128..4_000, 0u128..80), 1..12),
-            pad in proptest::collection::vec((0u128..600, 0u128..600), 12),
-            skip_every in 0u128..4,
-        ) {
-            use crate::BTree;
-            use peb_common::Deadline;
-            use peb_storage::BufferPool;
-            use std::collections::BTreeMap;
-            use std::sync::Arc;
-
-            let mut t: BTree<u64> = BTree::new(Arc::new(BufferPool::new(64)));
-            let mut model: BTreeMap<u128, u64> = BTreeMap::new();
-            for &k in &keys {
-                t.insert(k, k as u64);
-                model.insert(k, k as u64);
-            }
-            t.set_buffered_writes(true);
-            for (n, (k, op)) in ops.iter().enumerate() {
-                if *op == 0 {
-                    t.buffered_delete(*k);
-                    model.remove(k);
-                } else {
-                    t.buffered_insert(*k, 7_000_000 + n as u64);
-                    model.insert(*k, 7_000_000 + n as u64);
-                }
-            }
-            prop_assert!(t.pending_messages() > 0, "the messages must still be parked");
-            let intervals: Vec<(u128, u128)> =
-                ivs.iter().map(|(lo, len)| (*lo, lo + len)).collect();
-            let rows: Vec<(u128, u128)> = intervals
-                .iter()
-                .zip(&pad)
-                .map(|((lo, hi), (below, above))| (lo.saturating_sub(*below), hi + above))
-                .collect();
-            let plan = ScanPlan::new(intervals, rows);
-            // Skip every row whose index is a multiple of `skip_every`.
-            let skip_row = |j: usize| skip_every > 0 && (j as u128).is_multiple_of(skip_every);
-            let row_of = |k: u128| plan.rows().iter().position(|(lo, hi)| k >= *lo && k <= *hi);
-            let skipped = |k: u128| row_of(k).is_some_and(skip_row);
-
-            let unbounded = Deadline::unbounded(t.pool().clock());
-            let mut got: Vec<(u128, u64)> = Vec::new();
-            let term = t
-                .try_scan_plan(&plan, &unbounded, |k, v| {
-                    got.push((k, v));
-                    if skipped(k) { Visit::SkipRow } else { Visit::Next }
-                })
-                .unwrap();
-            prop_assert_eq!(term, ScanTermination::Complete);
-            prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ascending, exactly once");
-            for (k, v) in &got {
-                prop_assert!(row_of(*k).is_some(), "emitted key {} lies in no row", k);
-                prop_assert_eq!(model.get(k), Some(v), "stale or deleted entry emitted at {}", k);
-            }
-            for (j, (lo, hi)) in plan.rows().iter().enumerate() {
-                let of_row = got.iter().filter(|(k, _)| k >= lo && k <= hi).count();
-                if skip_row(j) {
-                    prop_assert!(of_row <= 1, "a skipped row shows one entry at most");
-                }
-            }
-            for (k, _) in model.iter().filter(|(k, _)| !skipped(**k)) {
-                if plan.runs().iter().any(|(lo, hi)| k >= lo && k <= hi) {
-                    prop_assert!(
-                        got.binary_search_by_key(k, |(g, _)| *g).is_ok(),
-                        "current in-run key {} not emitted", k
-                    );
                 }
             }
         }

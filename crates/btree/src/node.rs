@@ -7,7 +7,7 @@
 //! 0       1     node type (0 = leaf, 1 = branch)
 //! 2       2     entry count
 //! 4       4     leaf: right-sibling page id      (INVALID if none)
-//! 8       4     message-chain head page id + 1   (0 if none; see `msg`)
+//! 8       4     reserved, always zero
 //! 12      4     branch: leftmost child page id
 //! 16      —     entry array
 //! ```
@@ -25,9 +25,9 @@ pub const OFF_TYPE: usize = 0;
 pub const OFF_COUNT: usize = 2;
 /// Byte offset of a leaf's right-sibling pointer.
 pub const OFF_RIGHT: usize = 4;
-/// Byte offset of the node's message-chain head pointer (stored as
-/// `pid + 1` so an all-zero page means "no chain"; see the `msg` module).
-pub const OFF_CHAIN: usize = 8;
+/// Byte offset of the reserved header word: zeroed when a node is
+/// formatted and never written otherwise.
+pub const OFF_RESERVED: usize = 8;
 /// Byte offset of a branch's leftmost child pointer.
 pub const OFF_LEFTMOST: usize = 12;
 /// First byte of the entry array.
@@ -76,7 +76,7 @@ pub fn init_leaf(p: &mut Page) {
     p.put_u8(OFF_TYPE, TYPE_LEAF);
     set_count(p, 0);
     p.put_page_id(OFF_RIGHT, PageId::INVALID);
-    p.put_u32(OFF_CHAIN, 0);
+    p.put_u32(OFF_RESERVED, 0);
 }
 
 /// Format the page as an empty branch whose leftmost child is `leftmost`.
@@ -85,24 +85,7 @@ pub fn init_branch(p: &mut Page, leftmost: PageId) {
     p.put_u8(OFF_TYPE, TYPE_BRANCH);
     set_count(p, 0);
     p.put_page_id(OFF_LEFTMOST, leftmost);
-    p.put_u32(OFF_CHAIN, 0);
-}
-
-/// The node's message-chain head (`INVALID` when it has no chain).
-#[inline]
-pub fn chain_head(p: &Page) -> PageId {
-    let raw = p.get_u32(OFF_CHAIN);
-    if raw == 0 {
-        PageId::INVALID
-    } else {
-        PageId(raw - 1)
-    }
-}
-
-/// Overwrite the node's message-chain head (`INVALID` clears it).
-#[inline]
-pub fn set_chain_head(p: &mut Page, pid: PageId) {
-    p.put_u32(OFF_CHAIN, if pid.is_valid() { pid.0 + 1 } else { 0 });
+    p.put_u32(OFF_RESERVED, 0);
 }
 
 // ---- leaf accessors -------------------------------------------------------
@@ -300,18 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn chain_head_roundtrips_and_inits_clear() {
+    fn reserved_word_inits_clear() {
         let mut p = Page::new();
+        p.put_u32(OFF_RESERVED, 42); // a recycled page's stale bytes
         init_leaf(&mut p);
-        assert_eq!(chain_head(&p), PageId::INVALID);
-        set_chain_head(&mut p, PageId(0)); // page id 0 must be representable
-        assert_eq!(chain_head(&p), PageId(0));
-        set_chain_head(&mut p, PageId(41));
-        assert_eq!(chain_head(&p), PageId(41));
-        set_chain_head(&mut p, PageId::INVALID);
-        assert_eq!(chain_head(&p), PageId::INVALID);
+        assert_eq!(p.get_u32(OFF_RESERVED), 0);
+        p.put_u32(OFF_RESERVED, 42);
         init_branch(&mut p, PageId(3));
-        assert_eq!(chain_head(&p), PageId::INVALID);
+        assert_eq!(p.get_u32(OFF_RESERVED), 0);
     }
 
     #[test]

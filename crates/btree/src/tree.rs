@@ -28,7 +28,6 @@ use parking_lot::RwLock;
 use peb_common::Deadline;
 use peb_storage::{BufferPool, IoFault, OptimisticRead, Page, PageId, PageSnapshot};
 
-use crate::msg::{MsgState, WriteCounters};
 use crate::multiscan::{ScanCounters, ScanPlan, ScanStats, ScanTermination, Visit};
 use crate::node::{self, branch_capacity, leaf_capacity, HEADER};
 use crate::olc::OlcCounters;
@@ -47,7 +46,7 @@ pub(crate) struct Restart;
 /// One cached level of a fused scan's descent path: a versioned snapshot
 /// of the branch page last consulted at this depth. Reused by the next
 /// re-route while [`BufferPool::snapshot_valid`] holds (see
-/// [`BTree::multi_range_scan`]); re-read through the pool otherwise.
+/// [`BTree::try_multi_range_scan`]); re-read through the pool otherwise.
 #[derive(Default)]
 struct PathLevel {
     snap: PageSnapshot,
@@ -70,15 +69,12 @@ pub struct BTree<V: RecordValue> {
     total_pages: AtomicUsize,
     /// Deterministic scan-path counters (descents, cached branch pages).
     scans: ScanCounters,
-    /// Deterministic write-path counters (messages, flushes, leaf writes).
+    /// Deterministic write-path counter (leaf pages written).
     pub(crate) writes: WriteCounters,
-    /// B-epsilon message-buffer state (see the [`crate::msg`] module).
-    pub(crate) msgs: MsgState,
     /// Identity of this tree in the write-ahead log (`u32::MAX` =
     /// unregistered: root changes are not logged). Set by the index layer
     /// when durability is on; survives wholesale rebuilds
-    /// ([`BTree::bulk_load`]-based merges, flushes) via
-    /// [`BTree::set_tree_id`].
+    /// ([`BTree::bulk_load`]-based merges) via [`BTree::set_tree_id`].
     pub(crate) tree_id: u32,
     /// Whether the optimistic-lock-coupling write path is active
     /// ([`BTree::set_olc_writes`]). Flips reader semantics to *strict*
@@ -143,10 +139,6 @@ impl<V: RecordValue> BTree<V> {
         } else {
             self.len.fetch_sub((-delta) as usize, Ordering::Relaxed);
         }
-    }
-
-    pub(crate) fn set_len(&self, n: usize) {
-        self.len.store(n, Ordering::Relaxed);
     }
 
     pub(crate) fn add_leaf_pages(&self, delta: isize) {
@@ -240,7 +232,6 @@ impl<V: RecordValue> BTree<V> {
             total_pages: AtomicUsize::new(total_pages),
             scans: ScanCounters::default(),
             writes: WriteCounters::default(),
-            msgs: MsgState::default(),
             tree_id: u32::MAX,
             olc: AtomicBool::new(false),
             olc_stats: OlcCounters::default(),
@@ -264,9 +255,9 @@ impl<V: RecordValue> BTree<V> {
     /// Register this tree under `id` in the write-ahead log and log its
     /// current root and height, so recovery can locate it. Called by the
     /// index layer when durability is enabled and re-called after every
-    /// wholesale tree replacement (merge rebuilds, message flushes, shard
-    /// expiry swaps) — the replacement tree is a *new* `BTree` value that
-    /// must keep the old identity.
+    /// wholesale tree replacement (merge rebuilds, shard expiry swaps) —
+    /// the replacement tree is a *new* `BTree` value that must keep the
+    /// old identity.
     pub fn set_tree_id(&mut self, id: u32) {
         self.tree_id = id;
         self.log_meta();
@@ -282,20 +273,18 @@ impl<V: RecordValue> BTree<V> {
     /// Reconstruct a tree from its recovered on-disk pages: `root` and
     /// `height` come from the newest durable `TreeMeta` record of
     /// `tree_id`. One breadth-first structural walk rebuilds the
-    /// in-memory bookkeeping the crash destroyed — entry count, page
-    /// counts, and the message-chain registry (from the on-page chain
-    /// heads, including the pending count and sequence counter) — after
-    /// which the tree answers exactly like one that never crashed.
+    /// in-memory bookkeeping the crash destroyed — entry count and page
+    /// counts — after which the tree answers exactly like one that never
+    /// crashed.
     pub fn reattach(pool: Arc<BufferPool>, tree_id: u32, root: PageId, height: u32) -> Self {
         let mut t: BTree<V> = BTree::from_raw(pool, root, height, 0, 0, 0);
         t.tree_id = tree_id;
         let mut frontier = vec![root];
-        let mut chained: Vec<(PageId, PageId)> = Vec::new();
         for _ in 0..height {
             let mut next = Vec::new();
             for &pid in &frontier {
                 t.add_total_pages(1);
-                let (n, leaf, chain, children) = t.pool.read(pid, |p| {
+                let (n, leaf, children) = t.pool.read(pid, |p| {
                     let n = node::count(p);
                     let leaf = node::is_leaf(p);
                     let children: Vec<PageId> = if leaf {
@@ -303,11 +292,8 @@ impl<V: RecordValue> BTree<V> {
                     } else {
                         (0..=n).map(|j| node::child_at(p, j)).collect()
                     };
-                    (n, leaf, node::chain_head(p), children)
+                    (n, leaf, children)
                 });
-                if chain.is_valid() {
-                    chained.push((pid, chain));
-                }
                 if leaf {
                     t.add_leaf_pages(1);
                     t.add_len(n as isize);
@@ -317,12 +303,11 @@ impl<V: RecordValue> BTree<V> {
             }
             frontier = next;
         }
-        t.reattach_chains(&chained);
         t
     }
 
     /// Deterministic scan-path counters: root-to-leaf descents performed
-    /// by [`BTree::range_scan`]/[`BTree::multi_range_scan`] and branch
+    /// by [`BTree::range_scan`]/[`BTree::try_multi_range_scan`] and branch
     /// pages the fused path served from its descent cache. The companion
     /// of the pool's I/O ledger for the fused-scan experiment.
     pub fn scan_stats(&self) -> ScanStats {
@@ -507,19 +492,8 @@ impl<V: RecordValue> BTree<V> {
     /// [`IoFault`] instead of a panic. The optimistic fast path reads only
     /// mirror-published pages — images that were checksum-verified when
     /// faulted in — so faults can only arise in the locked fallback's
-    /// device fetch. The message-buffer overlay reads chain pages through
-    /// the legacy (panicking) path; flush buffered messages before running
-    /// on suspect media.
+    /// device fetch.
     pub fn try_get(&self, key: u128) -> Result<Option<V>, IoFault> {
-        // A pending buffered message is newer than anything in the leaves:
-        // the newest put answers, the newest tombstone hides the key. With
-        // nothing pending (always, when buffering is off) this costs one
-        // integer compare.
-        if self.msgs.pending > 0 {
-            if let Some(answer) = self.collect_overlay(&[(key, key)]).remove(&key) {
-                return Ok(answer);
-            }
-        }
         for _ in 0..OPT_MAX_RESTARTS {
             if let Ok(found) = self.try_get_optimistic(key) {
                 return Ok(found);
@@ -545,10 +519,6 @@ impl<V: RecordValue> BTree<V> {
 
     /// Insert a new entry. Returns the previous value if `key` was already
     /// present (the entry is replaced in place; no structural change).
-    ///
-    /// With buffered writes on, use [`BTree::buffered_insert`] instead: a
-    /// direct insert would be ordered *before* any in-flight message for
-    /// the same key.
     pub fn insert(&mut self, key: u128, value: V) -> Option<V> {
         self.try_insert(key, value).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
     }
@@ -559,10 +529,6 @@ impl<V: RecordValue> BTree<V> {
     /// (like a panic would); durable pools repair and recover, non-durable
     /// pools should treat the tree as suspect after an error.
     pub fn try_insert(&mut self, key: u128, value: V) -> Result<Option<V>, IoFault> {
-        debug_assert_eq!(
-            self.msgs.pending, 0,
-            "plain insert with buffered messages pending; use buffered_insert"
-        );
         let (root, height) = self.top();
         Ok(match self.insert_rec(root, height - 1, key, &value)? {
             InsertOutcome::Replaced(old) => Some(old),
@@ -733,10 +699,6 @@ impl<V: RecordValue> BTree<V> {
     // ---- deletion ----------------------------------------------------------
 
     /// Remove `key`, returning its value if present.
-    ///
-    /// With buffered writes on, use [`BTree::buffered_delete`] instead: a
-    /// direct delete would be ordered *before* any in-flight message for
-    /// the same key.
     pub fn delete(&mut self, key: u128) -> Option<V> {
         self.try_delete(key).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
     }
@@ -746,10 +708,6 @@ impl<V: RecordValue> BTree<V> {
     /// leave structural work half-applied, exactly like a panic would —
     /// see [`BTree::try_insert`].
     pub fn try_delete(&mut self, key: u128) -> Result<Option<V>, IoFault> {
-        debug_assert_eq!(
-            self.msgs.pending, 0,
-            "plain delete with buffered messages pending; use buffered_delete"
-        );
         let (root, height) = self.top();
         let removed = self.delete_rec(root, height - 1, key)?;
         if removed.is_some() {
@@ -1013,12 +971,6 @@ impl<V: RecordValue> BTree<V> {
     /// version conflict mid-chain defers to the locked read of the same
     /// leaf — so the visitor sees every in-range entry exactly once, in
     /// order, just like the fully locked scan.
-    ///
-    /// With buffered messages pending, the scan overlays the newest
-    /// in-range message per key on the leaf emission (puts interleave and
-    /// replace, tombstones suppress), so the visitor sees exactly what it
-    /// would see after a flush. With nothing pending — always, when
-    /// buffering is off — this costs one integer compare.
     pub fn range_scan(&self, lo: u128, hi: u128, visit: impl FnMut(u128, V) -> bool) -> bool {
         self.try_range_scan(lo, hi, visit).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
     }
@@ -1027,48 +979,12 @@ impl<V: RecordValue> BTree<V> {
     /// sequence, but an unresolvable media fault surfaces as a typed
     /// [`IoFault`] instead of a panic. Entries already handed to `visit`
     /// before the fault stand (the scan emits in key order, so the prefix
-    /// is exact); the scan stops at the fault. The message-buffer overlay
-    /// reads chain pages through the legacy path — see [`BTree::try_get`].
+    /// is exact); the scan stops at the fault.
+    ///
+    /// The relaxed walk (per-leaf locked fallback, never restarts once
+    /// emitting) is exact while writers are excluded; with the OLC write
+    /// path on, the strict frontier-validated walk is required.
     pub fn try_range_scan(
-        &self,
-        lo: u128,
-        hi: u128,
-        mut visit: impl FnMut(u128, V) -> bool,
-    ) -> Result<bool, IoFault> {
-        if self.msgs.pending == 0 {
-            return self.scan_leaves(lo, hi, visit);
-        }
-        if lo > hi {
-            return Ok(true);
-        }
-        let overlay = self.collect_overlay(&[(lo, hi)]);
-        // `scan_with_overlay` composes infallible visitors; a fault in the
-        // leaf walk is parked in `fault` (stopping the merge like an early
-        // exit) and re-surfaced once the merge unwinds.
-        let mut fault = None;
-        let done = self.scan_with_overlay(
-            overlay,
-            &ScanPlan::from_intervals(&[(lo, hi)]),
-            |f| match self.scan_leaves(lo, hi, |k, v| f(k, v) == Visit::Next) {
-                Ok(done) => done,
-                Err(e) => {
-                    fault = Some(e);
-                    false
-                }
-            },
-            &mut |k, v| Visit::next_if(visit(k, v)),
-        );
-        match fault {
-            Some(e) => Err(e),
-            None => Ok(done),
-        }
-    }
-
-    /// Mode dispatch for the leaf-chain walk: the relaxed walk (per-leaf
-    /// locked fallback, never restarts once emitting) is exact while
-    /// writers are excluded; with the OLC write path on, the strict
-    /// frontier-validated walk is required.
-    fn scan_leaves(
         &self,
         lo: u128,
         hi: u128,
@@ -1081,7 +997,7 @@ impl<V: RecordValue> BTree<V> {
         }
     }
 
-    /// The leaf-only body of [`BTree::range_scan`] (no message overlay).
+    /// The relaxed (writers-excluded) body of [`BTree::range_scan`].
     fn range_scan_leaves(
         &self,
         lo: u128,
@@ -1348,8 +1264,7 @@ impl<V: RecordValue> BTree<V> {
     /// Visit every entry whose key falls in the union of `intervals`
     /// (inclusive `(lo, hi)` pairs, in any order, overlap allowed),
     /// exactly once, in ascending key order. The callback returns `false`
-    /// to stop early; `multi_range_scan` returns whether it ran to
-    /// completion.
+    /// to stop early; `Ok(true)` means the scan ran to completion.
     ///
     /// This is the fused counterpart of issuing one [`BTree::range_scan`]
     /// per interval: the set is sorted and coalesced once
@@ -1363,21 +1278,11 @@ impl<V: RecordValue> BTree<V> {
     /// bounded by theirs; the visit sequence is identical to per-interval
     /// scans over the coalesced set.
     ///
-    /// A thin wrapper: the plan with `rows == runs`
-    /// ([`ScanPlan::from_intervals`]) run by [`BTree::try_scan_plan`].
-    pub fn multi_range_scan(
-        &self,
-        intervals: &[(u128, u128)],
-        visit: impl FnMut(u128, V) -> bool,
-    ) -> bool {
-        self.try_multi_range_scan(intervals, visit)
-            .unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
-    }
-
-    /// Fallible [`BTree::multi_range_scan`]: identical fused traversal,
-    /// but an unresolvable media fault surfaces as a typed [`IoFault`]
-    /// instead of a panic. Entries already emitted stand, in order — see
-    /// [`BTree::try_range_scan`].
+    /// An unresolvable media fault surfaces as a typed [`IoFault`];
+    /// entries already emitted stand, in order — see
+    /// [`BTree::try_range_scan`]. A thin wrapper: the plan with
+    /// `rows == runs` ([`ScanPlan::from_intervals`]) under an unbounded
+    /// deadline, run by [`BTree::try_scan_plan`].
     pub fn try_multi_range_scan(
         &self,
         intervals: &[(u128, u128)],
@@ -1421,12 +1326,9 @@ impl<V: RecordValue> BTree<V> {
     /// Leaves are read from lock-free versioned snapshots when published
     /// and from the locked page otherwise, exactly like
     /// [`BTree::range_scan`]'s chain walk; entries are handed to `visit`
-    /// with no page borrow or lock held. With buffered messages pending,
-    /// the newest message per key **over the rows** (not just the runs —
-    /// an out-of-run entry must not be served stale) is overlaid on the
-    /// leaf emission exactly as in [`BTree::range_scan`]. Under the OLC
-    /// write path each run walks the strict frontier-validated chain scan
-    /// and only in-run entries are emitted.
+    /// with no page borrow or lock held. Under the OLC write path each run
+    /// walks the strict frontier-validated chain scan and only in-run
+    /// entries are emitted.
     pub fn try_scan_plan(
         &self,
         plan: &ScanPlan,
@@ -1446,29 +1348,7 @@ impl<V: RecordValue> BTree<V> {
         // contribute *no* entries (gaps), which the per-entry check alone
         // would walk past.
         let mut checkpoint = || !deadline.expired();
-        let done = if self.msgs.pending == 0 {
-            self.scan_plan_leaves(plan, &mut wrapped, &mut checkpoint)?
-        } else {
-            let overlay = self.collect_overlay(plan.rows());
-            // Same fault-parking composition as [`BTree::try_range_scan`].
-            let mut fault = None;
-            let done = self.scan_with_overlay(
-                overlay,
-                plan,
-                |f| match self.scan_plan_leaves(plan, f, &mut checkpoint) {
-                    Ok(done) => done,
-                    Err(e) => {
-                        fault = Some(e);
-                        false
-                    }
-                },
-                &mut wrapped,
-            );
-            if let Some(e) = fault {
-                return Err(e);
-            }
-            done
-        };
+        let done = self.scan_plan_leaves(plan, &mut wrapped, &mut checkpoint)?;
         Ok(if done {
             ScanTermination::Complete
         } else if stopped {
@@ -1481,7 +1361,7 @@ impl<V: RecordValue> BTree<V> {
         })
     }
 
-    /// The leaf-only body of [`BTree::try_scan_plan`] (no overlay).
+    /// The leaf walk of [`BTree::try_scan_plan`].
     /// `checkpoint` is consulted once per leaf-page iteration (and per
     /// run on the OLC path); returning `false` ends the scan like a
     /// visitor's `Stop`. Returns whether the plan ran out.
@@ -2201,6 +2081,51 @@ impl<V: RecordValue> BTree<V> {
                 len as f64 / (leaf_pages * cap) as f64
             },
         }
+    }
+}
+
+/// Deterministic counter of the write path — the companion of
+/// [`crate::ScanStats`]: every leaf-page write of insert, delete,
+/// rebalancing and bulk loading, so two runs of the same workload can be
+/// compared write for write.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WriteStats {
+    /// Leaf pages written, by any path (the per-upsert write
+    /// amplification metric).
+    pub leaf_pages_written: u64,
+}
+
+impl WriteStats {
+    /// Element-wise sum of two counter sets (shard aggregation).
+    pub fn merged(&self, other: &WriteStats) -> WriteStats {
+        WriteStats { leaf_pages_written: self.leaf_pages_written + other.leaf_pages_written }
+    }
+}
+
+/// The tree-resident atomic half of [`WriteStats`] (snapshots take
+/// `&self`, like [`crate::multiscan::ScanCounters`]).
+#[derive(Default)]
+pub(crate) struct WriteCounters {
+    leaf_writes: AtomicU64,
+}
+
+impl WriteCounters {
+    pub(crate) fn bump_leaf_writes(&self, n: u64) {
+        self.leaf_writes.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+impl<V: RecordValue> BTree<V> {
+    /// Deterministic write-path counters (see [`WriteStats`]).
+    pub fn write_stats(&self) -> WriteStats {
+        WriteStats { leaf_pages_written: self.writes.leaf_writes.load(Ordering::Relaxed) }
+    }
+
+    /// Overwrite the write-path counters — the carry half of the
+    /// ledger-outlives-maintenance contract, like
+    /// [`BTree::restore_scan_stats`].
+    pub fn restore_write_stats(&self, s: WriteStats) {
+        self.writes.leaf_writes.store(s.leaf_pages_written, Ordering::Relaxed);
     }
 }
 

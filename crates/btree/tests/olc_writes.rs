@@ -230,10 +230,11 @@ fn run_history_stress(seed: u64, writers: u64, per: u64, rounds: u64, readers: u
                                 (0..3).map(|w| (w * 1_000, w * 1_000 + 500)).collect();
                             let inv = clock.fetch_add(1, Ordering::SeqCst);
                             let mut found = std::collections::HashMap::new();
-                            tree.multi_range_scan(&ivs, |k, v| {
+                            tree.try_multi_range_scan(&ivs, |k, v| {
                                 found.insert(k, v);
                                 true
-                            });
+                            })
+                            .unwrap();
                             let resp = clock.fetch_add(1, Ordering::SeqCst);
                             if log {
                                 for &k in keyspace

@@ -16,9 +16,6 @@ use crate::keys::BxKeyLayout;
 /// partition); this type adds the Bx query algorithms.
 pub struct BxTree {
     idx: ShardedMovingIndex<BxKeyLayout>,
-    /// Whether candidate retrieval runs through the fused multi-interval
-    /// scan pipeline (on by default; see [`BxTree::set_fused_scans`]).
-    fused_scans: bool,
 }
 
 impl BxTree {
@@ -31,52 +28,14 @@ impl BxTree {
         max_speed: f64,
     ) -> Self {
         let layout = BxKeyLayout::new(space.grid_bits);
-        BxTree {
-            idx: ShardedMovingIndex::new(pool, layout, space, part, max_speed),
-            fused_scans: true,
-        }
-    }
-
-    /// Opt into the fused multi-interval query pipeline:
-    /// [`BxTree::for_each_candidate`] (and the incremental kNN variant)
-    /// build the full key-interval set — partitions × Z-ranges, coarsened
-    /// to [`peb_costmodel::interval_budget`] — and execute it through
-    /// [`ShardedMovingIndex::scan_keys_multi`]: one descent plus a
-    /// leaf-chain walk per partition instead of one descent per Z-range.
-    /// Query results are identical either way (refinement discards the
-    /// coarsening's extra candidates); only page accesses differ. On by
-    /// default since the post-soak promotion; the knob stays for A/B
-    /// against the legacy per-interval plan.
-    pub fn set_fused_scans(&mut self, enabled: bool) {
-        self.fused_scans = enabled;
-    }
-
-    /// Whether the fused multi-interval query pipeline is active.
-    pub fn fused_scans(&self) -> bool {
-        self.fused_scans
-    }
-
-    /// Switch the write path between direct leaf updates (off, the
-    /// default) and B-epsilon-style buffered writes (on): upserts and
-    /// deletes append messages to per-partition buffer chains that flush
-    /// downward in sorted batches (see
-    /// [`ShardedMovingIndex::set_buffered_writes`]). Query results are
-    /// identical either way; turning the knob off flushes everything.
-    pub fn set_buffered_writes(&mut self, enabled: bool) {
-        self.idx.set_buffered_writes(enabled);
-    }
-
-    /// Whether buffered writes are active.
-    pub fn buffered_writes(&self) -> bool {
-        self.idx.buffered_writes()
+        BxTree { idx: ShardedMovingIndex::new(pool, layout, space, part, max_speed) }
     }
 
     /// Switch the write path between whole-shard exclusion (off, the
     /// default) and optimistic lock coupling (on): same-partition
     /// refreshes and removals run under the shard read lock with
     /// per-page latches, overlapping concurrent queries (see
-    /// [`ShardedMovingIndex::set_olc_writes`]). Results are identical;
-    /// mutually exclusive with buffered writes.
+    /// [`ShardedMovingIndex::set_olc_writes`]). Results are identical.
     pub fn set_olc_writes(&mut self, enabled: bool) {
         self.idx.set_olc_writes(enabled);
     }
@@ -117,8 +76,7 @@ impl BxTree {
     }
 
     /// Rebuild a Bx-tree from a recovered pool after a crash (see
-    /// [`ShardedMovingIndex::recover`]); `fused_scans` starts on, as in
-    /// [`BxTree::new`].
+    /// [`ShardedMovingIndex::recover`]).
     pub fn recover(
         pool: Arc<BufferPool>,
         recovery: &peb_storage::WalRecovery,
@@ -127,27 +85,7 @@ impl BxTree {
         max_speed: f64,
     ) -> Self {
         let layout = BxKeyLayout::new(space.grid_bits);
-        BxTree {
-            idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed),
-            fused_scans: true,
-        }
-    }
-
-    /// Deterministic write-path counters summed across shard trees (see
-    /// [`peb_btree::WriteStats`]).
-    pub fn write_stats(&self) -> peb_btree::WriteStats {
-        self.idx.write_stats()
-    }
-
-    /// Zero the write-path counters (measurement windows).
-    pub fn reset_write_stats(&self) {
-        self.idx.reset_write_stats()
-    }
-
-    /// Flush any pending buffered messages down to the leaves without
-    /// changing the buffering knob. A no-op when nothing is pending.
-    pub fn flush_messages(&self) {
-        self.idx.flush_messages()
+        BxTree { idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed) }
     }
 
     /// Deterministic scan-path counters summed across shard trees (see
@@ -175,7 +113,6 @@ impl BxTree {
         let layout = BxKeyLayout::new(space.grid_bits);
         BxTree {
             idx: ShardedMovingIndex::bulk_load(pool, layout, space, part, max_speed, users, fill),
-            fused_scans: true,
         }
     }
 
@@ -317,14 +254,8 @@ impl BxTree {
         Ok(out)
     }
 
-    /// Run the Bx search (enlarge → Z-decompose → B+-tree interval scans)
-    /// and hand every *candidate* (pre-refinement) to the callback. On
-    /// the fused plan ([`BxTree::set_fused_scans`]) the whole interval
-    /// set executes as one coalesced multi-interval scan; candidates may
-    /// then include the coarsened-in extras every caller already refines
-    /// away.
     /// Walk the coarsened Z-ranges of `r`'s enlargement in every live
-    /// partition — the shared front half of both fused interval builders.
+    /// partition — the shared front half of both interval builders.
     /// The coarsening budget clamps against the whole population: every
     /// object is a candidate for a privacy-unaware query (unlike the PEB
     /// side, whose candidates are the issuer's friends).
@@ -345,10 +276,14 @@ impl BxTree {
         }
     }
 
-    /// Hand every candidate of the enlarged window `r` at `tq` to `f`:
-    /// the raw retrieval step both query algorithms refine (per-interval
-    /// scans by default, one fused multi-interval scan per partition with
-    /// [`BxTree::set_fused_scans`] on).
+    /// Run the Bx search (enlarge → Z-decompose → coarsen to
+    /// [`peb_costmodel::interval_budget`] → B+-tree scan) and hand every
+    /// *candidate* (pre-refinement) of the window `r` at `tq` to `f`: the
+    /// raw retrieval step both query algorithms refine. The whole
+    /// interval set — partitions × Z-ranges — executes as one coalesced
+    /// multi-interval scan ([`ShardedMovingIndex::try_scan_keys_multi`]:
+    /// one descent plus a leaf-chain walk per partition), so candidates
+    /// include the coarsened-in extras every caller refines away.
     pub fn for_each_candidate(&self, r: &Rect, tq: Timestamp, f: impl FnMut(MovingPoint)) {
         self.try_for_each_candidate(r, tq, f)
             .unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"));
@@ -364,30 +299,14 @@ impl BxTree {
         mut f: impl FnMut(MovingPoint),
     ) -> Result<(), IndexError> {
         let layout = *self.idx.layout();
-        let space = self.idx.space();
-        if self.fused_scans {
-            let mut intervals: Vec<(u128, u128)> = Vec::new();
-            self.for_each_fused_zrange(r, tq, |tid, zr| {
-                intervals.push((layout.range_start(tid, zr.lo), layout.range_end(tid, zr.hi)));
-            });
-            self.idx.try_scan_keys_multi(&intervals, |_, rec| {
-                f(rec.to_moving_point());
-                true
-            })?;
-            return Ok(());
-        }
-        for (tid, t_lab) in self.idx.live_partitions() {
-            let enlarged = self.enlarge(r, t_lab, tq);
-            let (x0, x1, y0, y1) = space.to_grid_rect(&enlarged);
-            for zr in decompose(x0, x1, y0, y1, space.grid_bits) {
-                let lo = layout.range_start(tid, zr.lo);
-                let hi = layout.range_end(tid, zr.hi);
-                self.idx.try_scan_keys(lo, hi, |_, rec| {
-                    f(rec.to_moving_point());
-                    true
-                })?;
-            }
-        }
+        let mut intervals: Vec<(u128, u128)> = Vec::new();
+        self.for_each_fused_zrange(r, tq, |tid, zr| {
+            intervals.push((layout.range_start(tid, zr.lo), layout.range_end(tid, zr.hi)));
+        });
+        self.idx.try_scan_keys_multi(&intervals, |_, rec| {
+            f(rec.to_moving_point());
+            true
+        })?;
         Ok(())
     }
 
@@ -420,39 +339,20 @@ impl BxTree {
         mut f: impl FnMut(MovingPoint),
     ) -> Result<(), IndexError> {
         let layout = *self.idx.layout();
-        let space = self.idx.space();
-        if self.fused_scans {
-            // One multi-interval scan over every partition's fresh
-            // flanks (coarsened like `for_each_candidate`; the covered
-            // bookkeeping keeps later rounds from rescanning the extras).
-            let mut intervals: Vec<(u128, u128)> = Vec::new();
-            self.for_each_fused_zrange(r, tq, |tid, zr| {
-                let set = scanned.entry(tid).or_default();
-                for (zlo, zhi) in set.add_and_return_new(zr.lo, zr.hi) {
-                    intervals.push((layout.range_start(tid, zlo), layout.range_end(tid, zhi)));
-                }
-            });
-            self.idx.try_scan_keys_multi(&intervals, |_, rec| {
-                f(rec.to_moving_point());
-                true
-            })?;
-            return Ok(());
-        }
-        for (tid, t_lab) in self.idx.live_partitions() {
-            let enlarged = self.enlarge(r, t_lab, tq);
-            let (x0, x1, y0, y1) = space.to_grid_rect(&enlarged);
+        // One multi-interval scan over every partition's fresh flanks
+        // (coarsened like `for_each_candidate`; the covered bookkeeping
+        // keeps later rounds from rescanning the extras).
+        let mut intervals: Vec<(u128, u128)> = Vec::new();
+        self.for_each_fused_zrange(r, tq, |tid, zr| {
             let set = scanned.entry(tid).or_default();
-            for zr in decompose(x0, x1, y0, y1, space.grid_bits) {
-                for (zlo, zhi) in set.add_and_return_new(zr.lo, zr.hi) {
-                    let lo = layout.range_start(tid, zlo);
-                    let hi = layout.range_end(tid, zhi);
-                    self.idx.try_scan_keys(lo, hi, |_, rec| {
-                        f(rec.to_moving_point());
-                        true
-                    })?;
-                }
+            for (zlo, zhi) in set.add_and_return_new(zr.lo, zr.hi) {
+                intervals.push((layout.range_start(tid, zlo), layout.range_end(tid, zhi)));
             }
-        }
+        });
+        self.idx.try_scan_keys_multi(&intervals, |_, rec| {
+            f(rec.to_moving_point());
+            true
+        })?;
         Ok(())
     }
 
@@ -679,44 +579,50 @@ mod tests {
 
     #[test]
     fn fused_range_query_and_knn_match_per_interval() {
-        let mut per = tree(256);
+        // Provenance: the per-interval leg (one descent per partition ×
+        // Z-range, uncoarsened) on this exact world, window and query
+        // point, last measured at commit 0b72065, debug and release,
+        // before the leg was deleted.
+        const PER_INTERVAL_LOGICAL_READS: u64 = 42_173;
+        const PER_INTERVAL_DESCENTS: u64 = 14_041;
+        let mut t = tree(256);
+        let mut objs = Vec::new();
         for i in 0..600u64 {
-            let t = if i % 3 == 0 { 70.0 } else { 10.0 }; // two partitions
-            per.upsert(still(i, (i % 60) as f64 * 16.0 + 3.0, (i / 60) as f64 * 95.0 + 3.0, t));
+            let tu = if i % 3 == 0 { 70.0 } else { 10.0 }; // two partitions
+            let m = still(i, (i % 60) as f64 * 16.0 + 3.0, (i / 60) as f64 * 95.0 + 3.0, tu);
+            t.upsert(m);
+            objs.push(m);
         }
-        let pool = Arc::clone(per.pool());
+        let pool = Arc::clone(t.pool());
         let r = Rect::new(120.0, 640.0, 80.0, 700.0);
+        let q = Point::new(500.0, 480.0);
 
-        per.set_fused_scans(false); // measure the legacy per-interval plan first
-        let _ = per.range_query(&r, 80.0); // warm
+        let _ = t.range_query(&r, 80.0); // warm
+        let _ = t.knn(q, 7, 80.0);
         pool.reset_stats();
-        per.reset_scan_stats();
-        let want = per.range_query(&r, 80.0);
-        let want_knn = per.knn(Point::new(500.0, 480.0), 7, 80.0);
-        let per_logical = pool.stats().logical_reads;
-        let per_descents = per.scan_stats().descents;
+        t.reset_scan_stats();
+        let mut got: Vec<u64> = t.range_query(&r, 80.0).iter().map(|m| m.uid.0).collect();
+        let got_knn: Vec<u64> = t.knn(q, 7, 80.0).iter().map(|(m, _)| m.uid.0).collect();
+        let logical = pool.stats().logical_reads;
+        let descents = t.scan_stats().descents;
 
-        per.set_fused_scans(true);
-        assert!(per.fused_scans());
-        let _ = per.range_query(&r, 80.0);
-        let _ = per.knn(Point::new(500.0, 480.0), 7, 80.0);
-        pool.reset_stats();
-        per.reset_scan_stats();
-        let got = per.range_query(&r, 80.0);
-        let got_knn = per.knn(Point::new(500.0, 480.0), 7, 80.0);
-        let fused_logical = pool.stats().logical_reads;
-        let fused_descents = per.scan_stats().descents;
-
-        assert_eq!(got, want, "fused range query must return identical results");
-        assert_eq!(got_knn, want_knn, "fused kNN must return the identical ranking");
+        got.sort_unstable();
+        let want: Vec<u64> =
+            objs.iter().filter(|m| r.contains(&m.position_at(80.0))).map(|m| m.uid.0).collect();
         assert!(!want.is_empty());
+        assert_eq!(got, want, "range query must match the linear scan");
+        let mut dists: Vec<(f64, u64)> =
+            objs.iter().map(|m| (m.position_at(80.0).dist(&q), m.uid.0)).collect();
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let want_knn: Vec<u64> = dists.iter().take(7).map(|(_, id)| *id).collect();
+        assert_eq!(got_knn, want_knn, "kNN must match the brute-force ranking");
         assert!(
-            fused_logical < per_logical,
-            "fused logical reads {fused_logical} not below per-interval {per_logical}"
+            logical < PER_INTERVAL_LOGICAL_READS,
+            "logical reads {logical} not below the per-interval leg's"
         );
         assert!(
-            fused_descents * 2 <= per_descents,
-            "fused descents {fused_descents} vs per-interval {per_descents}"
+            descents * 2 <= PER_INTERVAL_DESCENTS,
+            "descents {descents} vs the per-interval leg's"
         );
     }
 

@@ -60,30 +60,6 @@ impl SpatialBaseline {
         self.bx.lock_stats()
     }
 
-    /// Opt the underlying Bx-tree into the fused multi-interval query
-    /// pipeline (see [`BxTree::set_fused_scans`]); results are identical,
-    /// only page accesses differ.
-    pub fn set_fused_scans(&mut self, enabled: bool) {
-        self.bx.set_fused_scans(enabled);
-    }
-
-    /// Whether the fused query pipeline is active.
-    pub fn fused_scans(&self) -> bool {
-        self.bx.fused_scans()
-    }
-
-    /// Switch the underlying Bx-tree between direct and B-epsilon-style
-    /// buffered writes (see [`BxTree::set_buffered_writes`]); query
-    /// results are identical, only write-path page accesses differ.
-    pub fn set_buffered_writes(&mut self, enabled: bool) {
-        self.bx.set_buffered_writes(enabled);
-    }
-
-    /// Whether buffered writes are active.
-    pub fn buffered_writes(&self) -> bool {
-        self.bx.buffered_writes()
-    }
-
     /// Switch the underlying Bx-tree between whole-shard exclusion and
     /// optimistic-lock-coupling writes (see [`BxTree::set_olc_writes`]);
     /// results are identical, updaters overlap queries.
@@ -117,28 +93,6 @@ impl SpatialBaseline {
     /// Checkpoint the underlying Bx-tree (see [`BxTree::checkpoint`]).
     pub fn checkpoint(&self) -> usize {
         self.bx.checkpoint()
-    }
-
-    /// Deterministic write-path counters of the underlying Bx-tree (see
-    /// [`peb_btree::WriteStats`]).
-    pub fn write_stats(&self) -> peb_btree::WriteStats {
-        self.bx.write_stats()
-    }
-
-    /// Zero the write-path counters (measurement windows).
-    pub fn reset_write_stats(&self) {
-        self.bx.reset_write_stats()
-    }
-
-    /// Deterministic scan-path counters of the underlying Bx-tree (see
-    /// [`peb_btree::ScanStats`]).
-    pub fn scan_stats(&self) -> peb_btree::ScanStats {
-        self.bx.scan_stats()
-    }
-
-    /// Zero the scan-path counters (measurement windows).
-    pub fn reset_scan_stats(&self) {
-        self.bx.reset_scan_stats()
     }
 
     /// Privacy-aware range query, filtering style: spatial query first,

@@ -1,11 +1,11 @@
-//! Which of the issuer's friends a fused query still has to locate.
+//! Which of the issuer's friends a query still has to locate.
 //!
 //! "A user has only one location": once a friend's record has been seen —
 //! in any partition, inside a scanned window or merely on a page read for
-//! another reason — no other key interval can hold them. The fused plans
-//! keep one scan per partition (PRQ) or anti-diagonal (PkNN) over many SV
-//! rows, so the bookkeeping that used to live in each per-group scan's
-//! closure is shared here, and turned into the scan's steering verdict.
+//! another reason — no other key interval can hold them. The query plans
+//! run one scan per partition (PRQ) or anti-diagonal (PkNN) over many SV
+//! rows, so the bookkeeping is shared here, and turned into the scan's
+//! steering verdict.
 
 use std::collections::{HashMap, HashSet};
 

@@ -17,17 +17,14 @@
 //!    Refinement checks the actual predicted position against `R` and the
 //!    friend's policy against the issuer and query time.
 //!
-//! The default (fused) plan executes steps 3–4 as **one scan per live
-//! partition**: a [`ScanPlan`] whose navigation runs are the unresolved
+//! The plan executes steps 3–4 as **one scan per live partition**: a
+//! [`ScanPlan`] whose navigation runs are the unresolved
 //! groups' `SV × Z-range` intervals — generated in key order, nothing to
 //! sort — and whose emission rows are those groups' whole SV rows
 //! `[TID ⊕ SV ⊕ 0 ; TID ⊕ SV ⊕ max]`. A page read for one Z-range
 //! answers for every friend row it holds, and a group whose friends are
 //! all located answers `SkipRow`, so its remaining Z-ranges are never
-//! navigated. The per-interval plan ([`PebTree::set_fused_scans`] off) is
-//! the paper's literal formulation and the A/B reference.
-
-use std::collections::HashSet;
+//! navigated.
 
 use peb_btree::{ScanPlan, ScanTermination};
 use peb_common::{Deadline, MovingPoint, Rect, Timestamp, UserId};
@@ -42,84 +39,28 @@ impl PebTree {
     /// Definition 2: all users inside `r` at `tq` whose policy lets
     /// `issuer` see them there and then. Results are sorted by uid.
     ///
-    /// Two execution strategies produce the identical result set: the
-    /// fused plan — the default: one scan per live partition over all
-    /// unresolved friend rows, see the module docs and
-    /// docs/ARCHITECTURE.md, "Query execution" — and, with
-    /// [`PebTree::set_fused_scans`] off, the paper's per-interval plan
-    /// (one B+-tree descent per partition × SV group × Z-range), kept as
-    /// the A/B reference.
+    /// One scan per live partition over all unresolved friend rows — see
+    /// the module docs and docs/ARCHITECTURE.md, "Query execution".
     pub fn prq(&self, issuer: UserId, r: &Rect, tq: Timestamp) -> Vec<MovingPoint> {
         self.try_prq(issuer, r, tq).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
     }
 
-    /// Fallible twin of [`PebTree::prq`]: an unresolvable media fault
-    /// anywhere in the interval scans surfaces as [`IndexError::Io`]
-    /// instead of panicking. The result set of a completed query is
-    /// identical to the infallible path's. On the fused plan this is
-    /// [`PebTree::try_prq_deadline`] under a deadline that never expires.
+    /// Fallible twin of [`PebTree::prq`]: [`PebTree::try_prq_deadline`]
+    /// under a deadline that never expires, so an unresolvable media
+    /// fault anywhere in the scans surfaces as [`IndexError::Io`] instead
+    /// of panicking.
     pub fn try_prq(
         &self,
         issuer: UserId,
         r: &Rect,
         tq: Timestamp,
     ) -> Result<Vec<MovingPoint>, IndexError> {
-        if self.fused_scans() {
-            let unbounded = Deadline::unbounded(self.pool().clock());
-            return Ok(self.try_prq_deadline(issuer, r, tq, &unbounded)?.value);
-        }
-        let groups = self.ctx().friend_sv_groups(issuer);
-        if groups.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        let mut results: Vec<MovingPoint> = Vec::new();
-        // Friends whose single location has been seen (qualified or not):
-        // their SV intervals need no further scanning.
-        let mut resolved: HashSet<UserId> = HashSet::new();
-
-        for (tid, t_lab) in self.live_partitions() {
-            let enlarged = self.enlarge(r, t_lab, tq);
-            let (x0, x1, y0, y1) = self.space().to_grid_rect(&enlarged);
-            let zranges = decompose(x0, x1, y0, y1, self.space().grid_bits);
-
-            for (sv_code, members) in &groups {
-                if members.iter().all(|u| resolved.contains(u)) {
-                    continue; // every friend at this SV already located
-                }
-                let mut outstanding = members.iter().filter(|u| !resolved.contains(u)).count();
-                'intervals: for zr in &zranges {
-                    self.try_scan_interval(tid, *sv_code, zr.lo, zr.hi, |rec| {
-                        let uid = UserId(rec.uid);
-                        if uid == issuer || resolved.contains(&uid) {
-                            return true;
-                        }
-                        // Only friends can qualify; others sharing the SV
-                        // code are skipped without policy evaluation.
-                        if self.ctx().store.policy(uid, issuer).is_none() {
-                            return true;
-                        }
-                        resolved.insert(uid);
-                        outstanding -= 1;
-                        let m = rec.to_moving_point();
-                        let pos = m.position_at(tq);
-                        if r.contains(&pos) && self.ctx().store.permits(uid, issuer, &pos, tq) {
-                            results.push(m);
-                        }
-                        true
-                    })?;
-                    if outstanding == 0 {
-                        break 'intervals; // skip remaining intervals of this SV
-                    }
-                }
-            }
-        }
-        results.sort_by_key(|m| m.uid);
-        Ok(results)
+        let unbounded = Deadline::unbounded(self.pool().clock());
+        Ok(self.try_prq_deadline(issuer, r, tq, &unbounded)?.value)
     }
 
-    /// Deadline-bounded PRQ: the fused plan, and the graceful-degradation
-    /// entry point of the serving layer.
+    /// Deadline-bounded PRQ: the query plan itself, and the
+    /// graceful-degradation entry point of the serving layer.
     ///
     /// Runs one plan scan per live partition with `deadline` checked at
     /// every page visit. Per partition the enlarged window is
@@ -128,11 +69,11 @@ impl PebTree {
     /// candidates' leaves cannot pay for themselves); a group located in
     /// an earlier partition contributes no runs to a later one, and a
     /// partition with nobody left to find is not scanned at all.
-    /// Refinement is the per-interval plan's — a candidate outside the
-    /// window, whether it came from a coarsened-in cell or from the rest
-    /// of its SV row on a page in hand, fails the `r.contains` check like
-    /// any other enlargement false positive — so the result set is
-    /// provably identical.
+    /// Refinement is the paper's — a candidate outside the window,
+    /// whether it came from a coarsened-in cell or from the rest of its SV
+    /// row on a page in hand, fails the `r.contains` check like any other
+    /// enlargement false positive — so the result set is exactly
+    /// Definition 2's.
     ///
     /// A query whose budget expires mid-flight returns early with
     /// whatever it has **proved**: [`Partial::value`] is always an exact
@@ -216,6 +157,7 @@ impl PebTree {
 mod tests {
     use super::*;
     use crate::context::PrivacyContext;
+    use crate::oracle::oracle_prq;
     use peb_bx::TimePartitioning;
     use peb_common::{Point, SpaceConfig, TimeInterval, Vec2};
     use peb_policy::{Policy, PolicyStore, RoleId, SvAssignmentParams};
@@ -330,31 +272,28 @@ mod tests {
 
     #[test]
     fn fused_prq_is_identical_and_cheaper() {
-        // The tentpole acceptance at unit scale: the fused plan returns
-        // the identical result set while spending fewer logical page
-        // accesses and at most half the descents.
+        // The plan returns the oracle's result set while spending fewer
+        // logical page accesses and at most half the descents of the
+        // paper's literal per-interval formulation.
+        // Provenance: the per-interval leg (one descent per partition × SV
+        // group × Z-range) on this exact world and window, last measured at
+        // commit 0b72065, debug and release, before the leg was deleted.
+        const PER_INTERVAL_LOGICAL_READS: u64 = 1254;
+        const PER_INTERVAL_DESCENTS: u64 = 627;
         let mut store = PolicyStore::new();
         for o in 1..80u64 {
             store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
         }
         let mut t = build(store, 80);
+        let mut indexed = Vec::new();
         for o in 1..80u64 {
-            t.upsert(still(o, (o as f64 * 131.0) % 1000.0, (o as f64 * 47.0) % 1000.0));
+            let m = still(o, (o as f64 * 131.0) % 1000.0, (o as f64 * 47.0) % 1000.0);
+            t.upsert(m);
+            indexed.push(m);
         }
         let window = Rect::new(150.0, 650.0, 100.0, 700.0);
         let pool = Arc::clone(t.pool());
 
-        t.set_fused_scans(false); // measure the legacy per-interval plan first
-        let _ = t.prq(UserId(0), &window, 10.0); // warm the pool
-        pool.reset_stats();
-        t.reset_scan_stats();
-        let per = t.prq(UserId(0), &window, 10.0);
-        let per_logical = pool.stats().logical_reads;
-        let per_descents = t.scan_stats().descents;
-        assert!(per_descents > 2, "the per-interval plan must issue many scans");
-
-        t.set_fused_scans(true);
-        assert!(t.fused_scans());
         let _ = t.prq(UserId(0), &window, 10.0); // warm any coarsened-in pages
         pool.reset_stats();
         t.reset_scan_stats();
@@ -362,15 +301,16 @@ mod tests {
         let fused_logical = pool.stats().logical_reads;
         let fused_scans = t.scan_stats();
 
-        assert_eq!(per, fused, "fused PRQ must return the identical result set");
+        let want = oracle_prq(&indexed, &t.context().store, UserId(0), &window, 10.0);
+        assert_eq!(fused.iter().map(|m| m.uid).collect::<Vec<_>>(), want);
         assert!(!fused.is_empty(), "the window must actually match friends");
         assert!(
-            fused_logical < per_logical,
-            "fused logical reads {fused_logical} not below per-interval {per_logical}"
+            fused_logical < PER_INTERVAL_LOGICAL_READS,
+            "logical reads {fused_logical} not below the per-interval leg's"
         );
         assert!(
-            fused_scans.descents * 2 <= per_descents,
-            "fused descents {} vs per-interval {per_descents}",
+            fused_scans.descents * 2 <= PER_INTERVAL_DESCENTS,
+            "descents {} vs the per-interval leg's",
             fused_scans.descents
         );
     }
@@ -378,10 +318,10 @@ mod tests {
     #[test]
     fn fused_prq_skips_groups_resolved_in_earlier_partitions() {
         // Two friends with different policies (distinct SV groups), living
-        // in different time partitions. The fused plan issues one scan —
-        // one descent — per partition over the groups still unresolved;
-        // the group located in the first partition contributes no runs to
-        // the second, and once nobody is left to find a partition is not
+        // in different time partitions. The plan issues one scan — one
+        // descent — per partition over the groups still unresolved; the
+        // group located in the first partition contributes no runs to the
+        // second, and once nobody is left to find a partition is not
         // entered at all.
         let mut store = PolicyStore::new();
         store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
@@ -398,33 +338,37 @@ mod tests {
         let groups = t.context().friend_sv_groups(UserId(0));
         assert_eq!(groups.len(), 2, "distinct policies must map to distinct SV groups");
         // One friend per rotation phase → two live partitions.
-        t.upsert(MovingPoint::new(UserId(1), Point::new(100.0, 100.0), Vec2::ZERO, 10.0));
-        t.upsert(MovingPoint::new(UserId(2), Point::new(120.0, 120.0), Vec2::ZERO, 70.0));
+        let mut indexed = vec![
+            MovingPoint::new(UserId(1), Point::new(100.0, 100.0), Vec2::ZERO, 10.0),
+            MovingPoint::new(UserId(2), Point::new(120.0, 120.0), Vec2::ZERO, 70.0),
+        ];
+        t.upsert(indexed[0]);
+        t.upsert(indexed[1]);
         assert_eq!(t.live_partitions().len(), 2);
 
         let window = Rect::new(0.0, 300.0, 0.0, 300.0);
-        let fused_descents = |t: &mut PebTree| {
-            t.set_fused_scans(false);
-            let per = t.prq(UserId(0), &window, 40.0);
-            t.set_fused_scans(true);
+        let descents = |t: &PebTree, indexed: &[MovingPoint]| {
             let _ = t.prq(UserId(0), &window, 40.0); // warm the pool
             t.reset_scan_stats();
-            let fused = t.prq(UserId(0), &window, 40.0);
-            assert_eq!(per, fused, "the early exit must not change results");
-            assert_eq!(fused.iter().map(|m| m.uid.0).collect::<Vec<_>>(), vec![1, 2]);
+            let got: Vec<UserId> = t.prq(UserId(0), &window, 40.0).iter().map(|m| m.uid).collect();
+            let want = oracle_prq(indexed, &t.context().store, UserId(0), &window, 40.0);
+            assert_eq!(got, want, "the early exit must not change results");
+            assert_eq!(got, vec![UserId(1), UserId(2)]);
             t.scan_stats().descents
         };
         // A friend in each partition: one descent per partition (the
         // per-group plan paid 2 × 2 − 1 = 3).
-        assert_eq!(fused_descents(&mut t), 2, "one scan per live partition");
+        assert_eq!(descents(&t, &indexed), 2, "one scan per live partition");
 
         // Both friends in the first partition, the second kept alive by a
         // stranger: everyone is located by the first scan, so the second
         // partition costs nothing.
-        t.upsert(MovingPoint::new(UserId(2), Point::new(120.0, 120.0), Vec2::ZERO, 10.0));
-        t.upsert(MovingPoint::new(UserId(3), Point::new(130.0, 130.0), Vec2::ZERO, 70.0));
+        indexed[1] = MovingPoint::new(UserId(2), Point::new(120.0, 120.0), Vec2::ZERO, 10.0);
+        indexed.push(MovingPoint::new(UserId(3), Point::new(130.0, 130.0), Vec2::ZERO, 70.0));
+        t.upsert(indexed[1]);
+        t.upsert(indexed[2]);
         assert_eq!(t.live_partitions().len(), 2);
-        assert_eq!(fused_descents(&mut t), 1, "a partition with nobody left to find is skipped");
+        assert_eq!(descents(&t, &indexed), 1, "a partition with nobody left to find is skipped");
     }
 
     #[test]

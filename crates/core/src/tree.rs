@@ -16,9 +16,7 @@
 use std::sync::Arc;
 
 use peb_common::{MovingPoint, Rect, SpaceConfig, Timestamp, UserId};
-use peb_index::{
-    IndexError, IndexStats, KeyLayout, ObjectRecord, ShardedMovingIndex, TimePartitioning,
-};
+use peb_index::{IndexError, IndexStats, KeyLayout, ShardedMovingIndex, TimePartitioning};
 use peb_storage::BufferPool;
 
 use crate::context::PrivacyContext;
@@ -52,9 +50,6 @@ impl KeyLayout for PebIndexLayout {
 /// The Policy-Embedded Bx-tree.
 pub struct PebTree {
     idx: ShardedMovingIndex<PebIndexLayout>,
-    /// Whether queries execute through the fused multi-interval scan
-    /// pipeline (on by default; see [`PebTree::set_fused_scans`]).
-    fused_scans: bool,
 }
 
 impl PebTree {
@@ -66,10 +61,7 @@ impl PebTree {
         ctx: Arc<PrivacyContext>,
     ) -> Self {
         let layout = PebIndexLayout { keys: PebKeyLayout::new(space.grid_bits), ctx };
-        PebTree {
-            idx: ShardedMovingIndex::new(pool, layout, space, part, max_speed),
-            fused_scans: true,
-        }
+        PebTree { idx: ShardedMovingIndex::new(pool, layout, space, part, max_speed) }
     }
 
     /// Bulk-load an initial user population (each user must appear once).
@@ -87,7 +79,6 @@ impl PebTree {
         let layout = PebIndexLayout { keys: PebKeyLayout::new(space.grid_bits), ctx };
         PebTree {
             idx: ShardedMovingIndex::bulk_load(pool, layout, space, part, max_speed, users, fill),
-            fused_scans: true,
         }
     }
 
@@ -122,8 +113,7 @@ impl PebTree {
     /// context (or a rebuilt equivalent) that was live before the crash;
     /// a context whose SV codes drifted is tolerated exactly like any
     /// other stale-SV state (queries stay correct, keys refresh on the
-    /// next [`PebTree::refresh_sequence_values`] pass). `fused_scans`
-    /// starts on, as in [`PebTree::new`].
+    /// next [`PebTree::refresh_sequence_values`] pass).
     pub fn recover(
         pool: Arc<BufferPool>,
         recovery: &peb_storage::WalRecovery,
@@ -133,45 +123,7 @@ impl PebTree {
         ctx: Arc<PrivacyContext>,
     ) -> Self {
         let layout = PebIndexLayout { keys: PebKeyLayout::new(space.grid_bits), ctx };
-        PebTree {
-            idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed),
-            fused_scans: true,
-        }
-    }
-
-    /// Choose between the fused query plans (on, the default) and the
-    /// paper's per-interval plans (off, the A/B reference):
-    /// fused, [`PebTree::prq`] issues one [`peb_btree::ScanPlan`] scan
-    /// per live partition and [`PebTree::pknn`] one per anti-diagonal of
-    /// its search matrix, through
-    /// [`peb_index::ShardedMovingIndex::try_scan_plan`]; per-interval,
-    /// every (partition × friend-SV group × Z-range) interval is its own
-    /// B+-tree descent. Results are identical either way; only page
-    /// accesses differ (the frozen benchmarks pin the fused ledger).
-    pub fn set_fused_scans(&mut self, enabled: bool) {
-        self.fused_scans = enabled;
-    }
-
-    /// Whether the fused multi-interval query pipeline is active.
-    pub fn fused_scans(&self) -> bool {
-        self.fused_scans
-    }
-
-    /// Switch the write path between direct leaf updates (off, the
-    /// default) and B-epsilon-style buffered writes (on): upserts,
-    /// deletes and re-keys append messages to per-partition buffer chains
-    /// that flush downward in sorted batches, trading a bounded message
-    /// backlog for far fewer leaf-page writes under sustained ingestion
-    /// (see [`peb_index::ShardedMovingIndex::set_buffered_writes`]).
-    /// Query results are identical either way — reads overlay pending
-    /// messages. Turning the knob off flushes everything first.
-    pub fn set_buffered_writes(&mut self, enabled: bool) {
-        self.idx.set_buffered_writes(enabled);
-    }
-
-    /// Whether buffered writes are active.
-    pub fn buffered_writes(&self) -> bool {
-        self.idx.buffered_writes()
+        PebTree { idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed) }
     }
 
     /// Switch the write path between whole-shard exclusion (off, the
@@ -179,7 +131,7 @@ impl PebTree {
     /// refreshes and removals run under the shard read lock with
     /// per-page latches, so updaters overlap concurrent queries (see
     /// [`peb_index::ShardedMovingIndex::set_olc_writes`]). Results are
-    /// identical; mutually exclusive with buffered writes.
+    /// identical.
     pub fn set_olc_writes(&mut self, enabled: bool) {
         self.idx.set_olc_writes(enabled);
     }
@@ -195,23 +147,11 @@ impl PebTree {
         self.idx.olc_stats()
     }
 
-    /// Deterministic write-path counters summed across shard trees:
-    /// messages buffered, flushes/spills, leaf pages written (see
-    /// [`peb_btree::WriteStats`]) — the ingestion experiment's companion
-    /// to the I/O ledger.
+    /// Deterministic write-path counters summed across shard trees: leaf
+    /// pages written (see [`peb_btree::WriteStats`]) — the write-side
+    /// companion to the I/O ledger.
     pub fn write_stats(&self) -> peb_btree::WriteStats {
         self.idx.write_stats()
-    }
-
-    /// Zero the write-path counters (measurement windows).
-    pub fn reset_write_stats(&self) {
-        self.idx.reset_write_stats()
-    }
-
-    /// Flush any pending buffered messages down to the leaves without
-    /// changing the buffering knob. A no-op when nothing is pending.
-    pub fn flush_messages(&self) {
-        self.idx.flush_messages()
     }
 
     /// Swap in a rebuilt privacy context and re-key every live object
@@ -221,10 +161,7 @@ impl PebTree {
     /// affected objects must move to new leaf neighborhoods. Only the SV
     /// component is rewritten — TID, ZV and UID are preserved — so the
     /// pass never crosses partition boundaries and runs shard-atomically
-    /// ([`peb_index::ShardedMovingIndex::rekey_where`]). With buffered
-    /// writes on, each move costs two buffer messages instead of a
-    /// foreground delete+insert descent pair, which is where this pass is
-    /// meant to live under sustained ingestion.
+    /// ([`peb_index::ShardedMovingIndex::rekey_where`]).
     pub fn refresh_sequence_values(&mut self, ctx: Arc<PrivacyContext>) -> usize {
         self.idx.layout_mut().ctx = ctx;
         let keys = self.idx.layout().keys;
@@ -380,8 +317,8 @@ impl PebTree {
 
     /// Deterministic scan-path counters summed across shard trees: root
     /// descents and cache-served branch pages (see
-    /// [`peb_btree::ScanStats`]) — the fused-scan experiment's companion
-    /// to the I/O ledger.
+    /// [`peb_btree::ScanStats`]) — the scan-side companion to the I/O
+    /// ledger.
     pub fn scan_stats(&self) -> peb_btree::ScanStats {
         self.idx.scan_stats()
     }
@@ -391,37 +328,8 @@ impl PebTree {
         self.idx.reset_scan_stats()
     }
 
-    /// Scan one `(tid, sv, zv_lo..=zv_hi)` PEB-key interval, handing every
-    /// stored record to the callback. Returns `Ok(false)` if the callback
-    /// stopped the scan; an unresolvable media fault surfaces as
-    /// [`IndexError::Io`].
-    pub(crate) fn try_scan_interval(
-        &self,
-        tid: u8,
-        sv_code: u64,
-        zv_lo: u64,
-        zv_hi: u64,
-        mut f: impl FnMut(ObjectRecord) -> bool,
-    ) -> Result<bool, IndexError> {
-        let keys = &self.idx.layout().keys;
-        let lo = keys.range_start(tid, sv_code, zv_lo);
-        let hi = keys.range_end(tid, sv_code, zv_hi);
-        self.idx.try_scan_keys(lo, hi, |_, rec| f(rec))
-    }
-
-    /// Scan one pre-built PEB-key interval per-interval style (the
-    /// frozen-ledger reference plan).
-    pub(crate) fn try_scan_key_interval(
-        &self,
-        lo: u128,
-        hi: u128,
-        mut f: impl FnMut(ObjectRecord) -> bool,
-    ) -> Result<bool, IndexError> {
-        self.idx.try_scan_keys(lo, hi, |_, rec| f(rec))
-    }
-
     /// The whole SV row `[TID ⊕ SV ⊕ 0 ; TID ⊕ SV ⊕ max]` of one partition:
-    /// the emission row of every fused plan (a page in hand answers for
+    /// the emission row of every query plan (a page in hand answers for
     /// all of a friend group, wherever in space its members are).
     pub(crate) fn sv_row(&self, tid: u8, sv_code: u64) -> (u128, u128) {
         let keys = &self.idx.layout().keys;
@@ -430,7 +338,7 @@ impl PebTree {
     }
 
     /// The cost-model interval budget for this tree's current shape: how
-    /// many Z-ranges per partition a fused query keeps
+    /// many Z-ranges per partition a query keeps
     /// ([`peb_costmodel::interval_budget`] over the issuer's friend count
     /// and the live leaf count).
     pub(crate) fn query_interval_budget(&self, candidates: usize) -> usize {
@@ -528,13 +436,12 @@ mod tests {
         }
         // Scanning the full ZV range of user 3's SV group must find user 3.
         let sv3 = ctx.sv_code(UserId(3));
-        let max_zv = (1u64 << t.key_layout().zv_bits) - 1;
+        let (lo, hi) = t.sv_row(t.live_partitions()[0].0, sv3);
         let mut seen = Vec::new();
-        t.try_scan_interval(t.live_partitions()[0].0, sv3, 0, max_zv, |rec| {
+        t.index().scan_keys(lo, hi, |_, rec| {
             seen.push(rec.uid);
             true
-        })
-        .unwrap();
+        });
         assert!(seen.contains(&3));
         // And must not include users with different SV codes.
         for uid in &seen {
@@ -545,8 +452,8 @@ mod tests {
     #[test]
     fn refresh_sequence_values_rekeys_changed_objects() {
         // A policy churn reshuffles SV codes; the refresh pass must move
-        // exactly the affected objects to their new key neighborhoods —
-        // through either write path — without disturbing the records.
+        // exactly the affected objects to their new key neighborhoods
+        // without disturbing the records.
         let space = SpaceConfig::default();
         let empty_ctx = Arc::new(PrivacyContext::build(
             PolicyStore::new(),
@@ -560,34 +467,27 @@ mod tests {
             .count();
         assert!(changed > 0, "the two contexts must disagree for the test to bite");
 
-        for buffered in [false, true] {
-            let mut t = tree(Arc::clone(&empty_ctx));
-            t.set_buffered_writes(buffered);
-            for i in 0..8u64 {
-                t.upsert(still(i, 100.0 + i as f64, 100.0, 0.0));
-            }
-            let before: Vec<_> = (0..8u64).map(|i| t.get(UserId(i)).unwrap()).collect();
-
-            let moved = t.refresh_sequence_values(Arc::clone(&friendly_ctx));
-            assert_eq!(moved, changed);
-            for i in 0..8u64 {
-                let k = t.index().current_key_of(UserId(i)).unwrap();
-                assert_eq!(
-                    t.key_layout().sv_of(k),
-                    friendly_ctx.sv_code(UserId(i)),
-                    "key must embed the refreshed SV"
-                );
-                assert_eq!(t.get(UserId(i)).unwrap(), before[i as usize], "records unchanged");
-            }
-            assert_eq!(t.refresh_sequence_values(Arc::clone(&friendly_ctx)), 0, "idempotent");
-            if buffered {
-                assert_eq!(t.write_stats().rekey_messages as usize, moved);
-                t.set_buffered_writes(false);
-            }
-            // The refreshed tree answers queries with the new context.
-            let got = t.prq(UserId(0), &Rect::new(0.0, 1000.0, 0.0, 1000.0), 10.0);
-            assert_eq!(got.len(), 7, "all friends visible after the re-key");
+        let mut t = tree(Arc::clone(&empty_ctx));
+        for i in 0..8u64 {
+            t.upsert(still(i, 100.0 + i as f64, 100.0, 0.0));
         }
+        let before: Vec<_> = (0..8u64).map(|i| t.get(UserId(i)).unwrap()).collect();
+
+        let moved = t.refresh_sequence_values(Arc::clone(&friendly_ctx));
+        assert_eq!(moved, changed);
+        for i in 0..8u64 {
+            let k = t.index().current_key_of(UserId(i)).unwrap();
+            assert_eq!(
+                t.key_layout().sv_of(k),
+                friendly_ctx.sv_code(UserId(i)),
+                "key must embed the refreshed SV"
+            );
+            assert_eq!(t.get(UserId(i)).unwrap(), before[i as usize], "records unchanged");
+        }
+        assert_eq!(t.refresh_sequence_values(Arc::clone(&friendly_ctx)), 0, "idempotent");
+        // The refreshed tree answers queries with the new context.
+        let got = t.prq(UserId(0), &Rect::new(0.0, 1000.0, 0.0, 1000.0), 10.0);
+        assert_eq!(got.len(), 7, "all friends visible after the re-key");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The key-composition seam between the shared [`crate::MovingIndex`]
-//! machinery and a concrete engine (Bx or PEB).
+//! The key-composition seam between the shared
+//! [`crate::ShardedMovingIndex`] machinery and a concrete engine (Bx or PEB).
 
 /// How a concrete engine packs `(partition, Z-value, user)` into the one
 /// `u128` index key of an object.
@@ -7,7 +7,7 @@
 /// The layout may fold in additional per-user components — the PEB-tree's
 /// layout inserts the policy sequence value `SV` between `TID` and `ZV`,
 /// looked up from its privacy context by `uid` — as long as two invariants
-/// hold, which the `MovingIndex` update/expiry paths rely on:
+/// hold, which the index's update/expiry paths rely on:
 ///
 /// 1. **Partition dominance**: for fixed layout state, keys of partition
 ///    `tid` all sort inside `partition_range(tid)`, and ranges of distinct

@@ -15,19 +15,13 @@
 //! The shared machinery (space config, time partitioning, `current_key`
 //! tracking, partition labels, insert/update/delete, bulk load, partition
 //! expiry/rollover, I/O accounting through the
-//! [`peb_storage::BufferPool`]) comes in two cores with the same placement
-//! logic and query surface; the [`KeyLayout`] trait is the single seam
-//! where the two engines differ:
-//!
-//! * [`ShardedMovingIndex`] — **the production core** both engines run on:
-//!   one B+-tree per rotating time partition, each behind its own lock, so
-//!   updates to different partitions run in parallel and a batch of
-//!   updates merges into each partition's leaves as one sorted run
-//!   ([`ShardedMovingIndex::upsert_batch`]). Partition expiry drops a
-//!   whole shard tree in O(1).
-//! * [`MovingIndex`] — the exclusive-access single-tree core (`&mut self`
-//!   updates, every partition in one B+-tree). Simpler to embed and kept
-//!   as the unsharded comparison point for benchmarks.
+//! [`peb_storage::BufferPool`]) lives in [`ShardedMovingIndex`]: one
+//! B+-tree per rotating time partition, each behind its own lock, so
+//! updates to different partitions run in parallel and a batch of updates
+//! merges into each partition's leaves as one sorted run
+//! ([`ShardedMovingIndex::upsert_batch`]). Partition expiry drops a whole
+//! shard tree in O(1). The [`KeyLayout`] trait is the single seam where
+//! the two engines differ.
 //!
 //! `BxTree` is `ShardedMovingIndex<BxKeyLayout>` and `PebTree` is
 //! `ShardedMovingIndex<PebIndexLayout>` plus the privacy context — neither
@@ -37,14 +31,12 @@
 
 pub mod error;
 pub mod layout;
-pub mod moving;
 pub mod partition;
 pub mod record;
 pub mod shard;
 
 pub use error::IndexError;
 pub use layout::KeyLayout;
-pub use moving::{IndexStats, MovingIndex};
 pub use partition::TimePartitioning;
 pub use record::ObjectRecord;
-pub use shard::{ScanReport, ShardedMovingIndex};
+pub use shard::{IndexStats, ScanReport, ShardedMovingIndex};

@@ -90,7 +90,6 @@ use peb_zorder::encode;
 
 use crate::error::IndexError;
 use crate::layout::KeyLayout;
-use crate::moving::IndexStats;
 use crate::partition::TimePartitioning;
 use crate::record::ObjectRecord;
 
@@ -107,60 +106,12 @@ impl Shard {
     fn new(pool: &Arc<BufferPool>) -> Self {
         Shard { btree: BTree::new(Arc::clone(pool)), current_key: HashMap::new(), label: None }
     }
-
-    /// Insert/replace one entry through whichever write path the shard
-    /// tree is configured for: a direct leaf insert, or (with buffered
-    /// writes on) a `Put` message appended to the tree's message buffer.
-    /// A media fault on the direct leaf path surfaces typed; the buffered
-    /// path stays on the legacy chain append (infallible by design —
-    /// flush message buffers before operating on suspect media).
-    fn try_put(&mut self, key: u128, rec: ObjectRecord) -> Result<(), IoFault> {
-        if self.btree.buffered_writes() {
-            self.btree.buffered_insert(key, rec);
-            Ok(())
-        } else {
-            self.btree.try_insert(key, rec).map(|_| ())
-        }
-    }
-
-    /// Delete one entry through the configured write path (direct leaf
-    /// delete, or a `Del` tombstone message under buffered writes).
-    fn del(&mut self, key: u128) {
-        self.try_del(key).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"));
-    }
-
-    /// Fallible twin of [`Shard::del`] (same buffered-path caveat as
-    /// [`Shard::try_put`]).
-    fn try_del(&mut self, key: u128) -> Result<(), IoFault> {
-        if self.btree.buffered_writes() {
-            self.btree.buffered_delete(key);
-            Ok(())
-        } else {
-            self.btree.try_delete(key).map(|_| ())
-        }
-    }
-
-    /// Replace `old` with `(key, rec)` through the configured write path.
-    /// Under buffered writes the tombstone and the put ride **one** chain
-    /// append — the single-page-touch upsert the buffers exist for.
-    /// On `Err` the old entry may already be deleted with the new one not
-    /// yet inserted — the caller decides whether the uid's map slot stays
-    /// vacated (same buffered-path caveat as [`Shard::try_put`]).
-    fn try_replace(&mut self, old: u128, key: u128, rec: ObjectRecord) -> Result<(), IoFault> {
-        if self.btree.buffered_writes() {
-            self.btree.buffered_upsert(old, key, rec);
-            Ok(())
-        } else {
-            self.btree.try_delete(old)?;
-            self.btree.try_insert(key, rec).map(|_| ())
-        }
-    }
 }
 
 /// A moving-object index sharded by rotating time partition (see the
-/// module docs). Drop-in core for the Bx-tree and the PEB-tree: identical
-/// key placement and query surface as [`crate::MovingIndex`], plus
-/// lock-per-partition updates and the batched update path.
+/// module docs). The core of the Bx-tree and the PEB-tree: key placement,
+/// the query surface, lock-per-partition updates and the batched update
+/// path.
 pub struct ShardedMovingIndex<L: KeyLayout> {
     /// One shard per partition id, indexed by `tid`.
     shards: Vec<RwLock<Shard>>,
@@ -219,6 +170,17 @@ impl ScanReport {
     pub fn complete_partitions(&self) -> usize {
         self.partitions.iter().filter(|(_, c)| *c).count()
     }
+}
+
+/// Operational summary of a [`ShardedMovingIndex`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexStats {
+    /// B+-tree structure, aggregated over the shard trees.
+    pub tree: TreeStats,
+    /// Live `(partition id, label timestamp)` pairs.
+    pub partitions: Vec<(u8, Timestamp)>,
+    /// Objects currently indexed.
+    pub objects: usize,
 }
 
 impl<L: KeyLayout> ShardedMovingIndex<L> {
@@ -318,9 +280,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
 
     /// Objects currently indexed, summed across shards. Counted from the
     /// per-shard `current_key` maps, which every update path maintains
-    /// synchronously — so the count is exact even while buffered writes
-    /// hold messages that have not yet reached the leaves (where the
-    /// structural tree length lags until the next flush).
+    /// synchronously.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().current_key.len()).sum()
     }
@@ -426,9 +386,8 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// [`BufferPool::from_recovered`] over that disk and the resumed log.
     /// Each shard tree is reattached to its newest committed `(root,
     /// height)` from the log's tree-meta records — walking the restored
-    /// pages to recount entries and re-register any buffered message
-    /// chains — and the in-memory `current_key` maps and partition labels
-    /// are rebuilt from one overlay-aware full scan per shard. The
+    /// pages to recount entries — and the in-memory `current_key` maps and
+    /// partition labels are rebuilt from one full scan per shard. The
     /// result answers every read exactly as the pre-crash index did as
     /// of its last durable commit.
     pub fn recover(
@@ -471,10 +430,8 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             max_speed,
             pool,
         };
-        // Rebuild the volatile maps from the durable state: one
-        // overlay-aware scan per shard (buffered messages reattached
-        // above are folded in by the scan, so a `Put` still in a chain
-        // counts and a tombstoned entry does not). The label is the
+        // Rebuild the volatile maps from the durable state: one scan per
+        // shard. The label is the
         // newest record's label timestamp — exactly what the sequence of
         // upserts that built the shard left behind.
         for (tid, shard) in idx.shards.iter().enumerate() {
@@ -504,9 +461,9 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         self.shards.iter().map(|s| s.read().btree.page_count()).sum()
     }
 
-    /// The key an object updated at `m.t_update` is indexed under (same
-    /// derivation as the unsharded core: position forwarded to the label
-    /// timestamp, grid-quantized, Z-encoded, packed by the layout).
+    /// The key an object updated at `m.t_update` is indexed under:
+    /// position forwarded to the label timestamp, grid-quantized,
+    /// Z-encoded, packed by the layout.
     pub fn key_for(&self, m: &MovingPoint) -> u128 {
         self.placement(m).0
     }
@@ -534,11 +491,10 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     }
 
     /// Fallible twin of [`ShardedMovingIndex::upsert`]: an unresolvable
-    /// media fault on the direct write path surfaces as
-    /// [`IndexError::Io`] instead of panicking, and a failed call is not
-    /// committed to the WAL. The OLC and buffered write paths still run
-    /// the legacy tree calls (infallible by design); disable OLC writes
-    /// and flush message buffers before operating on suspect media.
+    /// media fault surfaces as [`IndexError::Io`] instead of panicking,
+    /// and a failed call is not committed to the WAL. The OLC write path
+    /// still runs the legacy tree calls (infallible by design); disable
+    /// OLC writes before operating on suspect media.
     ///
     /// On `Err` the object's previous entry may already have been
     /// deleted with the new one not yet inserted: the uid reads as
@@ -586,7 +542,8 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         {
             let mut s = self.shards[tid as usize].write();
             if let Some(old) = s.current_key.remove(&m.uid) {
-                s.try_replace(old, key, ObjectRecord::from_moving_point(&m))?;
+                s.btree.try_delete(old)?;
+                s.btree.try_insert(key, ObjectRecord::from_moving_point(&m))?;
                 s.current_key.insert(m.uid, key);
                 s.label = Some(t_lab);
                 drop(s);
@@ -615,7 +572,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                             migrating = true;
                             self.mig_started.fetch_add(1, Ordering::SeqCst);
                         }
-                        s.try_del(old)?;
+                        s.btree.try_delete(old)?;
                         drop(s);
                         // The object is now in no shard: the exact window
                         // seeded schedules freeze to race scans and
@@ -628,9 +585,9 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             if let Some(old) = s.current_key.remove(&m.uid) {
                 // A concurrent same-uid upsert slipped in between the two
                 // lock acquisitions; replace its entry exactly.
-                s.try_del(old)?;
+                s.btree.try_delete(old)?;
             }
-            s.try_put(key, ObjectRecord::from_moving_point(&m))?;
+            s.btree.try_insert(key, ObjectRecord::from_moving_point(&m))?;
             s.current_key.insert(m.uid, key);
             s.label = Some(t_lab);
             Ok(())
@@ -767,7 +724,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                     let (ttid, tkey) = targets[&uid];
                     if ttid as usize != tid || tkey != old {
                         s.current_key.remove(&uid);
-                        s.del(old);
+                        s.btree.delete(old);
                     }
                 }
             }
@@ -793,16 +750,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                 keys.push((uid, k));
             }
             let mut s = self.shards[tid].write();
-            if s.btree.buffered_writes() {
-                // Buffered regime: the batch's sorted run becomes a run of
-                // `Put` messages in one chain append (still in key order,
-                // so the eventual flush compacts and applies them leaf by
-                // leaf); `merge_sorted` would flush the buffer and do the
-                // leaf writes now.
-                s.btree.buffered_insert_batch(entries);
-            } else {
-                s.btree.merge_sorted(entries);
-            }
+            s.btree.merge_sorted(entries);
             for (uid, k) in keys {
                 s.current_key.insert(uid, k);
             }
@@ -829,12 +777,11 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     }
 
     /// Fallible twin of [`ShardedMovingIndex::remove`]: an unresolvable
-    /// media fault on the direct delete path surfaces as
-    /// [`IndexError::Io`] instead of panicking, and a failed call is not
-    /// committed. On `Err` the uid's map entry is already vacated while
-    /// the leaf entry may survive as an orphan the next scan can still
-    /// see. The OLC and buffered paths run the legacy (infallible) tree
-    /// calls, as in [`ShardedMovingIndex::try_upsert`].
+    /// media fault surfaces as [`IndexError::Io`] instead of panicking,
+    /// and a failed call is not committed. On `Err` the uid's map entry
+    /// is already vacated while the leaf entry may survive as an orphan
+    /// the next scan can still see. The OLC path runs the legacy
+    /// (infallible) tree calls, as in [`ShardedMovingIndex::try_upsert`].
     pub fn try_remove(&self, uid: UserId) -> Result<bool, IndexError> {
         if self.olc_writes() {
             for shard in &self.shards {
@@ -855,15 +802,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             if shard.read().current_key.contains_key(&uid) {
                 let mut s = shard.write();
                 if let Some(old) = s.current_key.remove(&uid) {
-                    let removed = if s.btree.buffered_writes() {
-                        // `current_key` held the uid, so the entry exists
-                        // (possibly only as a buffered `Put` message); the
-                        // tombstone message removes it either way.
-                        s.btree.buffered_delete(old);
-                        true
-                    } else {
-                        s.btree.try_delete(old)?.is_some()
-                    };
+                    let removed = s.btree.try_delete(old)?.is_some();
                     drop(s);
                     self.commit_op();
                     return Ok(removed);
@@ -906,8 +845,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             .collect()
     }
 
-    /// Bx query-window enlargement for one partition (Fig 2 of the paper);
-    /// identical to the unsharded core's.
+    /// Bx query-window enlargement for one partition (Fig 2 of the paper).
     pub fn enlarge(&self, r: &Rect, t_lab: Timestamp, tq: Timestamp) -> Rect {
         let d = self.max_speed * (t_lab - tq).abs();
         Rect::new(r.xl - d, r.xu + d, r.yl - d, r.yu + d)
@@ -1052,25 +990,14 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// `intervals` (inclusive, any order, overlap allowed), each exactly
     /// once, in ascending key order — the fused counterpart of one
     /// [`ShardedMovingIndex::scan_keys`] call per interval. Returns
-    /// `false` if `visit` stopped the scan.
+    /// `Ok(false)` if `visit` stopped the scan; an unresolvable media
+    /// fault anywhere in the leaf walk surfaces as [`IndexError::Io`]
+    /// (records already handed to `visit` stay delivered).
     ///
     /// A thin wrapper over [`ShardedMovingIndex::try_scan_plan`] with the
     /// plain-interval plan ([`ScanPlan::from_intervals`]: what is read is
     /// all that is emitted); routing, consistency and early-exit contract
     /// are documented there.
-    pub fn scan_keys_multi(
-        &self,
-        intervals: &[(u128, u128)],
-        visit: impl FnMut(u128, ObjectRecord) -> bool,
-    ) -> bool {
-        self.try_scan_keys_multi(intervals, visit)
-            .unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
-    }
-
-    /// Fallible twin of [`ShardedMovingIndex::scan_keys_multi`]: an
-    /// unresolvable media fault anywhere in the fused leaf walk surfaces
-    /// as [`IndexError::Io`] instead of panicking (records already handed
-    /// to `visit` stay delivered).
     pub fn try_scan_keys_multi(
         &self,
         intervals: &[(u128, u128)],
@@ -1269,25 +1196,6 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         }
     }
 
-    /// Deadline-bounded twin of [`ShardedMovingIndex::try_scan_keys`]:
-    /// one contiguous range, same [`ScanReport`] contract as
-    /// [`ShardedMovingIndex::try_scan_keys_multi_deadline`].
-    pub fn try_scan_keys_deadline(
-        &self,
-        lo: u128,
-        hi: u128,
-        deadline: &Deadline,
-        visit: impl FnMut(u128, ObjectRecord) -> bool,
-    ) -> Result<ScanReport, IndexError> {
-        if lo > hi {
-            return Ok(ScanReport {
-                termination: ScanTermination::Complete,
-                partitions: Vec::new(),
-            });
-        }
-        self.try_scan_keys_multi_deadline(&[(lo, hi)], deadline, visit)
-    }
-
     /// Deterministic scan-path counters summed across all shard trees:
     /// root descents performed and branch pages the fused scans served
     /// from their descent caches (see [`peb_btree::ScanStats`]). The
@@ -1322,10 +1230,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     ///
     /// * a same-shard re-key publishes the new entry before deleting the
     ///   old one, so a concurrent scan may transiently see the object
-    ///   twice (read-committed, like the batch evict→merge gap);
-    /// * mutually exclusive with buffered writes (message chains are
-    ///   single-writer state) — flipping either knob on asserts the
-    ///   other is off.
+    ///   twice (read-committed, like the batch evict→merge gap).
     ///
     /// Requires exclusive access: flip it between measurement phases,
     /// not mid-workload.
@@ -1341,55 +1246,13 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         self.shards.first().is_some_and(|s| s.read().btree.olc_enabled())
     }
 
-    /// Switch every shard tree between the direct write path (off, the
-    /// default) and B-epsilon-style buffered writes (on): upserts,
-    /// deletes and re-keys append messages to per-tree buffer chains and
-    /// flush downward in sorted batches ([`peb_btree::msg`]). Turning the
-    /// knob **off** flushes every shard's pending messages first, so the
-    /// leaves are exact again when this returns. Requires exclusive
-    /// access: flip it between measurement phases, not mid-workload.
-    pub fn set_buffered_writes(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.write().btree.set_buffered_writes(on);
-        }
-        self.commit_op();
-    }
-
-    /// Whether buffered writes are on (one knob for all shards).
-    pub fn buffered_writes(&self) -> bool {
-        self.shards.first().is_some_and(|s| s.read().btree.buffered_writes())
-    }
-
-    /// Messages currently buffered and not yet applied to leaves, summed
-    /// across shards. Always 0 with buffered writes off.
-    pub fn pending_messages(&self) -> usize {
-        self.shards.iter().map(|s| s.read().btree.pending_messages()).sum()
-    }
-
-    /// Flush every shard's buffered messages down to the leaves without
-    /// changing the knob. A no-op when nothing is pending.
-    pub fn flush_messages(&self) {
-        for shard in &self.shards {
-            shard.write().btree.flush_messages();
-        }
-        self.commit_op();
-    }
-
     /// Deterministic write-path counters summed across all shard trees:
-    /// messages buffered, buffer flushes/spills, and leaf pages written
-    /// (see [`peb_btree::WriteStats`]). The write-side companion of
-    /// [`ShardedMovingIndex::scan_stats`] for the ingestion experiment.
+    /// leaf pages written (see [`peb_btree::WriteStats`]). The write-side
+    /// companion of [`ShardedMovingIndex::scan_stats`].
     pub fn write_stats(&self) -> WriteStats {
         self.shards
             .iter()
             .fold(WriteStats::default(), |acc, s| acc.merged(&s.read().btree.write_stats()))
-    }
-
-    /// Zero every shard tree's write-path counters (measurement windows).
-    pub fn reset_write_stats(&self) {
-        for shard in &self.shards {
-            shard.read().btree.reset_write_stats();
-        }
     }
 
     /// OLC contention counters summed across all shard trees: optimistic
@@ -1420,9 +1283,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// asserted). Each shard is processed under its own write lock with
     /// uids visited in ascending order (deterministic page touches), and
     /// the whole pass is therefore atomic per shard with no migration
-    /// epoch: a re-key never crosses a shard boundary. With buffered
-    /// writes on, each move costs two messages (a tombstone plus a
-    /// re-key `Put`) instead of a foreground delete+insert descent pair.
+    /// epoch: a re-key never crosses a shard boundary.
     pub fn rekey_where(&self, mut f: impl FnMut(UserId, u128) -> Option<u128>) -> usize {
         let mut moved = 0usize;
         for (tid, shard) in self.shards.iter().enumerate() {
@@ -1444,7 +1305,8 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                     "rekey_where must not move object {uid} out of partition {tid}"
                 );
                 let Some(rec) = s.btree.get(old) else { continue };
-                s.btree.buffered_rekey(old, new, rec);
+                s.btree.delete(old);
+                s.btree.insert(new, rec);
                 // Annotate the log (recovery replays the page images; the
                 // record lets the harness audit what moved and why).
                 self.pool.wal_rekey(s.btree.tree_id(), old, new);
@@ -1480,20 +1342,16 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                 dropped += s.current_key.len();
                 s.current_key = HashMap::new();
                 // The replacement tree inherits the scan and write ledgers
-                // plus the buffering knob: expiry is structural
-                // maintenance, not a measurement reset (the same contract
-                // `merge_sorted`'s rebuild keeps). The old tree's pending
-                // messages die with it — they only described expired
-                // entries — at zero page touches.
+                // plus the OLC knob: expiry is structural maintenance, not
+                // a measurement reset (the same contract `merge_sorted`'s
+                // rebuild keeps).
                 let scans = s.btree.scan_stats();
                 let writes = s.btree.write_stats();
-                let buffered = s.btree.buffered_writes();
                 let olc = s.btree.olc_enabled();
                 let tree_id = s.btree.tree_id();
                 s.btree = BTree::new(Arc::clone(&self.pool));
                 s.btree.restore_scan_stats(scans);
                 s.btree.restore_write_stats(writes.merged(&s.btree.write_stats()));
-                s.btree.set_buffered_writes(buffered);
                 s.btree.set_olc_writes(olc);
                 // The replacement tree is the same logical partition: keep
                 // its log identity so recovery reattaches the new root.
@@ -1543,8 +1401,8 @@ mod tests {
     use super::*;
     use peb_common::{Point, Vec2};
 
-    /// Same minimal layout as the `MovingIndex` tests: `[TID]₂ ⊕ [ZV]₂ ⊕
-    /// [UID]₂` with a fixed 20-bit ZV.
+    /// A minimal layout for exercising the shared machinery in isolation:
+    /// `[TID]₂ ⊕ [ZV]₂ ⊕ [UID]₂` with a fixed 20-bit ZV.
     #[derive(Debug, Clone, Copy)]
     struct TestLayout;
 
@@ -1567,16 +1425,6 @@ mod tests {
 
     fn index(cap: usize) -> ShardedMovingIndex<TestLayout> {
         ShardedMovingIndex::new(
-            Arc::new(BufferPool::new(cap)),
-            TestLayout,
-            SpaceConfig::new(1000.0, 10, 1440.0),
-            TimePartitioning::new(120.0, 2),
-            3.0,
-        )
-    }
-
-    fn unsharded(cap: usize) -> crate::MovingIndex<TestLayout> {
-        crate::MovingIndex::new(
             Arc::new(BufferPool::new(cap)),
             TestLayout,
             SpaceConfig::new(1000.0, 10, 1440.0),
@@ -1654,22 +1502,6 @@ mod tests {
     }
 
     #[test]
-    fn recover_reattaches_buffered_message_chains() {
-        let mut idx = index(64);
-        idx.set_durable(true);
-        idx.set_buffered_writes(true);
-        for i in 0..200u64 {
-            idx.upsert(still(i, (i % 40) as f64 * 25.0 + 2.0, (i / 40) as f64 * 190.0 + 2.0, 10.0));
-        }
-        idx.remove(UserId(3));
-        assert!(idx.pending_messages() > 0, "chains must be live for this test to bite");
-        let pending = idx.pending_messages();
-        let back = crash_recover(&idx);
-        assert_eq!(back.pending_messages(), pending, "chains reattach message-for-message");
-        assert_same_index(&back, &idx, 0..200);
-    }
-
-    #[test]
     fn upsert_get_remove_roundtrip() {
         let idx = index(64);
         idx.upsert(still(1, 100.0, 200.0, 0.0));
@@ -1685,10 +1517,15 @@ mod tests {
 
     #[test]
     fn keys_and_partitions_match_the_unsharded_core() {
-        // The sharded index must place every object exactly where the
-        // single-tree core places it — same keys, same partition labels.
-        let sharded = index(64);
-        let mut single = unsharded(64);
+        // Sharding must not move anything: every object sits where the
+        // paper's single-tree derivation puts it — in the partition of its
+        // label timestamp, keyed by its position forwarded to that
+        // timestamp — derived here from the layout and the partitioning
+        // alone.
+        let idx = index(64);
+        let (space, part) = (*idx.space(), *idx.partitioning());
+        let mut labels = std::collections::BTreeMap::new();
+        let mut want = Vec::new();
         for i in 0..200u64 {
             let m = still(
                 i,
@@ -1696,14 +1533,18 @@ mod tests {
                 (i / 40) as f64 * 190.0 + 2.0,
                 (i % 3) as f64 * 55.0,
             );
-            sharded.upsert(m);
-            single.upsert(m);
+            idx.upsert(m);
+            let t_lab = part.label_timestamp(m.t_update);
+            let tid = part.partition_of_label(t_lab);
+            let (gx, gy) = space.to_grid(&m.position_at(t_lab));
+            labels.insert(tid, t_lab);
+            want.push((m, TestLayout.key(tid, encode(gx, gy), i)));
         }
-        assert_eq!(sharded.len(), single.len());
-        assert_eq!(sharded.live_partitions(), single.live_partitions());
-        for i in 0..200u64 {
-            assert_eq!(sharded.current_key_of(UserId(i)), single.current_key_of(UserId(i)));
-            assert_eq!(sharded.get(UserId(i)), single.get(UserId(i)));
+        assert_eq!(idx.len(), 200);
+        assert_eq!(idx.live_partitions(), labels.into_iter().collect::<Vec<_>>());
+        for (m, key) in want {
+            assert_eq!(idx.current_key_of(m.uid), Some(key));
+            assert_eq!(idx.get(m.uid), Some(m));
         }
     }
 
@@ -1932,26 +1773,30 @@ mod tests {
             });
         }
         let mut got = Vec::new();
-        assert!(idx.scan_keys_multi(&intervals, |k, rec| {
-            got.push((k, rec.uid));
-            true
-        }));
+        assert!(idx
+            .try_scan_keys_multi(&intervals, |k, rec| {
+                got.push((k, rec.uid));
+                true
+            })
+            .unwrap());
         assert!(!got.is_empty());
         assert_eq!(got, want, "fused multi-shard scan must match per-interval scans");
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "global key order across shards");
 
         // Early exit propagates on the multi-shard path too.
         let mut seen = 0;
-        let completed = idx.scan_keys_multi(&intervals, |_, _| {
-            seen += 1;
-            seen < 3
-        });
+        let completed = idx
+            .try_scan_keys_multi(&intervals, |_, _| {
+                seen += 1;
+                seen < 3
+            })
+            .unwrap();
         assert!(!completed);
         assert_eq!(seen, 3);
 
         // Degenerate sets.
-        assert!(idx.scan_keys_multi(&[], |_, _| true));
-        assert!(idx.scan_keys_multi(&[(5, 1)], |_, _| true));
+        assert!(idx.try_scan_keys_multi(&[], |_, _| true).unwrap());
+        assert!(idx.try_scan_keys_multi(&[(5, 1)], |_, _| true).unwrap());
     }
 
     #[test]
@@ -1985,10 +1830,11 @@ mod tests {
 
         idx.reset_scan_stats();
         let mut got = Vec::new();
-        idx.scan_keys_multi(&intervals, |k, rec| {
+        idx.try_scan_keys_multi(&intervals, |k, rec| {
             got.push((k, rec.uid));
             true
-        });
+        })
+        .unwrap();
         let fused = idx.scan_stats();
         assert_eq!(got, want);
         assert!(
@@ -2020,117 +1866,45 @@ mod tests {
     }
 
     #[test]
-    fn buffered_updates_match_the_direct_path() {
-        // Same workload through both write paths — singles, a batch with
-        // migrations, removes — must yield identical visible state, both
-        // while messages are pending and after the final flush.
-        let mut buf = index(256);
-        buf.set_buffered_writes(true);
-        assert!(buf.buffered_writes());
-        let plain = index(256);
-
-        let round1: Vec<MovingPoint> = (0..300u64)
-            .map(|i| still(i, (i % 60) as f64 * 16.0 + 4.0, (i / 60) as f64 * 190.0 + 4.0, 10.0))
-            .collect();
-        let round2: Vec<MovingPoint> = (0..300u64)
-            .map(|i| still(i, (i % 55) as f64 * 18.0 + 1.0, (i / 55) as f64 * 160.0 + 1.0, 70.0))
-            .collect();
-        for m in &round1 {
-            buf.upsert(*m);
-            plain.upsert(*m);
-        }
-        assert_eq!(buf.upsert_batch(&round2), plain.upsert_batch(&round2));
-        for uid in [3u64, 4, 5] {
-            assert!(buf.remove(UserId(uid)));
-            assert!(plain.remove(UserId(uid)));
-        }
-        assert!(!buf.remove(UserId(3)), "tombstoned object must stay gone");
-
-        let w = buf.write_stats();
-        assert!(w.messages_buffered > 0, "buffered path must go through messages");
-        assert_eq!(plain.write_stats().messages_buffered, 0);
-
-        let compare = |buf: &ShardedMovingIndex<TestLayout>| {
-            assert_eq!(buf.len(), plain.len());
-            assert_eq!(buf.live_partitions(), plain.live_partitions());
-            for i in 0..300u64 {
-                assert_eq!(buf.current_key_of(UserId(i)), plain.current_key_of(UserId(i)));
-                assert_eq!(buf.get(UserId(i)), plain.get(UserId(i)));
-            }
-            let mut got = Vec::new();
-            buf.scan_keys(0, u128::MAX, |k, rec| {
-                got.push((k, rec.uid));
-                true
-            });
-            let mut want = Vec::new();
-            plain.scan_keys(0, u128::MAX, |k, rec| {
-                want.push((k, rec.uid));
-                true
-            });
-            assert_eq!(got, want, "scans must overlay pending messages exactly");
-        };
-        compare(&buf); // messages may still be pending here
-        buf.set_buffered_writes(false);
-        assert_eq!(buf.pending_messages(), 0, "turning the knob off flushes");
-        compare(&buf);
-    }
-
-    #[test]
     fn rekey_where_rewrites_keys_without_moving_objects() {
-        for buffered in [false, true] {
-            let mut idx = index(128);
-            idx.set_buffered_writes(buffered);
-            for i in 0..200u64 {
-                idx.upsert(still(
-                    i,
-                    (i % 40) as f64 * 25.0 + 2.0,
-                    (i / 40) as f64 * 190.0 + 2.0,
-                    10.0,
-                ));
-            }
-            let before: Vec<_> = (0..200u64).map(|i| idx.get(UserId(i)).unwrap()).collect();
-            // Flip one ZV bit for even uids: stays in the partition, keys
-            // remain unique (uid bits are untouched).
-            let moved = idx.rekey_where(|uid, old| (uid.0 % 2 == 0).then_some(old ^ (1u128 << 40)));
-            assert_eq!(moved, 100);
-            assert_eq!(idx.len(), 200);
-            assert_eq!(idx.rekey_where(|_, _| None), 0, "None leaves everything alone");
-            for i in 0..200u64 {
-                assert_eq!(idx.get(UserId(i)).unwrap(), before[i as usize], "records unchanged");
-            }
-            if buffered {
-                assert_eq!(idx.write_stats().rekey_messages, 100);
-                idx.set_buffered_writes(false);
-                for i in 0..200u64 {
-                    assert_eq!(idx.get(UserId(i)).unwrap(), before[i as usize]);
-                }
-            }
-            let mut seen = std::collections::HashSet::new();
-            idx.scan_keys(0, u128::MAX, |_, rec| {
-                assert!(seen.insert(rec.uid));
-                true
-            });
-            assert_eq!(seen.len(), 200, "every object visible exactly once after the re-key");
+        let idx = index(128);
+        for i in 0..200u64 {
+            idx.upsert(still(i, (i % 40) as f64 * 25.0 + 2.0, (i / 40) as f64 * 190.0 + 2.0, 10.0));
         }
+        let before: Vec<_> = (0..200u64).map(|i| idx.get(UserId(i)).unwrap()).collect();
+        // Flip one ZV bit for even uids: stays in the partition, keys
+        // remain unique (uid bits are untouched).
+        let moved = idx.rekey_where(|uid, old| (uid.0 % 2 == 0).then_some(old ^ (1u128 << 40)));
+        assert_eq!(moved, 100);
+        assert_eq!(idx.len(), 200);
+        assert_eq!(idx.rekey_where(|_, _| None), 0, "None leaves everything alone");
+        for i in 0..200u64 {
+            assert_eq!(idx.get(UserId(i)).unwrap(), before[i as usize], "records unchanged");
+        }
+        let mut seen = std::collections::HashSet::new();
+        idx.scan_keys(0, u128::MAX, |_, rec| {
+            assert!(seen.insert(rec.uid));
+            true
+        });
+        assert_eq!(seen.len(), 200, "every object visible exactly once after the re-key");
     }
 
     #[test]
-    fn expire_preserves_write_ledger_and_buffering() {
-        let mut idx = index(64);
-        idx.set_buffered_writes(true);
+    fn expire_preserves_write_ledger() {
+        let idx = index(64);
         for i in 0..200u64 {
             idx.upsert(still(i, (i % 40) as f64 * 25.0 + 2.0, (i / 40) as f64 * 95.0 + 2.0, 10.0));
         }
         idx.upsert(still(900, 200.0, 200.0, 130.0));
         let before = idx.write_stats();
-        assert!(before.messages_buffered > 0);
+        assert!(before.leaf_pages_written > 0);
 
         let dropped = idx.expire_stale(200.0);
         assert_eq!(dropped, 200);
-        assert!(idx.buffered_writes(), "the knob survives the shard swap");
-        let after = idx.write_stats();
-        assert!(
-            after.messages_buffered >= before.messages_buffered,
+        // The swap's only leaf write is the replacement root's format.
+        assert_eq!(
+            idx.write_stats().leaf_pages_written,
+            before.leaf_pages_written + 1,
             "the write ledger must survive the expiry swap like every other counter"
         );
         assert!(idx.get(UserId(0)).is_none());
@@ -2198,7 +1972,7 @@ mod tests {
     }
 
     #[test]
-    fn olc_knob_survives_expiry_and_excludes_buffering() {
+    fn olc_knob_survives_expiry() {
         let mut idx = index(64);
         idx.set_olc_writes(true);
         for i in 0..50u64 {
@@ -2206,10 +1980,6 @@ mod tests {
         }
         assert!(idx.expire_stale(200.0) > 0);
         assert!(idx.olc_writes(), "the knob survives the shard swap");
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            idx.set_buffered_writes(true)
-        }));
-        assert!(r.is_err(), "buffered writes must refuse to enable over OLC");
     }
 
     #[test]

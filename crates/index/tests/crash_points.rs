@@ -2,9 +2,9 @@
 //! sampled disk-write site and prove recovery is exact.
 //!
 //! The harness runs one fixed mixed workload (batched inserts, updates,
-//! removes, re-keys, message flushes, partition expiry, checkpoints, pool
-//! flushes) in **probe mode** first, collecting the ordered trace of
-//! crash-point labels — one entry per counted disk-page write. It then
+//! removes, re-keys, partition expiry, checkpoints, pool flushes) in
+//! **probe mode** first, collecting the ordered trace of crash-point
+//! labels — one entry per counted disk-page write. It then
 //! re-runs the workload once per sampled kill point with the injector
 //! armed at that op index, catches the injected panic, harvests the two
 //! simulated platters, replays the log tail, and rebuilds the index with
@@ -17,9 +17,9 @@
 //! pages over the twin's page range once both flush, and identical
 //! physical-I/O counters for a cold read-only probe.
 //!
-//! Sampling is stratified per label so all four crash-point classes
-//! (log-page writes, data-page flushes, checkpoint writes, chain-spill
-//! writes) are covered, with ≥ 50 distinct kill points total.
+//! Sampling is stratified per label so all three crash-point classes
+//! (log-page writes, data-page flushes, checkpoint writes) are covered,
+//! with ≥ 50 distinct kill points total.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,7 +78,6 @@ enum MutOp {
     Remove(u64),
     /// Flip ZV bit 0 of every uid divisible by 7 (stays in-partition).
     Rekey,
-    FlushMsgs,
     Expire(f64),
 }
 
@@ -102,7 +101,6 @@ fn apply_mut(idx: &ShardedMovingIndex<TestLayout>, op: &MutOp) {
         MutOp::Rekey => {
             idx.rekey_where(|uid, old| (uid.0 % 7 == 0).then_some(old ^ (1u128 << UID_BITS)));
         }
-        MutOp::FlushMsgs => idx.flush_messages(),
         MutOp::Expire(now) => {
             idx.expire_stale(*now);
         }
@@ -110,11 +108,10 @@ fn apply_mut(idx: &ShardedMovingIndex<TestLayout>, op: &MutOp) {
 }
 
 /// The fixed mixed workload. Inserts are concentrated at `t = 10` (one
-/// partition tree) so its buffered message chain outgrows
-/// `MAX_CHAIN_PAGES` and forces chain-spill kill points; later phases add
-/// a second and third partition, point updates, removes, a re-key pass,
-/// an explicit message flush, and a partition expiry, with checkpoints
-/// and full pool flushes interleaved.
+/// partition tree, several times the pool, so evictions flush data pages
+/// all along); later phases add a second and third partition, point
+/// updates, removes, a re-key pass, and a partition expiry, with
+/// checkpoints and full pool flushes interleaved.
 fn workload() -> Vec<Action> {
     let mut acts = Vec::new();
     // Phase 1: 720 users land in the t=10 partition in batches of 90.
@@ -126,7 +123,7 @@ fn workload() -> Vec<Action> {
     }
     acts.push(Action::Checkpoint);
     // Phase 2: re-position the same users (same timestamp, new keys) —
-    // each update is a tombstone + insert message, doubling chain load.
+    // each update is an exact delete plus an insert.
     for b in 0..6u64 {
         let pts = (b * 120..(b + 1) * 120)
             .map(|i| still(i, (i % 48) as f64 * 20.0 + 11.5, (i / 48) as f64 * 60.0 + 9.25, 10.0))
@@ -146,11 +143,10 @@ fn workload() -> Vec<Action> {
     }
     acts.push(Action::Mut(MutOp::Rekey));
     acts.push(Action::Checkpoint);
-    // Phase 4: removes and an explicit flush of whatever chains remain.
+    // Phase 4: removes.
     for i in 0..10u64 {
         acts.push(Action::Mut(MutOp::Remove(i * 3)));
     }
-    acts.push(Action::Mut(MutOp::FlushMsgs));
     // Phase 5: a third partition (t=130 → label 240), then expire the
     // first two and keep committing afterwards.
     for b in 0..4u64 {
@@ -197,7 +193,6 @@ fn probe_trace(acts: &[Action]) -> Vec<CrashPoint> {
     let inj = Arc::clone(pool.crash_injector());
     inj.set_probing(true);
     let mut idx = make_index(pool);
-    idx.set_buffered_writes(true);
     idx.set_durable(true);
     run_workload(&idx, acts);
     inj.take_trace()
@@ -206,8 +201,7 @@ fn probe_trace(acts: &[Action]) -> Vec<CrashPoint> {
 /// Never-crashed twin: a plain (non-durable) index that replays exactly
 /// the first `c` committed mutation calls of the workload.
 fn build_twin(acts: &[Action], c: u64) -> ShardedMovingIndex<TestLayout> {
-    let mut idx = make_index(Arc::new(BufferPool::new(POOL_FRAMES)));
-    idx.set_buffered_writes(true);
+    let idx = make_index(Arc::new(BufferPool::new(POOL_FRAMES)));
     let mut done = 0u64;
     for a in acts {
         if done >= c {
@@ -300,7 +294,6 @@ fn crash_and_recover(
     inj.arm(n);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut idx = make_index(Arc::clone(&pool));
-        idx.set_buffered_writes(true);
         idx.set_durable(true);
         run_workload(&idx, acts);
     }));
@@ -328,21 +321,20 @@ fn crash_and_recover(
     (idx, rec)
 }
 
-/// Stratified kill-point sample: up to 16 evenly spaced points per label
+/// The three crash-point classes the matrix stratifies over.
+const LABELS: [CrashPoint; 3] =
+    [CrashPoint::WalWrite, CrashPoint::PageFlush, CrashPoint::Checkpoint];
+
+/// Stratified kill-point sample: up to 19 evenly spaced points per label
 /// (every label must occur at least once), topped up with evenly spaced
 /// global indices until at least 56 candidates are in the set.
 fn sample_kill_points(trace: &[CrashPoint]) -> Vec<u64> {
     let mut set: BTreeSet<u64> = BTreeSet::new();
-    for label in [
-        CrashPoint::WalWrite,
-        CrashPoint::PageFlush,
-        CrashPoint::Checkpoint,
-        CrashPoint::ChainSpill,
-    ] {
+    for label in LABELS {
         let idxs: Vec<u64> =
             trace.iter().enumerate().filter(|&(_, l)| *l == label).map(|(i, _)| i as u64).collect();
         assert!(!idxs.is_empty(), "workload never reaches a {label:?} kill point");
-        let take = idxs.len().min(16);
+        let take = idxs.len().min(19);
         for j in 0..take {
             set.insert(idxs[j * idxs.len() / take]);
         }
@@ -367,17 +359,12 @@ fn crash_point_trace_is_deterministic() {
     let b = probe_trace(&acts);
     assert!(!a.is_empty(), "durable workload must hit the injector");
     assert_eq!(a, b, "probe traces diverged between identical runs");
-    for label in [
-        CrashPoint::WalWrite,
-        CrashPoint::PageFlush,
-        CrashPoint::Checkpoint,
-        CrashPoint::ChainSpill,
-    ] {
+    for label in LABELS {
         assert!(a.contains(&label), "trace never hits {label:?}");
     }
 }
 
-/// The matrix itself: ≥ 50 distinct kill points across all four labels,
+/// The matrix itself: ≥ 50 distinct kill points across all three labels,
 /// each recovering to a state indistinguishable from the never-crashed
 /// twin at the same committed-op count.
 #[test]

@@ -177,7 +177,7 @@ fn single_partition_deadline_scan_streams_with_early_exit() {
     let (lo, hi) = idx.layout().partition_range(idx.live_partitions()[0].0);
     let mut n = 0usize;
     let report = idx
-        .try_scan_keys_deadline(lo, hi, &Deadline::unbounded(&clock), |_, _| {
+        .try_scan_keys_multi_deadline(&[(lo, hi)], &Deadline::unbounded(&clock), |_, _| {
             n += 1;
             n < 10
         })

@@ -21,7 +21,7 @@
 //!    a deterministic jittered backoff on the virtual clock
 //!    ([`RetryPolicy`]); permanent faults fail immediately.
 //! 4. **Breakers** — per-shard [`CircuitBreaker`]s fed by query outcomes
-//!    and the pool's [`FaultStats`] delta fast-fail queries aimed at a
+//!    and the pool's [`peb_storage::FaultStats`] delta fast-fail queries aimed at a
 //!    failing shard ([`Rejected::CircuitOpen`]).
 //!
 //! Everything observable lands on the [`Ledger`]: admission, shedding,

@@ -73,7 +73,7 @@ mod mirror;
 mod shard;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -440,11 +440,11 @@ pub struct BufferPool {
     /// durable mode (shared with the test harness via
     /// [`BufferPool::crash_injector`]).
     injector: Arc<CrashInjector>,
-    /// Ambient [`CrashPoint`] override for injection labels: 0 = none,
-    /// 1 = checkpoint, 2 = chain spill. Plain atomic (not thread-local)
-    /// because the durable write path is specified single-threaded — see
-    /// [`BufferPool::set_durable`].
-    crash_scope: AtomicU8,
+    /// Whether a checkpoint is running: every injection point that fires
+    /// inside one is labelled [`CrashPoint::Checkpoint`]. Plain atomic
+    /// (not thread-local) because the durable write path is specified
+    /// single-threaded — see [`BufferPool::set_durable`].
+    in_checkpoint: AtomicBool,
     /// The retry / read-repair / quarantine ledger ([`FaultStats`]).
     faults: FaultCounters,
     /// The virtual clock: one tick per logical page access, plus
@@ -521,7 +521,7 @@ impl BufferPool {
             wal: Mutex::new(None),
             latches: LatchTable::new(),
             injector: Arc::new(CrashInjector::new()),
-            crash_scope: AtomicU8::new(0),
+            in_checkpoint: AtomicBool::new(false),
             faults: FaultCounters::default(),
             clock,
         }
@@ -603,7 +603,7 @@ impl BufferPool {
     /// durable mode, and anything unresolvable comes back as a typed
     /// [`IoFault`] instead of a panic.
     pub fn try_read<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, IoFault> {
-        self.try_with_page(pid, false, false, |page| f(page))
+        self.try_with_page(pid, false, |page| f(page))
     }
 
     /// Write access to a page through the buffer; marks the frame dirty
@@ -619,24 +619,7 @@ impl BufferPool {
     /// Fallible [`BufferPool::write`] (the fault can only arise while
     /// faulting the page *in* — the write-back itself is asynchronous).
     pub fn try_write<R>(&self, pid: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R, IoFault> {
-        self.try_with_page(pid, true, false, f)
-    }
-
-    /// [`BufferPool::write`] for message-chain sidecar pages: identical in
-    /// every way except that in durable mode the logged post-image is a
-    /// [`WalRecord::ChainWrite`], so the log distinguishes buffered-write
-    /// traffic and recovery statistics stay meaningful.
-    pub fn write_chain<R>(&self, pid: PageId, f: impl FnOnce(&mut Page) -> R) -> R {
-        self.try_write_chain(pid, f).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
-    }
-
-    /// Fallible [`BufferPool::write_chain`].
-    pub fn try_write_chain<R>(
-        &self,
-        pid: PageId,
-        f: impl FnOnce(&mut Page) -> R,
-    ) -> Result<R, IoFault> {
-        self.try_with_page(pid, true, true, f)
+        self.try_with_page(pid, true, f)
     }
 
     /// Lock-free versioned read: run `f` on a consistent copy of `pid`
@@ -928,7 +911,6 @@ impl BufferPool {
         &self,
         pid: PageId,
         mark_dirty: bool,
-        chain: bool,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, IoFault> {
         let state = &self.shards[self.shard_of(pid)];
@@ -972,12 +954,7 @@ impl BufferPool {
             }
             let r = f(&mut frame.page);
             let image = Box::new(frame.page.clone());
-            let rec = if chain {
-                WalRecord::ChainWrite { pid, image }
-            } else {
-                WalRecord::PageWrite { pid, image }
-            };
-            let lsn = wal.append(&rec);
+            let lsn = wal.append(&WalRecord::PageWrite { pid, image });
             frame.lsn = lsn;
             (r, lsn)
         } else {
@@ -1125,13 +1102,13 @@ impl BufferPool {
         }
     }
 
-    /// The ambient crash-point label for a disk write: the scope override
-    /// when one is active (checkpoint / chain spill), else `base`.
+    /// The crash-point label for a disk write: `Checkpoint` inside a
+    /// checkpoint, else `base`.
     fn scope_label(&self, base: CrashPoint) -> CrashPoint {
-        match self.crash_scope.load(Ordering::Relaxed) {
-            1 => CrashPoint::Checkpoint,
-            2 => CrashPoint::ChainSpill,
-            _ => base,
+        if self.in_checkpoint.load(Ordering::Relaxed) {
+            CrashPoint::Checkpoint
+        } else {
+            base
         }
     }
 
@@ -1268,30 +1245,6 @@ impl BufferPool {
         self.shards[self.shard_of(pid)].mirror.lsn_of(pid)
     }
 
-    /// Run `f` with the given ambient [`CrashPoint`] label: every
-    /// injection point that fires inside is attributed to `point` instead
-    /// of its base label. Used by the checkpoint (internally) and by the
-    /// message-chain spill path so the kill-point matrix can target those
-    /// regions specifically.
-    pub fn with_crash_scope<R>(&self, point: CrashPoint, f: impl FnOnce() -> R) -> R {
-        let code = match point {
-            CrashPoint::Checkpoint => 1,
-            CrashPoint::ChainSpill => 2,
-            CrashPoint::WalWrite | CrashPoint::PageFlush => 0,
-        };
-        let prev = self.crash_scope.swap(code, Ordering::Relaxed);
-        // Restore on unwind too: an injected crash inside the scope must
-        // not leak the override into the harvested pool.
-        struct Restore<'a>(&'a AtomicU8, u8);
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.0.store(self.1, Ordering::Relaxed);
-            }
-        }
-        let _restore = Restore(&self.crash_scope, prev);
-        f()
-    }
-
     /// Take a fuzzy checkpoint: log `CkptBegin` and one `TreeMeta` per
     /// entry of `trees` (tree id, root, height), flush every dirty frame
     /// (log-before-page per frame), then log `CkptEnd` and force the whole
@@ -1307,26 +1260,34 @@ impl BufferPool {
         if !self.durable.load(Ordering::Relaxed) {
             return 0;
         }
-        self.with_crash_scope(CrashPoint::Checkpoint, || {
-            let begin_seq = {
-                let mut wal = self.wal.lock();
-                let wal = wal.as_mut().expect("durable pool always has a wal");
-                let begin_seq = wal.next_seq();
-                wal.append(&WalRecord::CkptBegin);
-                for &(tree, root, height) in trees {
-                    wal.append(&WalRecord::TreeMeta { tree, root, height });
-                }
-                begin_seq
-            };
-            let flushed = self.flush_all();
+        // Cleared on unwind too: an injected crash inside the checkpoint
+        // must not leak the label into the harvested pool.
+        struct Clear<'a>(&'a AtomicBool);
+        impl Drop for Clear<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Relaxed);
+            }
+        }
+        self.in_checkpoint.store(true, Ordering::Relaxed);
+        let _clear = Clear(&self.in_checkpoint);
+        let begin_seq = {
             let mut wal = self.wal.lock();
             let wal = wal.as_mut().expect("durable pool always has a wal");
-            wal.append(&WalRecord::CkptEnd { begin_seq });
-            let label = self.scope_label(CrashPoint::WalWrite);
-            wal.flush(&mut || self.injector.hit(label));
-            wal.clear_preimaged();
-            flushed
-        })
+            let begin_seq = wal.next_seq();
+            wal.append(&WalRecord::CkptBegin);
+            for &(tree, root, height) in trees {
+                wal.append(&WalRecord::TreeMeta { tree, root, height });
+            }
+            begin_seq
+        };
+        let flushed = self.flush_all();
+        let mut wal = self.wal.lock();
+        let wal = wal.as_mut().expect("durable pool always has a wal");
+        wal.append(&WalRecord::CkptEnd { begin_seq });
+        let label = self.scope_label(CrashPoint::WalWrite);
+        wal.flush(&mut || self.injector.hit(label));
+        wal.clear_preimaged();
+        flushed
     }
 
     /// Log a commit record covering `ops` completed index operations and
@@ -1347,9 +1308,9 @@ impl BufferPool {
     /// Force the whole log durable without committing anything: every
     /// log-page write on the way is a counted crash-injection point under
     /// the ambient scope label. Callers use this at the boundary of bulk
-    /// structural work (e.g. a message-chain spill) so the
-    /// committed-but-unforced log window stays bounded — recovery still
-    /// rolls the forced-but-uncommitted tail back to the last commit.
+    /// structural work so the committed-but-unforced log window stays
+    /// bounded — recovery still rolls the forced-but-uncommitted tail back
+    /// to the last commit.
     /// No-op with durability off.
     pub fn wal_force(&self) {
         if !self.durable.load(Ordering::Relaxed) {

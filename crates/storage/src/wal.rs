@@ -13,8 +13,7 @@
 //! ## The protocol
 //!
 //! * **Log-before-page.** Every mutation of a data page appends a
-//!   full-image [`WalRecord::PageWrite`] (or [`WalRecord::ChainWrite`]
-//!   for message-chain sidecar pages) *before* the page can reach the
+//!   full-image [`WalRecord::PageWrite`] *before* the page can reach the
 //!   data disk; the buffer pool calls [`Wal::flush_up_to`] with the
 //!   frame's LSN before every physical data write. An LSN is the byte
 //!   end-offset of a record in the log stream, so "flushed up to LSN"
@@ -46,8 +45,8 @@
 //! are *not* injection points: a crash can cut the log at a page
 //! boundary mid-flush but never mid-record, so torn records only arise
 //! from explicit truncation (tested separately). Each op carries a
-//! [`CrashPoint`] label (WAL append flush, data-page flush, checkpoint,
-//! chain spill) so the test matrix can cover every category.
+//! [`CrashPoint`] label (WAL append flush, data-page flush, checkpoint)
+//! so the test matrix can cover every category.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,7 +61,8 @@ pub const WAL_MAGIC: u8 = 0xA5;
 
 const TAG_ALLOC: u8 = 1;
 const TAG_PAGE_WRITE: u8 = 2;
-const TAG_CHAIN_WRITE: u8 = 3;
+// Tag 3 is retired (it carried message-chain page images); it decodes as
+// an unknown tag, like any other invalid record.
 const TAG_PRE_IMAGE: u8 = 4;
 const TAG_TREE_META: u8 = 5;
 const TAG_REKEY: u8 = 6;
@@ -78,7 +78,7 @@ const TRAILER: usize = 16;
 const fn stride_of(tag: u8) -> Option<usize> {
     match tag {
         TAG_ALLOC => Some(HEADER + 4 + TRAILER),
-        TAG_PAGE_WRITE | TAG_CHAIN_WRITE | TAG_PRE_IMAGE => Some(HEADER + 4 + PAGE_SIZE + TRAILER),
+        TAG_PAGE_WRITE | TAG_PRE_IMAGE => Some(HEADER + 4 + PAGE_SIZE + TRAILER),
         TAG_TREE_META => Some(HEADER + 12 + TRAILER),
         TAG_REKEY => Some(HEADER + 36 + TRAILER),
         TAG_COMMIT => Some(HEADER + 8 + TRAILER),
@@ -113,15 +113,6 @@ pub enum WalRecord {
     /// Full post-image of a B+-tree node page write.
     PageWrite {
         /// The written page.
-        pid: PageId,
-        /// Its complete content after the write.
-        image: Box<Page>,
-    },
-    /// Full post-image of a message-chain sidecar page write (same
-    /// stride as [`WalRecord::PageWrite`]; the distinct tag lets
-    /// recovery and the ledger tell buffered-write traffic apart).
-    ChainWrite {
-        /// The written chain page.
         pid: PageId,
         /// Its complete content after the write.
         image: Box<Page>,
@@ -175,7 +166,6 @@ impl std::fmt::Debug for WalRecord {
         match self {
             WalRecord::Alloc { pid } => write!(f, "Alloc({})", pid.0),
             WalRecord::PageWrite { pid, .. } => write!(f, "PageWrite({})", pid.0),
-            WalRecord::ChainWrite { pid, .. } => write!(f, "ChainWrite({})", pid.0),
             WalRecord::PreImage { pid, .. } => write!(f, "PreImage({})", pid.0),
             WalRecord::TreeMeta { tree, root, height } => {
                 write!(f, "TreeMeta(tree={tree}, root={}, height={height})", root.0)
@@ -195,7 +185,6 @@ impl WalRecord {
         match self {
             WalRecord::Alloc { .. } => TAG_ALLOC,
             WalRecord::PageWrite { .. } => TAG_PAGE_WRITE,
-            WalRecord::ChainWrite { .. } => TAG_CHAIN_WRITE,
             WalRecord::PreImage { .. } => TAG_PRE_IMAGE,
             WalRecord::TreeMeta { .. } => TAG_TREE_META,
             WalRecord::Rekey { .. } => TAG_REKEY,
@@ -213,9 +202,7 @@ impl WalRecord {
         out.push(self.tag());
         match self {
             WalRecord::Alloc { pid } => out.extend_from_slice(&pid.0.to_le_bytes()),
-            WalRecord::PageWrite { pid, image }
-            | WalRecord::ChainWrite { pid, image }
-            | WalRecord::PreImage { pid, image } => {
+            WalRecord::PageWrite { pid, image } | WalRecord::PreImage { pid, image } => {
                 out.extend_from_slice(&pid.0.to_le_bytes());
                 out.extend_from_slice(image.bytes(0, PAGE_SIZE));
             }
@@ -276,7 +263,6 @@ impl WalRecord {
         let rec = match tag {
             TAG_ALLOC => WalRecord::Alloc { pid: PageId(u32_at(2)) },
             TAG_PAGE_WRITE => WalRecord::PageWrite { pid: PageId(u32_at(2)), image: image_at(6) },
-            TAG_CHAIN_WRITE => WalRecord::ChainWrite { pid: PageId(u32_at(2)), image: image_at(6) },
             TAG_PRE_IMAGE => WalRecord::PreImage { pid: PageId(u32_at(2)), image: image_at(6) },
             TAG_TREE_META => {
                 WalRecord::TreeMeta { tree: u32_at(2), root: PageId(u32_at(6)), height: u32_at(10) }
@@ -301,8 +287,6 @@ pub enum CrashPoint {
     PageFlush,
     /// Any disk write performed inside a checkpoint.
     Checkpoint,
-    /// Any disk write performed inside a message-chain spill/flush.
-    ChainSpill,
 }
 
 /// Panic-message marker of an injected crash; the harness matches on it
@@ -456,7 +440,7 @@ impl Wal {
             WalRecord::Alloc { pid } => {
                 self.images.insert(pid.0, IMAGE_ZEROED);
             }
-            WalRecord::PageWrite { pid, .. } | WalRecord::ChainWrite { pid, .. } => {
+            WalRecord::PageWrite { pid, .. } => {
                 self.images.insert(pid.0, start);
             }
             _ => {}
@@ -470,18 +454,16 @@ impl Wal {
     ///
     /// Every durable-mode page write logs its complete post-image before
     /// the page can reach the data disk, so for any page that is **not**
-    /// dirty in the pool, the newest [`WalRecord::PageWrite`] /
-    /// [`WalRecord::ChainWrite`] (or a zeroed page, if the newest record
-    /// is the allocation) is exactly what the data disk is supposed to
-    /// hold. `None` means the page was never logged — enrolled into
+    /// dirty in the pool, the newest [`WalRecord::PageWrite`] (or a
+    /// zeroed page, if the newest record is the allocation) is exactly
+    /// what the data disk is supposed to hold. `None` means the page was never logged — enrolled into
     /// durability but not written since — and cannot be repaired from
     /// this log.
     pub fn latest_image(&self, pid: PageId) -> Option<Page> {
         match *self.images.get(&pid.0)? {
             IMAGE_ZEROED => Some(Page::new()),
             off => match WalRecord::decode(&self.buf[off..]) {
-                Some((WalRecord::PageWrite { image, .. }, _, _))
-                | Some((WalRecord::ChainWrite { image, .. }, _, _)) => Some(*image),
+                Some((WalRecord::PageWrite { image, .. }, _, _)) => Some(*image),
                 _ => unreachable!("image index points at a post-image record"),
             },
         }
@@ -579,7 +561,7 @@ impl Wal {
                         WalRecord::Alloc { pid } => {
                             images.insert(pid.0, IMAGE_ZEROED);
                         }
-                        WalRecord::PageWrite { pid, .. } | WalRecord::ChainWrite { pid, .. } => {
+                        WalRecord::PageWrite { pid, .. } => {
                             images.insert(pid.0, off);
                         }
                         _ => {}
@@ -745,7 +727,7 @@ pub fn recover(data: &mut DiskSim, log: &DiskSim) -> WalRecovery {
                 ensure(data, *pid);
                 records_replayed += 1;
             }
-            WalRecord::PageWrite { pid, image } | WalRecord::ChainWrite { pid, image }
+            WalRecord::PageWrite { pid, image }
                 if *seq > checkpoint_seq && *seq <= committed_seq =>
             {
                 ensure(data, *pid);
@@ -792,10 +774,9 @@ mod tests {
 
     #[test]
     fn records_round_trip_bytewise() {
-        let recs = vec![
+        let recs = [
             WalRecord::Alloc { pid: PageId(7) },
             WalRecord::PageWrite { pid: PageId(3), image: page_with(0xDEAD) },
-            WalRecord::ChainWrite { pid: PageId(4), image: page_with(0xBEEF) },
             WalRecord::PreImage { pid: PageId(3), image: page_with(0xF00D) },
             WalRecord::TreeMeta { tree: 2, root: PageId(9), height: 3 },
             WalRecord::Rekey { tree: 1, old: 42, new: u128::MAX / 3 },
@@ -827,10 +808,12 @@ mod tests {
         let mut bad = bytes.clone();
         bad[3] ^= 1;
         assert!(WalRecord::decode(&bad).is_none());
-        // Unknown tag.
-        let mut bad = bytes;
-        bad[1] = 0xEE;
-        assert!(WalRecord::decode(&bad).is_none());
+        // Unknown tag (3 is the retired message-chain image tag).
+        for tag in [3, 0xEE] {
+            let mut bad = bytes.clone();
+            bad[1] = tag;
+            assert!(WalRecord::decode(&bad).is_none());
+        }
     }
 
     #[test]
@@ -888,9 +871,7 @@ mod tests {
         wal.append(&WalRecord::PageWrite { pid: PageId(3), image: page_with(7) });
         wal.append(&WalRecord::PreImage { pid: PageId(3), image: page_with(999) });
         wal.append(&WalRecord::PageWrite { pid: PageId(3), image: page_with(8) });
-        wal.append(&WalRecord::ChainWrite { pid: PageId(4), image: page_with(44) });
         assert_eq!(wal.latest_image(PageId(3)).unwrap().get_u64(0), 8);
-        assert_eq!(wal.latest_image(PageId(4)).unwrap().get_u64(0), 44);
 
         // The index survives a flush + resume round trip.
         wal.flush(&mut || {});
@@ -898,7 +879,6 @@ mod tests {
         let rec = recover(&mut scratch, wal.disk());
         let resumed = Wal::resume(wal.disk().clone(), &rec);
         assert_eq!(resumed.latest_image(PageId(3)).unwrap().get_u64(0), 8);
-        assert_eq!(resumed.latest_image(PageId(4)).unwrap().get_u64(0), 44);
         assert!(resumed.latest_image(PageId(9)).is_none());
     }
 

@@ -25,7 +25,6 @@ fn image(fill: u8) -> Box<Page> {
 enum Op {
     Alloc(u8),
     Write(u8, u8),
-    Chain(u8, u8),
     Pre(u8, u8),
     Meta(u8, u8, u8),
     Rekey(u8, u64, u64),
@@ -37,7 +36,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..12).prop_map(Op::Alloc),
         (0u8..12, any::<u8>()).prop_map(|(p, f)| Op::Write(p, f)),
-        (0u8..12, any::<u8>()).prop_map(|(p, f)| Op::Chain(p, f)),
         (0u8..12, any::<u8>()).prop_map(|(p, f)| Op::Pre(p, f)),
         (0u8..4, 0u8..12, 1u8..4).prop_map(|(t, r, h)| Op::Meta(t, r, h)),
         (0u8..4, any::<u64>(), any::<u64>()).prop_map(|(t, o, n)| Op::Rekey(t, o, n)),
@@ -56,9 +54,6 @@ fn build_records(ops: &[Op]) -> Vec<WalRecord> {
             Op::Alloc(p) => recs.push(WalRecord::Alloc { pid: PageId(*p as u32) }),
             Op::Write(p, f) => {
                 recs.push(WalRecord::PageWrite { pid: PageId(*p as u32), image: image(*f) })
-            }
-            Op::Chain(p, f) => {
-                recs.push(WalRecord::ChainWrite { pid: PageId(*p as u32), image: image(*f) })
             }
             Op::Pre(p, f) => {
                 recs.push(WalRecord::PreImage { pid: PageId(*p as u32), image: image(*f) })

@@ -1,6 +1,6 @@
 //! Migration consistency of the fused multi-interval scan path.
 //!
-//! `scan_keys_multi` shares `scan_keys`'s contract: a multi-shard scan
+//! `try_scan_keys_multi` shares `scan_keys`'s contract: a multi-shard scan
 //! racing a cross-partition migration must never observe a moving object
 //! twice (old and new entry) or not at all. These tests race fused scans
 //! — whole-range and genuinely multi-interval sets — against migrating
@@ -57,10 +57,12 @@ fn full_cover_intervals(tree: &BxTree) -> Vec<(u128, u128)> {
 /// once.
 fn assert_fused_scan_consistent(tree: &BxTree, intervals: &[(u128, u128)], n: u64) {
     let mut seen = vec![0u32; n as usize];
-    tree.index().scan_keys_multi(intervals, |_, rec| {
-        seen[rec.uid as usize] += 1;
-        true
-    });
+    tree.index()
+        .try_scan_keys_multi(intervals, |_, rec| {
+            seen[rec.uid as usize] += 1;
+            true
+        })
+        .unwrap();
     for (uid, count) in seen.iter().enumerate() {
         assert_eq!(
             *count, 1,
@@ -130,10 +132,12 @@ fn fused_scans_racing_migrating_batches_never_drop_or_duplicate() {
         true
     });
     let mut fused = Vec::new();
-    tree.index().scan_keys_multi(&intervals, |k, rec| {
-        fused.push((k, rec.uid));
-        true
-    });
+    tree.index()
+        .try_scan_keys_multi(&intervals, |k, rec| {
+            fused.push((k, rec.uid));
+            true
+        })
+        .unwrap();
     assert_eq!(per, fused, "quiesced fused scan must equal the per-interval scan");
     assert_eq!(tree.len(), n as usize);
 }
@@ -184,10 +188,12 @@ fn fused_single_shard_scans_race_single_object_migrations() {
                         let third = (hi - lo) / 3;
                         let set =
                             [(lo + third, hi), (lo, lo + 2 * third), (lo + third, lo + 2 * third)];
-                        tree.index().scan_keys_multi(&set, |_, rec| {
-                            seen[rec.uid as usize] += 1;
-                            true
-                        });
+                        tree.index()
+                            .try_scan_keys_multi(&set, |_, rec| {
+                                seen[rec.uid as usize] += 1;
+                                true
+                            })
+                            .unwrap();
                     }
                     for (uid, count) in seen.iter().enumerate() {
                         if uid % 7 != 0 {
