@@ -1,6 +1,7 @@
 //! Experiment harness reproducing every figure of the paper's empirical
-//! study (Sec 7). Each `fig*` binary in `src/bin/` prints the series of one
-//! figure as a tab-separated table; this library holds the shared plumbing.
+//! study (Sec 7). The `figures <id|all>` binary in `src/bin/` prints the
+//! series of one figure (or all) as tab-separated tables; this library
+//! holds the shared plumbing.
 //!
 //! Measurement protocol (matching Sec 7.1): 4 KB pages, a 50-page LRU
 //! buffer, the average I/O of 200 queries per point. The buffer starts cold

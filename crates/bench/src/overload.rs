@@ -208,7 +208,7 @@ fn sweep(
         dataset.users.len(),
         cfg.sv_params,
     ));
-    let mut tree = PebTree::new(
+    let tree = PebTree::new(
         Arc::new(BufferPool::new(cfg.buffer_pages)),
         space,
         TimePartitioning::default(),

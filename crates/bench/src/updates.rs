@@ -119,7 +119,6 @@ pub fn measure_updates_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> Up
         let pool = Arc::clone(tree.pool());
         pool.reset_stats();
         let started = Instant::now();
-        let mut tree = tree;
         for round in &all_rounds {
             for m in round {
                 tree.upsert(*m);

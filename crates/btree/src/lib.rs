@@ -19,12 +19,12 @@
 //!   separator, as in textbook B+-trees.
 //! * **Sibling-linked leaves.** Range scans descend once and then walk the
 //!   leaf chain, which is what makes the Bx/PEB interval probes cheap.
-//! * **Lock-free optimistic reads.** [`BTree::get`] and
-//!   [`BTree::range_scan`] traverse via the pool's versioned page
-//!   snapshots (optimistic lock coupling: validate each parent's version
-//!   after following its child pointer, restart from the root on a
-//!   mismatch) and fall back to the locked read path per page or — after
-//!   bounded restarts — wholesale; see the [`tree`] module docs.
+//! * **Lock-free optimistic reads.** [`BTree::get`] and every scan
+//!   traverse via the pool's versioned page snapshots (`get` by
+//!   optimistic lock coupling: validate each parent's version after
+//!   following its child pointer, restart from the root on a mismatch)
+//!   and fall back to the locked read path per page or — after bounded
+//!   restarts — wholesale; see the [`tree`] module docs.
 //! * **Optional optimistic-lock-coupling writes.** With
 //!   [`BTree::set_olc_writes`] on, [`BTree::olc_insert`] and
 //!   [`BTree::olc_delete`] run through `&self` under per-page latches

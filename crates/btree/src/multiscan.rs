@@ -34,11 +34,11 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a deadline-aware scan ended — the typed answer of
-/// [`BTree::try_multi_range_scan_deadline`], which must distinguish "the
+/// [`BTree::try_scan_plan`], which must distinguish "the
 /// tree ran out of entries" from "the visitor had enough" from "the
 /// budget ran out" (the caller's partial-result tagging depends on it).
 ///
-/// [`BTree::try_multi_range_scan_deadline`]: crate::BTree::try_multi_range_scan_deadline
+/// [`BTree::try_scan_plan`]: crate::BTree::try_scan_plan
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanTermination {
     /// Every in-union entry was visited.
@@ -608,10 +608,14 @@ mod deadline_tests {
         let clock = t.pool().clock().clone();
         let mut got = Vec::new();
         let term = t
-            .try_multi_range_scan_deadline(&intervals, &Deadline::unbounded(&clock), |k, v| {
-                got.push((k, v));
-                true
-            })
+            .try_scan_plan(
+                &ScanPlan::from_intervals(&intervals),
+                &Deadline::unbounded(&clock),
+                |k, v| {
+                    got.push((k, v));
+                    Visit::Next
+                },
+            )
             .unwrap();
         assert_eq!(term, ScanTermination::Complete);
         assert!(term.is_complete());
@@ -625,12 +629,12 @@ mod deadline_tests {
         let clock = t.pool().clock().clone();
         let mut seen = 0usize;
         let term = t
-            .try_multi_range_scan_deadline(
-                &[(0, u128::MAX)],
+            .try_scan_plan(
+                &ScanPlan::from_intervals(&[(0, u128::MAX)]),
                 &Deadline::unbounded(&clock),
                 |_, _| {
                     seen += 1;
-                    seen < 7
+                    Visit::next_if(seen < 7)
                 },
             )
             .unwrap();
@@ -647,9 +651,9 @@ mod deadline_tests {
         let deadline = Deadline::after(&clock, 6);
         let mut got = Vec::new();
         let term = t
-            .try_multi_range_scan_deadline(&intervals, &deadline, |k, v| {
+            .try_scan_plan(&ScanPlan::from_intervals(&intervals), &deadline, |k, v| {
                 got.push((k, v));
-                true
+                Visit::Next
             })
             .unwrap();
         assert_eq!(term, ScanTermination::Expired);
@@ -673,9 +677,9 @@ mod deadline_tests {
         let before = t.pool().stats().logical_reads;
         let mut seen = 0usize;
         let term = t
-            .try_multi_range_scan_deadline(&[(0, u128::MAX)], &deadline, |_, _| {
+            .try_scan_plan(&ScanPlan::from_intervals(&[(0, u128::MAX)]), &deadline, |_, _| {
                 seen += 1;
-                true
+                Visit::Next
             })
             .unwrap();
         assert_eq!(term, ScanTermination::Expired);
@@ -695,9 +699,9 @@ mod deadline_tests {
         let deadline = Deadline::after(&clock, 5);
         let mut got = Vec::new();
         let term = t
-            .try_multi_range_scan_deadline(&intervals, &deadline, |k, v| {
+            .try_scan_plan(&ScanPlan::from_intervals(&intervals), &deadline, |k, v| {
                 got.push((k, v));
-                true
+                Visit::Next
             })
             .unwrap();
         assert_eq!(term, ScanTermination::Expired);

@@ -3,8 +3,8 @@
 //!
 //! # Optimistic read path
 //!
-//! [`BTree::get`] and [`BTree::range_scan`] descend the tree through the
-//! buffer pool's lock-free versioned reads
+//! [`BTree::get`] (and, under the OLC write path, each scan run) descends
+//! the tree through the buffer pool's lock-free versioned reads
 //! ([`BufferPool::read_versioned`]) in the style of optimistic lock
 //! coupling: each page is copied out under no lock with its publication
 //! version validated around the copy, and after following a child pointer
@@ -19,6 +19,8 @@
 //! *tree* writer are excluded by Rust's borrow rules — the version
 //! protocol defends against the page-level churn (evictions, reloads,
 //! cross-tree pool traffic) that shared-pool concurrency can cause.
+//! Scans with writers excluded route through per-level page snapshots
+//! instead ([`BTree::try_scan_plan`]), validated the same way.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -937,138 +939,29 @@ impl<V: RecordValue> BTree<V> {
 
     // ---- range scans -------------------------------------------------------
 
-    /// Optimistic descent for [`BTree::range_scan`]: the leaf that would
-    /// contain `lo`, plus the index of its first entry `>= lo`.
-    fn try_find_start_leaf(&self, lo: u128) -> Result<(PageId, usize), Restart> {
-        let vsize = Self::vsize();
-        let top = self.top_raw();
-        let (mut pid, height) = Self::unpack_top(top);
-        let mut prev: Option<(PageId, u64)> = None;
-        for level in 1..height {
-            pid = self.descend_step(pid, &mut prev, |p| {
-                node::child_at(p, node::branch_child_index(p, lo))
-            })?;
-            if level == 1 && self.top_raw() != top {
-                return Err(Restart);
-            }
-        }
-        let start = self.descend_step(pid, &mut prev, |p| node::leaf_lower_bound(p, lo, vsize))?;
-        if height == 1 && self.top_raw() != top {
-            return Err(Restart);
-        }
-        Ok((pid, start))
-    }
-
     /// Visit all entries with `lo <= key <= hi` in key order. The callback
     /// returns `false` to stop early; `range_scan` returns whether the scan
     /// ran to completion.
-    ///
-    /// The descent to the starting leaf is optimistic with bounded
-    /// restarts (nothing has been emitted yet, so restarting is free);
-    /// the sibling-chain walk reads each leaf from a lock-free versioned
-    /// snapshot when one is published and from the locked page otherwise.
-    /// Once entries have reached the visitor the walk never restarts — a
-    /// version conflict mid-chain defers to the locked read of the same
-    /// leaf — so the visitor sees every in-range entry exactly once, in
-    /// order, just like the fully locked scan.
     pub fn range_scan(&self, lo: u128, hi: u128, visit: impl FnMut(u128, V) -> bool) -> bool {
         self.try_range_scan(lo, hi, visit).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
     }
 
-    /// Fallible [`BTree::range_scan`]: identical traversal and visit
-    /// sequence, but an unresolvable media fault surfaces as a typed
-    /// [`IoFault`] instead of a panic. Entries already handed to `visit`
-    /// before the fault stand (the scan emits in key order, so the prefix
-    /// is exact); the scan stops at the fault.
-    ///
-    /// The relaxed walk (per-leaf locked fallback, never restarts once
-    /// emitting) is exact while writers are excluded; with the OLC write
-    /// path on, the strict frontier-validated walk is required.
+    /// Fallible [`BTree::range_scan`]: an unresolvable media fault surfaces
+    /// as a typed [`IoFault`] instead of a panic. Entries already handed to
+    /// `visit` before the fault stand (the scan emits in key order, so the
+    /// prefix is exact); the scan stops at the fault. The plan of one run
+    /// on the one leaf walk: [`BTree::try_multi_range_scan`] of `[(lo, hi)]`.
     pub fn try_range_scan(
         &self,
         lo: u128,
         hi: u128,
         visit: impl FnMut(u128, V) -> bool,
     ) -> Result<bool, IoFault> {
-        if self.olc_enabled() {
-            self.range_scan_leaves_olc(lo, hi, visit)
-        } else {
-            self.range_scan_leaves(lo, hi, visit)
-        }
+        self.try_multi_range_scan(&[(lo, hi)], visit)
     }
 
-    /// The relaxed (writers-excluded) body of [`BTree::range_scan`].
-    fn range_scan_leaves(
-        &self,
-        lo: u128,
-        hi: u128,
-        mut visit: impl FnMut(u128, V) -> bool,
-    ) -> Result<bool, IoFault> {
-        if lo > hi {
-            return Ok(true);
-        }
-        self.scans.bump_descent();
-        let vsize = Self::vsize();
-        let mut found = None;
-        for _ in 0..OPT_MAX_RESTARTS {
-            if let Ok(start) = self.try_find_start_leaf(lo) {
-                found = Some(start);
-                break;
-            }
-        }
-        let (mut pid, mut start) = match found {
-            Some(start) => start,
-            None => {
-                // Locked fallback descent (same page touches, same answer).
-                let (mut pid, height) = self.top();
-                for _ in 1..height {
-                    pid = self
-                        .pool
-                        .try_read(pid, |p| node::child_at(p, node::branch_child_index(p, lo)))?;
-                }
-                let start = self.pool.try_read(pid, |p| node::leaf_lower_bound(p, lo, vsize))?;
-                (pid, start)
-            }
-        };
-        loop {
-            // Collect this leaf's in-range entries from one consistent
-            // page image, then emit with no page borrow (and no lock)
-            // held across the callback.
-            let read_leaf = |p: &Page| {
-                let n = node::count(p);
-                let mut batch = Vec::new();
-                let mut i = start;
-                while i < n {
-                    let k = node::leaf_key(p, i, vsize);
-                    if k > hi {
-                        return (batch, PageId::INVALID);
-                    }
-                    batch.push((k, V::read(p.bytes(node::leaf_entry_off(i, vsize) + 16, vsize))));
-                    i += 1;
-                }
-                (batch, node::right_sibling(p))
-            };
-            let (batch, next) = match self.pool.read_versioned(pid, read_leaf) {
-                OptimisticRead::Hit(r, _) => r,
-                OptimisticRead::Unpublished | OptimisticRead::Conflict => {
-                    self.pool.try_read(pid, read_leaf)?
-                }
-            };
-            for (k, v) in batch {
-                if !visit(k, v) {
-                    return Ok(false);
-                }
-            }
-            if !next.is_valid() {
-                return Ok(true);
-            }
-            pid = next;
-            start = 0;
-        }
-    }
-
-    /// OLC-safe counterpart of [`BTree::range_scan_leaves`], used while
-    /// the write path runs concurrently. The scan keeps a **frontier**
+    /// OLC-safe counterpart of [`BTree::scan_plan_relaxed`] for one run, used
+    /// while the write path runs concurrently. The scan keeps a **frontier**
     /// (the smallest key not yet emitted) so a restart never re-emits or
     /// skips an entry, and the chain walk validates the previous leaf's
     /// version after reading each next leaf — a sibling link read from a
@@ -1095,7 +988,10 @@ impl<V: RecordValue> BTree<V> {
         }
         self.olc_stats.bump_scan_escalations();
         let _drain = self.gate.write();
-        self.range_scan_leaves(frontier, hi, visit)
+        // Straight to the relaxed body: re-entering `scan_plan_leaves`
+        // would dispatch back here.
+        let rest = ScanPlan::from_intervals(&[(frontier, hi)]);
+        self.scan_plan_relaxed(&rest, &mut |k, v| Visit::next_if(visit(k, v)), &mut || true)
     }
 
     /// One attempt of the OLC chain scan: emit every `[*frontier, hi]`
@@ -1196,17 +1092,6 @@ impl<V: RecordValue> BTree<V> {
         out
     }
 
-    /// Fallible [`BTree::range`]: collect all pairs in `[lo, hi]` or
-    /// surface the first unresolvable media fault as a typed [`IoFault`].
-    pub fn try_range(&self, lo: u128, hi: u128) -> Result<Vec<(u128, V)>, IoFault> {
-        let mut out = Vec::new();
-        self.try_range_scan(lo, hi, |k, v| {
-            out.push((k, v));
-            true
-        })?;
-        Ok(out)
-    }
-
     // ---- fused multi-interval scans -----------------------------------------
 
     /// Route from the root to the leaf that would contain `key`, reusing
@@ -1221,14 +1106,13 @@ impl<V: RecordValue> BTree<V> {
     /// page at the snapshot's version ([`BufferPool::snapshot_valid`] —
     /// the PR 4 versioned-page machinery); a reused level costs no pool
     /// traffic at all. Any other level is re-read through
-    /// [`BufferPool::read_snapshot`], which counts one logical read
-    /// exactly like a step of the per-interval descent (lock-free when
-    /// published, locked fallback otherwise). Routing through a cached
-    /// copy is sound because page contents of this tree cannot change
-    /// under `&self` (writers need `&mut`), so a validated copy is
-    /// bit-identical to the live page; a copy whose page was evicted or
-    /// republished since merely fails validation and is re-read — the
-    /// conservative fallback, never a wrong route.
+    /// [`BufferPool::try_read_snapshot`], which counts one logical read
+    /// (lock-free when published, locked fallback otherwise). Routing
+    /// through a cached copy is sound because page contents of this tree
+    /// cannot change under `&self` (writers need `&mut`), so a validated
+    /// copy is bit-identical to the live page; a copy whose page was
+    /// evicted or republished since merely fails validation and is
+    /// re-read — the conservative fallback, never a wrong route.
     fn descend_cached(&self, key: u128, path: &mut [PathLevel]) -> Result<(PageId, u128), IoFault> {
         let mut pid = self.root();
         let mut fence = u128::MAX;
@@ -1267,7 +1151,8 @@ impl<V: RecordValue> BTree<V> {
     /// to stop early; `Ok(true)` means the scan ran to completion.
     ///
     /// This is the fused counterpart of issuing one [`BTree::range_scan`]
-    /// per interval: the set is sorted and coalesced once
+    /// per interval (itself this scan of a single interval): the set is
+    /// sorted and coalesced once
     /// ([`crate::coalesce_intervals`]), the tree descends to the first
     /// interval, and the scan then walks the leaf sibling chain across
     /// intervals — re-descending **only when the next interval lies
@@ -1279,31 +1164,20 @@ impl<V: RecordValue> BTree<V> {
     /// scans over the coalesced set.
     ///
     /// An unresolvable media fault surfaces as a typed [`IoFault`];
-    /// entries already emitted stand, in order — see
-    /// [`BTree::try_range_scan`]. A thin wrapper: the plan with
-    /// `rows == runs` ([`ScanPlan::from_intervals`]) under an unbounded
-    /// deadline, run by [`BTree::try_scan_plan`].
+    /// entries already emitted stand, in order. A thin wrapper: the plan
+    /// with `rows == runs` ([`ScanPlan::from_intervals`]) under an
+    /// unbounded deadline, run by [`BTree::try_scan_plan`].
     pub fn try_multi_range_scan(
         &self,
         intervals: &[(u128, u128)],
-        visit: impl FnMut(u128, V) -> bool,
+        mut visit: impl FnMut(u128, V) -> bool,
     ) -> Result<bool, IoFault> {
         let unbounded = Deadline::unbounded(self.pool.clock());
-        Ok(self.try_multi_range_scan_deadline(intervals, &unbounded, visit)?.is_complete())
-    }
-
-    /// Deadline-checked [`BTree::try_multi_range_scan`]; see
-    /// [`BTree::try_scan_plan`] for the checkpoint and termination
-    /// contract.
-    pub fn try_multi_range_scan_deadline(
-        &self,
-        intervals: &[(u128, u128)],
-        deadline: &Deadline,
-        mut visit: impl FnMut(u128, V) -> bool,
-    ) -> Result<ScanTermination, IoFault> {
-        self.try_scan_plan(&ScanPlan::from_intervals(intervals), deadline, |k, v| {
-            Visit::next_if(visit(k, v))
-        })
+        let term =
+            self.try_scan_plan(&ScanPlan::from_intervals(intervals), &unbounded, |k, v| {
+                Visit::next_if(visit(k, v))
+            })?;
+        Ok(term.is_complete())
     }
 
     /// Execute a [`ScanPlan`]: read the leaves its navigation runs name
@@ -1324,8 +1198,7 @@ impl<V: RecordValue> BTree<V> {
     /// plan ran out, the visitor stopped it, or the budget did.
     ///
     /// Leaves are read from lock-free versioned snapshots when published
-    /// and from the locked page otherwise, exactly like
-    /// [`BTree::range_scan`]'s chain walk; entries are handed to `visit`
+    /// and from the locked page otherwise; entries are handed to `visit`
     /// with no page borrow or lock held. Under the OLC write path each run
     /// walks the strict frontier-validated chain scan and only in-run
     /// entries are emitted.
@@ -1371,39 +1244,55 @@ impl<V: RecordValue> BTree<V> {
         visit: &mut dyn FnMut(u128, V) -> Visit,
         checkpoint: &mut dyn FnMut() -> bool,
     ) -> Result<bool, IoFault> {
-        let (runs, rows) = (plan.runs(), plan.rows());
-        if self.olc_enabled() {
-            // The fused descent-path cache validates each cached level's
-            // version in isolation — there is no parent-after-child
-            // handshake — which is only sound while writers are excluded.
-            // Under the OLC write path each run walks the strict
-            // frontier-validated chain scan instead (one descent per run;
-            // the cache saving and the out-of-run emission are forgone).
-            let mut i = 0usize;
-            while i < runs.len() {
-                if !checkpoint() {
-                    return Ok(false);
-                }
-                let (lo, hi) = runs[i];
-                let mut skip = false;
-                let done = self.range_scan_leaves_olc(lo, hi, |k, v| {
-                    let verdict = visit(k, v);
-                    skip = verdict == Visit::SkipRow;
-                    verdict == Visit::Next
-                })?;
-                if skip {
-                    let end = plan.row_end(lo);
-                    while i < runs.len() && runs[i].0 <= end {
-                        i += 1;
-                    }
-                } else if !done {
-                    return Ok(false);
-                } else {
+        if !self.olc_enabled() {
+            return self.scan_plan_relaxed(plan, visit, checkpoint);
+        }
+        let runs = plan.runs();
+        // The fused descent-path cache validates each cached level's
+        // version in isolation — there is no parent-after-child
+        // handshake — which is only sound while writers are excluded.
+        // Under the OLC write path each run walks the strict
+        // frontier-validated chain scan instead (one descent per run;
+        // the cache saving and the out-of-run emission are forgone).
+        let mut i = 0usize;
+        while i < runs.len() {
+            if !checkpoint() {
+                return Ok(false);
+            }
+            let (lo, hi) = runs[i];
+            let mut skip = false;
+            let done = self.range_scan_leaves_olc(lo, hi, |k, v| {
+                let verdict = visit(k, v);
+                skip = verdict == Visit::SkipRow;
+                verdict == Visit::Next
+            })?;
+            if skip {
+                let end = plan.row_end(lo);
+                while i < runs.len() && runs[i].0 <= end {
                     i += 1;
                 }
+            } else if !done {
+                return Ok(false);
+            } else {
+                i += 1;
             }
-            return Ok(true);
         }
+        Ok(true)
+    }
+
+    /// The relaxed (writers-excluded) body of [`BTree::scan_plan_leaves`]:
+    /// leaves are read from lock-free versioned snapshots when published
+    /// and from the locked page otherwise, and once entries have reached
+    /// the visitor the walk never restarts. Exact while writers are
+    /// excluded — by `&mut self` / the shard lock with OLC off, by the
+    /// drained gate when the OLC chain scan escalates to it.
+    fn scan_plan_relaxed(
+        &self,
+        plan: &ScanPlan,
+        visit: &mut dyn FnMut(u128, V) -> Visit,
+        checkpoint: &mut dyn FnMut() -> bool,
+    ) -> Result<bool, IoFault> {
+        let (runs, rows) = (plan.runs(), plan.rows());
         let vsize = Self::vsize();
         let mut path: Vec<PathLevel> = (1..self.height()).map(|_| PathLevel::default()).collect();
         // `i`: first run not yet consumed; `r`: first row reaching the

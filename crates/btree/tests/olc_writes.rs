@@ -27,8 +27,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use peb_btree::BTree;
-use peb_common::sched;
+use peb_btree::{BTree, OlcStats, ScanPlan, ScanTermination, Visit, OPT_MAX_RESTARTS};
+use peb_common::{sched, Deadline};
 use peb_storage::BufferPool;
 
 /// The sched hooks (injector flag, gates) are process-global; every test
@@ -549,4 +549,75 @@ fn latch_conflict_escalates_and_both_writers_land() {
     );
     tree.validate().expect("valid after contention");
     assert_eq!(tree.len(), 255 + 85 + 2);
+}
+
+/// The strict chain scan never faults a page in — an unpublished page is
+/// a restart — so on a pool too small to keep the leaf chain published
+/// it walks as far as the published pages reach, burns its restart
+/// budget on the first unpublished sibling and escalates: writers are
+/// drained and the relaxed walk finishes from the frontier.
+/// Deterministic on one thread. The scan must emit exactly the model's
+/// keys in order — nothing before the frontier twice, nothing after it
+/// missed — for a range starting mid-leaf, and for a plan whose visitor
+/// answers `SkipRow` from inside the escalated walk.
+#[test]
+fn chain_scan_escalates_once_and_resumes_exactly_at_its_frontier() {
+    let model = |lo: u128, hi: u128| -> Vec<u128> {
+        (0..900u128).map(|k| k * 4).filter(|k| (lo..=hi).contains(k)).collect()
+    };
+    for cap in 1..=4usize {
+        let mut tree: BTree<u64> = BTree::new(Arc::new(BufferPool::new(cap)));
+        for k in 0..900u128 {
+            tree.insert(k * 4, k as u64);
+        }
+        assert_eq!((tree.height(), tree.leaf_page_count()), (2, 10));
+        tree.set_olc_writes(true);
+        let escalations = || tree.olc_stats().scan_escalations;
+        // `(restarts, escalations)` spent since `since`.
+        let spent = |since: OlcStats| {
+            let now = tree.olc_stats();
+            (now.scan_restarts - since.scan_restarts, now.scan_escalations - since.scan_escalations)
+        };
+
+        // A strict point read escalates too, and its gated locked read
+        // publishes the root and the leaf holding 402 (which spans
+        // 340..=676): with two frames or more the scan below starts on
+        // published pages and gets stuck at that leaf's sibling.
+        assert_eq!(tree.get(402), None);
+        let before = tree.olc_stats();
+        let (mut got, mut strict) = (Vec::new(), 0usize);
+        let done = tree.try_range_scan(402, 3_001, |k, v| {
+            assert_eq!(v as u128 * 4, k);
+            strict += usize::from(escalations() == before.scan_escalations);
+            got.push(k);
+            true
+        });
+        assert!(done.unwrap());
+        assert_eq!(got, model(402, 3_001), "cap {cap}");
+        assert_eq!(spent(before), (OPT_MAX_RESTARTS as u64, 1), "cap {cap}");
+        if cap >= 2 {
+            assert_eq!(strict, model(402, 676).len(), "cap {cap}: the start leaf came strict");
+        }
+
+        // Two runs in one row; the visitor has enough at 800 — a key of
+        // the third leaf, so the verdict is given to the escalated walk —
+        // and the row's second run must be dropped unread.
+        assert_eq!(tree.get(402), None);
+        let before = tree.olc_stats();
+        let plan = ScanPlan::new(vec![(402, 1_000), (2_000, 2_400)], vec![(0, 3_599)]);
+        let unbounded = Deadline::unbounded(tree.pool().clock());
+        let mut got = Vec::new();
+        let term = tree.try_scan_plan(&plan, &unbounded, |k, _| {
+            got.push(k);
+            if k >= 800 {
+                assert_eq!(escalations(), before.scan_escalations + 1);
+                Visit::SkipRow
+            } else {
+                Visit::Next
+            }
+        });
+        assert_eq!(term.unwrap(), ScanTermination::Complete, "a skip is not a stop");
+        assert_eq!(got, model(402, 800), "cap {cap}");
+        assert_eq!(spent(before), (OPT_MAX_RESTARTS as u64, 1), "cap {cap}");
+    }
 }

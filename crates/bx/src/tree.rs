@@ -1,21 +1,31 @@
 //! The Bx-tree proper: a [`ShardedMovingIndex`] with the Bx key layout,
 //! plus the privacy-unaware range and kNN query algorithms.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use peb_common::{MovingPoint, Point, Rect, SpaceConfig, Timestamp, UserId};
-use peb_index::{IndexError, IndexStats, ShardedMovingIndex, TimePartitioning};
+use peb_index::{IndexError, ShardedMovingIndex, TimePartitioning};
 use peb_storage::BufferPool;
 use peb_zorder::{coarsen, decompose, IntervalSet};
 
 use crate::keys::BxKeyLayout;
 
-/// A B+-tree based moving-object index: the update/storage machinery is
-/// the shared [`ShardedMovingIndex`] (one tree per rotating time
-/// partition); this type adds the Bx query algorithms.
+/// A B+-tree based moving-object index: the shared [`ShardedMovingIndex`]
+/// (one tree per rotating time partition) under the Bx key layout. Updates,
+/// lookups, stats and scans are the index's own methods, reached through
+/// `Deref` (immutably only: the layout is fixed at construction); this type
+/// adds the layout-binding constructors and the Bx query algorithms.
 pub struct BxTree {
     idx: ShardedMovingIndex<BxKeyLayout>,
+}
+
+impl std::ops::Deref for BxTree {
+    type Target = ShardedMovingIndex<BxKeyLayout>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.idx
+    }
 }
 
 impl BxTree {
@@ -29,74 +39,6 @@ impl BxTree {
     ) -> Self {
         let layout = BxKeyLayout::new(space.grid_bits);
         BxTree { idx: ShardedMovingIndex::new(pool, layout, space, part, max_speed) }
-    }
-
-    /// Switch the write path between whole-shard exclusion (off, the
-    /// default) and optimistic lock coupling (on): same-partition
-    /// refreshes and removals run under the shard read lock with
-    /// per-page latches, overlapping concurrent queries (see
-    /// [`ShardedMovingIndex::set_olc_writes`]). Results are identical.
-    pub fn set_olc_writes(&mut self, enabled: bool) {
-        self.idx.set_olc_writes(enabled);
-    }
-
-    /// Whether OLC writes are active.
-    pub fn olc_writes(&self) -> bool {
-        self.idx.olc_writes()
-    }
-
-    /// OLC contention counters summed across partitions (restarts and
-    /// gate escalations; see [`peb_btree::OlcStats`]).
-    pub fn olc_stats(&self) -> peb_btree::OlcStats {
-        self.idx.olc_stats()
-    }
-
-    /// Switch write-ahead logging on or off (see
-    /// [`ShardedMovingIndex::set_durable`]): on enrollment every
-    /// partition tree is registered in the log and an initial checkpoint
-    /// makes the current state the recovery floor.
-    pub fn set_durable(&mut self, on: bool) {
-        self.idx.set_durable(on);
-    }
-
-    /// Whether mutations are write-ahead logged.
-    pub fn is_durable(&self) -> bool {
-        self.idx.is_durable()
-    }
-
-    /// Take a fuzzy checkpoint ([`ShardedMovingIndex::checkpoint`]);
-    /// returns the number of pages flushed (0 when not durable).
-    pub fn checkpoint(&self) -> usize {
-        self.idx.checkpoint()
-    }
-
-    /// Cumulative committed mutation calls (0 while not durable).
-    pub fn committed_ops(&self) -> u64 {
-        self.idx.committed_ops()
-    }
-
-    /// Rebuild a Bx-tree from a recovered pool after a crash (see
-    /// [`ShardedMovingIndex::recover`]).
-    pub fn recover(
-        pool: Arc<BufferPool>,
-        recovery: &peb_storage::WalRecovery,
-        space: SpaceConfig,
-        part: TimePartitioning,
-        max_speed: f64,
-    ) -> Self {
-        let layout = BxKeyLayout::new(space.grid_bits);
-        BxTree { idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed) }
-    }
-
-    /// Deterministic scan-path counters summed across shard trees (see
-    /// [`peb_btree::ScanStats`]).
-    pub fn scan_stats(&self) -> peb_btree::ScanStats {
-        self.idx.scan_stats()
-    }
-
-    /// Zero the scan-path counters (measurement windows).
-    pub fn reset_scan_stats(&self) {
-        self.idx.reset_scan_stats()
     }
 
     /// Bulk-load an initial user population (each user must appear once).
@@ -116,123 +58,36 @@ impl BxTree {
         }
     }
 
-    /// The shared moving-object index core.
+    /// Rebuild a Bx-tree from a recovered pool after a crash (see
+    /// [`ShardedMovingIndex::recover`]).
+    pub fn recover(
+        pool: Arc<BufferPool>,
+        recovery: &peb_storage::WalRecovery,
+        space: SpaceConfig,
+        part: TimePartitioning,
+        max_speed: f64,
+    ) -> Self {
+        let layout = BxKeyLayout::new(space.grid_bits);
+        BxTree { idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed) }
+    }
+
+    /// Switch the write path between whole-shard exclusion and optimistic
+    /// lock coupling ([`ShardedMovingIndex::set_olc_writes`]). Kept here
+    /// because it needs `&mut self` and the handle derefs immutably only.
+    pub fn set_olc_writes(&mut self, enabled: bool) {
+        self.idx.set_olc_writes(enabled);
+    }
+
+    /// Switch write-ahead logging on or off
+    /// ([`ShardedMovingIndex::set_durable`]); `&mut self`, so kept here
+    /// like [`BxTree::set_olc_writes`].
+    pub fn set_durable(&mut self, on: bool) {
+        self.idx.set_durable(on);
+    }
+
+    /// The shared moving-object index core (what the handle derefs to).
     pub fn index(&self) -> &ShardedMovingIndex<BxKeyLayout> {
         &self.idx
-    }
-
-    /// The space configuration keys are quantized against.
-    pub fn space(&self) -> &SpaceConfig {
-        self.idx.space()
-    }
-
-    /// The rotating time-partitioning parameters.
-    pub fn partitioning(&self) -> &TimePartitioning {
-        self.idx.partitioning()
-    }
-
-    /// The declared maximum object speed (drives query enlargement).
-    pub fn max_speed(&self) -> f64 {
-        self.idx.max_speed()
-    }
-
-    /// Objects currently indexed.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether no object is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// The buffer pool all partitions perform I/O through.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        self.idx.pool()
-    }
-
-    /// Locking counters of the shared pool: optimistic hits vs shard-mutex
-    /// acquisitions on the read path (see [`peb_storage::LockStats`]).
-    pub fn lock_stats(&self) -> peb_storage::LockStats {
-        self.idx.lock_stats()
-    }
-
-    /// Number of leaf pages, `Nl` in the paper's cost model.
-    pub fn leaf_page_count(&self) -> usize {
-        self.idx.leaf_page_count()
-    }
-
-    /// O(1) diagnostics: B+-tree shape, live partitions, object count.
-    pub fn stats(&self) -> IndexStats {
-        self.idx.stats()
-    }
-
-    /// The Bx key an object updated at `m.t_update` is indexed under.
-    pub fn key_for(&self, m: &MovingPoint) -> u128 {
-        self.idx.key_for(m)
-    }
-
-    /// Insert or update an object (an update is an exact delete of the old
-    /// key followed by an insert, as in the Bx-tree).
-    pub fn upsert(&mut self, m: MovingPoint) {
-        self.idx.upsert(m);
-    }
-
-    /// Fallible twin of [`BxTree::upsert`]: an unresolvable media fault
-    /// surfaces as [`IndexError::Io`] instead of panicking (see
-    /// [`ShardedMovingIndex::try_upsert`] for the partial-state contract
-    /// on `Err`).
-    pub fn try_upsert(&mut self, m: MovingPoint) -> Result<(), IndexError> {
-        self.idx.try_upsert(m)
-    }
-
-    /// Apply a batch of updates: grouped by target partition, each group
-    /// merged into its partition's leaves as one sorted run. Takes `&self`
-    /// — batches bound for different partitions may be applied from
-    /// different threads concurrently (see
-    /// [`ShardedMovingIndex::upsert_batch`]). Returns the number of
-    /// distinct objects applied.
-    pub fn upsert_batch(&self, updates: &[MovingPoint]) -> usize {
-        self.idx.upsert_batch(updates)
-    }
-
-    /// Remove an object entirely.
-    pub fn remove(&mut self, uid: UserId) -> bool {
-        self.idx.remove(uid)
-    }
-
-    /// Fallible twin of [`BxTree::remove`]: an unresolvable media fault
-    /// surfaces as [`IndexError::Io`] instead of panicking.
-    pub fn try_remove(&mut self, uid: UserId) -> Result<bool, IndexError> {
-        self.idx.try_remove(uid)
-    }
-
-    /// Fetch an object's current record by id (point lookup through disk).
-    pub fn get(&self, uid: UserId) -> Option<MovingPoint> {
-        self.idx.get(uid)
-    }
-
-    /// Fallible twin of [`BxTree::get`]: an unresolvable media fault
-    /// surfaces as [`IndexError::Io`] instead of panicking.
-    pub fn try_get(&self, uid: UserId) -> Result<Option<MovingPoint>, IndexError> {
-        self.idx.try_get(uid)
-    }
-
-    /// The live `(tid, label timestamp)` pairs, sorted by tid.
-    pub fn live_partitions(&self) -> Vec<(u8, Timestamp)> {
-        self.idx.live_partitions()
-    }
-
-    /// Bx query-window enlargement (Fig 2 of the paper).
-    pub fn enlarge(&self, r: &Rect, t_lab: Timestamp, tq: Timestamp) -> Rect {
-        self.idx.enlarge(r, t_lab, tq)
-    }
-
-    /// Garbage-collect expired partitions; see
-    /// [`ShardedMovingIndex::expire_stale`]. Each stale partition's whole
-    /// shard tree is dropped in O(1).
-    pub fn expire_stale(&mut self, now: Timestamp) -> usize {
-        self.idx.expire_stale(now)
     }
 
     /// Privacy-unaware predictive range query: all objects whose predicted
@@ -265,9 +120,9 @@ impl BxTree {
         tq: Timestamp,
         mut f: impl FnMut(u8, peb_zorder::ZRange),
     ) {
-        let space = self.idx.space();
-        let budget = peb_costmodel::interval_budget(self.idx.len(), self.idx.leaf_page_count());
-        for (tid, t_lab) in self.idx.live_partitions() {
+        let space = self.space();
+        let budget = peb_costmodel::interval_budget(self.len(), self.leaf_page_count());
+        for (tid, t_lab) in self.live_partitions() {
             let enlarged = self.enlarge(r, t_lab, tq);
             let (x0, x1, y0, y1) = space.to_grid_rect(&enlarged);
             for zr in coarsen(decompose(x0, x1, y0, y1, space.grid_bits), budget) {
@@ -283,14 +138,8 @@ impl BxTree {
     /// interval set — partitions × Z-ranges — executes as one coalesced
     /// multi-interval scan ([`ShardedMovingIndex::try_scan_keys_multi`]:
     /// one descent plus a leaf-chain walk per partition), so candidates
-    /// include the coarsened-in extras every caller refines away.
-    pub fn for_each_candidate(&self, r: &Rect, tq: Timestamp, f: impl FnMut(MovingPoint)) {
-        self.try_for_each_candidate(r, tq, f)
-            .unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"));
-    }
-
-    /// Fallible twin of [`BxTree::for_each_candidate`]: an unresolvable
-    /// media fault surfaces as [`IndexError::Io`] instead of panicking
+    /// include the coarsened-in extras every caller refines away. An
+    /// unresolvable media fault surfaces as [`IndexError::Io`]
     /// (candidates already handed to `f` stay delivered).
     pub fn try_for_each_candidate(
         &self,
@@ -298,39 +147,26 @@ impl BxTree {
         tq: Timestamp,
         mut f: impl FnMut(MovingPoint),
     ) -> Result<(), IndexError> {
-        let layout = *self.idx.layout();
+        let layout = *self.layout();
         let mut intervals: Vec<(u128, u128)> = Vec::new();
         self.for_each_fused_zrange(r, tq, |tid, zr| {
             intervals.push((layout.range_start(tid, zr.lo), layout.range_end(tid, zr.hi)));
         });
-        self.idx.try_scan_keys_multi(&intervals, |_, rec| {
+        self.try_scan_keys_multi(&intervals, |_, rec| {
             f(rec.to_moving_point());
             true
         })?;
         Ok(())
     }
 
-    /// Incremental variant for iterative enlargement (the kNN loops): scan
+    /// Incremental variant for iterative enlargement (the kNN loop): scan
     /// only the Z-interval parts not yet covered by `scanned` (one
     /// [`IntervalSet`] per time partition), so consecutive rounds search
     /// `R'_qi − R'_q(i−1)` as in the paper instead of rescanning the whole
-    /// window.
-    pub fn for_each_new_candidate(
-        &self,
-        r: &Rect,
-        tq: Timestamp,
-        scanned: &mut HashMap<u8, IntervalSet>,
-        f: impl FnMut(MovingPoint),
-    ) {
-        self.try_for_each_new_candidate(r, tq, scanned, f)
-            .unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"));
-    }
-
-    /// Fallible twin of [`BxTree::for_each_new_candidate`]: an
-    /// unresolvable media fault surfaces as [`IndexError::Io`] instead of
-    /// panicking. Intervals recorded in `scanned` before the fault stay
-    /// recorded — a retried round rescans only what the failed round had
-    /// not yet covered.
+    /// window. An unresolvable media fault surfaces as [`IndexError::Io`];
+    /// intervals recorded in `scanned` before the fault stay recorded — a
+    /// retried round rescans only what the failed round had not yet
+    /// covered.
     pub fn try_for_each_new_candidate(
         &self,
         r: &Rect,
@@ -338,9 +174,9 @@ impl BxTree {
         scanned: &mut HashMap<u8, IntervalSet>,
         mut f: impl FnMut(MovingPoint),
     ) -> Result<(), IndexError> {
-        let layout = *self.idx.layout();
+        let layout = *self.layout();
         // One multi-interval scan over every partition's fresh flanks
-        // (coarsened like `for_each_candidate`; the covered bookkeeping
+        // (coarsened like `try_for_each_candidate`; the covered bookkeeping
         // keeps later rounds from rescanning the extras).
         let mut intervals: Vec<(u128, u128)> = Vec::new();
         self.for_each_fused_zrange(r, tq, |tid, zr| {
@@ -349,17 +185,11 @@ impl BxTree {
                 intervals.push((layout.range_start(tid, zlo), layout.range_end(tid, zhi)));
             }
         });
-        self.idx.try_scan_keys_multi(&intervals, |_, rec| {
+        self.try_scan_keys_multi(&intervals, |_, rec| {
             f(rec.to_moving_point());
             true
         })?;
         Ok(())
-    }
-
-    /// Tao et al.'s estimate of the distance to the k'th nearest neighbor
-    /// among `n` uniform objects, scaled to the space side length.
-    pub fn estimated_knn_distance(&self, k: usize, n: usize) -> f64 {
-        estimated_knn_distance(k, n, self.idx.space().side)
     }
 
     /// Privacy-unaware predictive kNN: iteratively enlarged range queries
@@ -370,44 +200,66 @@ impl BxTree {
 
     /// Fallible twin of [`BxTree::knn`]: an unresolvable media fault
     /// anywhere in the enlargement rounds surfaces as [`IndexError::Io`]
-    /// instead of panicking.
+    /// instead of panicking. Only objects inside the final circle count.
     pub fn try_knn(
         &self,
         q: Point,
         k: usize,
         tq: Timestamp,
     ) -> Result<Vec<(MovingPoint, f64)>, IndexError> {
-        if k == 0 || self.idx.is_empty() {
-            return Ok(Vec::new());
+        let (mut hits, radius) = self.try_knn_where(q, k, tq, |_, _| true)?;
+        hits.retain(|(_, d)| *d <= radius);
+        Ok(hits)
+    }
+
+    /// The kNN ring loop (Sec 2.1), shared by [`BxTree::try_knn`] and the
+    /// filtering baseline's PkNN: enlarge the window ring by ring, scanning
+    /// only the newly uncovered flanks, until `k` candidates that pass
+    /// `keep(candidate, its position at tq)` fall inside the window's
+    /// inscribed circle. `keep` runs once per object. Returns the `k`
+    /// nearest kept candidates `(object, distance)`, nearest first, and the
+    /// radius the search stopped at — results beyond it are possible only
+    /// when the search ran out of space with fewer than `k` in the circle.
+    pub fn try_knn_where(
+        &self,
+        q: Point,
+        k: usize,
+        tq: Timestamp,
+        mut keep: impl FnMut(&MovingPoint, &Point) -> bool,
+    ) -> Result<(Vec<(MovingPoint, f64)>, f64), IndexError> {
+        if k == 0 || self.is_empty() {
+            return Ok((Vec::new(), 0.0));
         }
-        let n = self.idx.len();
+        let space = self.space();
         // The ring step r_q = D_k/k of the paper can be a fraction of a grid
         // cell; flooring it at a few cells bounds the number of enlargement
         // rounds without affecting correctness (an implementation parameter
         // the paper leaves open).
-        let rq = (self.estimated_knn_distance(k, n) / k as f64)
-            .max(self.idx.space().cell_size() * KNN_STEP_FLOOR_CELLS);
+        let rq = (estimated_knn_distance(k, self.len(), space.side) / k as f64)
+            .max(space.cell_size() * KNN_STEP_FLOOR_CELLS);
         // Objects may drift past the space bounds between updates, so the
         // terminal radius allows a generous margin beyond the diagonal.
-        let max_radius = self.idx.space().side * 4.0;
+        let max_radius = space.side * 4.0;
 
-        // Candidates accumulate across rounds; each round only scans the
-        // newly uncovered ring.
+        // Candidates and their `keep` verdicts accumulate across rounds;
+        // each round only scans the newly uncovered ring.
         let mut scanned: HashMap<u8, IntervalSet> = HashMap::new();
-        let mut seen: HashMap<UserId, (MovingPoint, f64)> = HashMap::new();
+        let mut seen: HashSet<UserId> = HashSet::new();
+        let mut kept: Vec<(MovingPoint, f64)> = Vec::new();
         let mut radius = rq;
         loop {
             let window = Rect::square(q, 2.0 * radius);
             self.try_for_each_new_candidate(&window, tq, &mut scanned, |m| {
-                let d = m.position_at(tq).dist(&q);
-                seen.entry(m.uid).or_insert((m, d));
+                let pos = m.position_at(tq);
+                if seen.insert(m.uid) && keep(&m, &pos) {
+                    kept.push((m, pos.dist(&q)));
+                }
             })?;
-            let mut hits: Vec<(MovingPoint, f64)> =
-                seen.values().filter(|(_, d)| *d <= radius).cloned().collect();
-            if hits.len() >= k || radius >= max_radius {
-                hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.uid.cmp(&b.0.uid)));
-                hits.truncate(k);
-                return Ok(hits);
+            let in_circle = kept.iter().filter(|(_, d)| *d <= radius).count();
+            if in_circle >= k || radius >= max_radius {
+                kept.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.uid.cmp(&b.0.uid)));
+                kept.truncate(k);
+                return Ok((kept, radius));
             }
             radius += rq;
         }
@@ -444,7 +296,7 @@ mod tests {
 
     #[test]
     fn insert_and_point_lookup() {
-        let mut t = tree(64);
+        let t = tree(64);
         t.upsert(still(1, 100.0, 100.0, 0.0));
         t.upsert(still(2, 500.0, 500.0, 0.0));
         assert_eq!(t.len(), 2);
@@ -455,7 +307,7 @@ mod tests {
 
     #[test]
     fn upsert_replaces_old_position() {
-        let mut t = tree(64);
+        let t = tree(64);
         t.upsert(still(1, 100.0, 100.0, 0.0));
         t.upsert(still(1, 800.0, 800.0, 10.0));
         assert_eq!(t.len(), 1, "update must not duplicate the object");
@@ -467,7 +319,7 @@ mod tests {
 
     #[test]
     fn remove_deletes_object() {
-        let mut t = tree(64);
+        let t = tree(64);
         t.upsert(still(1, 100.0, 100.0, 0.0));
         assert!(t.remove(UserId(1)));
         assert!(!t.remove(UserId(1)));
@@ -476,7 +328,7 @@ mod tests {
 
     #[test]
     fn static_range_query_exact() {
-        let mut t = tree(128);
+        let t = tree(128);
         for i in 0..20u64 {
             t.upsert(still(i, 50.0 * i as f64 + 25.0, 500.0, 0.0));
         }
@@ -490,7 +342,7 @@ mod tests {
 
     #[test]
     fn moving_object_found_at_predicted_position() {
-        let mut t = tree(64);
+        let t = tree(64);
         // Moving right at speed 2 from x=100: at tq=50 it is at x=200.
         let m = MovingPoint::new(UserId(1), Point::new(100.0, 500.0), Vec2::new(2.0, 0.0), 0.0);
         t.upsert(m);
@@ -514,7 +366,7 @@ mod tests {
 
     #[test]
     fn objects_in_different_partitions_are_all_found() {
-        let mut t = tree(128);
+        let t = tree(128);
         // Updates in three different phases land in three partitions.
         t.upsert(still(1, 100.0, 100.0, 10.0));
         t.upsert(still(2, 110.0, 110.0, 70.0));
@@ -526,7 +378,7 @@ mod tests {
 
     #[test]
     fn knn_basics() {
-        let mut t = tree(128);
+        let t = tree(128);
         for i in 0..50u64 {
             t.upsert(still(i, 20.0 * i as f64 + 10.0, 500.0, 0.0));
         }
@@ -540,7 +392,7 @@ mod tests {
 
     #[test]
     fn knn_with_fewer_objects_than_k() {
-        let mut t = tree(64);
+        let t = tree(64);
         t.upsert(still(1, 100.0, 100.0, 0.0));
         t.upsert(still(2, 200.0, 200.0, 0.0));
         let res = t.knn(Point::new(0.0, 0.0), 5, 1.0);
@@ -561,7 +413,7 @@ mod tests {
 
     #[test]
     fn query_io_is_measured_through_pool() {
-        let mut t = tree(8);
+        let t = tree(8);
         for i in 0..5_000u64 {
             t.upsert(still(i, (i % 100) as f64 * 10.0 + 5.0, (i / 100) as f64 * 19.0 + 5.0, 0.0));
         }
@@ -585,7 +437,7 @@ mod tests {
         // before the leg was deleted.
         const PER_INTERVAL_LOGICAL_READS: u64 = 42_173;
         const PER_INTERVAL_DESCENTS: u64 = 14_041;
-        let mut t = tree(256);
+        let t = tree(256);
         let mut objs = Vec::new();
         for i in 0..600u64 {
             let tu = if i % 3 == 0 { 70.0 } else { 10.0 }; // two partitions
@@ -629,7 +481,7 @@ mod tests {
     #[test]
     fn expire_removes_only_stale_partitions() {
         let space = SpaceConfig::new(1000.0, 10, 1440.0);
-        let mut t =
+        let t =
             BxTree::new(Arc::new(BufferPool::new(64)), space, TimePartitioning::new(120.0, 2), 3.0);
         // u1 updated at t=10 -> label 120; u2 updated at t=130 -> label 240.
         t.upsert(MovingPoint::new(UserId(1), Point::new(100.0, 100.0), Vec2::ZERO, 10.0));
@@ -651,7 +503,7 @@ mod tests {
     #[test]
     fn expiry_does_not_unlink_freshly_updated_objects() {
         let space = SpaceConfig::new(1000.0, 10, 1440.0);
-        let mut t =
+        let t =
             BxTree::new(Arc::new(BufferPool::new(64)), space, TimePartitioning::new(120.0, 2), 3.0);
         t.upsert(MovingPoint::new(UserId(1), Point::new(100.0, 100.0), Vec2::ZERO, 10.0));
         // u1 updates in time: moves to the label-240 partition.
@@ -686,7 +538,7 @@ mod proptests {
             tq_off in 0u32..120,
         ) {
             let space = SpaceConfig::new(1000.0, 10, 1440.0);
-            let mut t = BxTree::new(
+            let t = BxTree::new(
                 Arc::new(BufferPool::new(256)),
                 space,
                 TimePartitioning::default(),
@@ -724,7 +576,7 @@ mod proptests {
             k in 1usize..6,
         ) {
             let space = SpaceConfig::new(1000.0, 10, 1440.0);
-            let mut t = BxTree::new(
+            let t = BxTree::new(
                 Arc::new(BufferPool::new(256)),
                 space,
                 TimePartitioning::default(),

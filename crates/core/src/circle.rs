@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn circle_excludes_bounding_square_corners() {
-        let mut t = build(4);
+        let t = build(4);
         t.upsert(still(1, 500.0, 500.0)); // center
         t.upsert(still(2, 570.0, 500.0)); // inside circle (d = 70)
         t.upsert(still(3, 565.0, 565.0)); // corner of square, d ≈ 92 > 80
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn zero_radius_matches_exact_position_only() {
-        let mut t = build(2);
+        let t = build(2);
         t.upsert(still(1, 500.0, 500.0));
         t.upsert(still(2, 500.25, 500.0));
         let got = t.pwd(UserId(0), Point::new(500.0, 500.0), 0.0, 10.0);
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn matches_oracle_on_small_world() {
-        let mut t = build(30);
+        let t = build(30);
         let mut users = Vec::new();
         for i in 1..=30u64 {
             let m = MovingPoint::new(

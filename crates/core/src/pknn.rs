@@ -314,7 +314,7 @@ mod tests {
             };
             store.add(UserId(1), Policy::new(UserId(f), RoleId::FRIEND, locr, tint));
         }
-        let mut t = build(store, 131);
+        let t = build(store, 131);
         t.upsert(still(1, 500.0, 500.0));
         t.upsert(still(100, 505.0, 505.0)); // nearest friend, unwilling
         t.upsert(still(12, 600.0, 600.0)); // willing friend, farther
@@ -334,7 +334,7 @@ mod tests {
         for f in 1..=10u64 {
             store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 11);
+        let t = build(store, 11);
         for f in 1..=10u64 {
             t.upsert(still(f, 500.0 + 10.0 * f as f64, 500.0));
         }
@@ -347,7 +347,7 @@ mod tests {
     fn fewer_qualified_than_k() {
         let mut store = PolicyStore::new();
         store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
-        let mut t = build(store, 3);
+        let t = build(store, 3);
         t.upsert(still(1, 100.0, 100.0));
         t.upsert(still(2, 105.0, 105.0)); // non-friend
         let res = t.pknn(UserId(0), Point::new(0.0, 0.0), 5, 10.0);
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn no_friends_no_io() {
-        let mut t = build(PolicyStore::new(), 3);
+        let t = build(PolicyStore::new(), 3);
         t.upsert(still(1, 100.0, 100.0));
         let pool = Arc::clone(t.pool());
         pool.clear();
@@ -374,7 +374,7 @@ mod tests {
         for f in 1..=20u64 {
             store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 21);
+        let t = build(store, 21);
         for f in 1..=20u64 {
             t.upsert(still(f, 500.0 + 11.0 * f as f64, 480.0 + 7.0 * f as f64));
         }
@@ -401,7 +401,7 @@ mod tests {
         for f in 1..=40u64 {
             store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 41);
+        let t = build(store, 41);
         let mut indexed = Vec::new();
         for f in 1..=40u64 {
             let m = still(f, (f as f64 * 173.0) % 1000.0, (f as f64 * 59.0) % 1000.0);
@@ -440,7 +440,7 @@ mod tests {
         for f in 1..=30u64 {
             store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 31);
+        let t = build(store, 31);
         for f in 1..=30u64 {
             t.upsert(still(f, (f as f64 * 173.0) % 1000.0, (f as f64 * 59.0) % 1000.0));
         }
@@ -466,7 +466,7 @@ mod tests {
             let locr = Rect::new(0.0, 1000.0 - 20.0 * f as f64, 0.0, 1000.0);
             store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, locr, ALWAYS));
         }
-        let mut t = build(store, 31);
+        let t = build(store, 31);
         for f in 1..=30u64 {
             t.upsert(still(f, (f as f64 * 173.0) % 1000.0, (f as f64 * 59.0) % 1000.0));
         }
@@ -512,7 +512,7 @@ mod tests {
         // that do not qualify must not drown out the one far friend.
         let mut store = PolicyStore::new();
         store.add(UserId(0), Policy::new(UserId(999), RoleId::FRIEND, WHOLE, ALWAYS));
-        let mut t = build(store, 1_001);
+        let t = build(store, 1_001);
         for i in 1..400u64 {
             let angle = i as f64 * 0.1;
             t.upsert(still(i, 500.0 + 20.0 * angle.cos(), 500.0 + 20.0 * angle.sin()));

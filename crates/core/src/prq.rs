@@ -184,7 +184,7 @@ mod tests {
         for o in [1u64, 2] {
             store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 4);
+        let t = build(store, 4);
         t.upsert(still(1, 100.0, 100.0)); // friend, in range
         t.upsert(still(2, 900.0, 900.0)); // friend, out of range
         t.upsert(still(3, 105.0, 105.0)); // non-friend, in range
@@ -205,7 +205,7 @@ mod tests {
                 TimeInterval::new(0.0, 100.0),
             ),
         );
-        let mut t = build(store, 2);
+        let t = build(store, 2);
         t.upsert(still(1, 100.0, 100.0));
         let window = Rect::new(0.0, 300.0, 0.0, 300.0);
         assert_eq!(t.prq(UserId(0), &window, 50.0).len(), 1, "inside locr and tint");
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn empty_friend_list_short_circuits() {
-        let mut t = build(PolicyStore::new(), 3);
+        let t = build(PolicyStore::new(), 3);
         t.upsert(still(1, 100.0, 100.0));
         t.upsert(still(2, 110.0, 110.0));
         let pool = Arc::clone(t.pool());
@@ -232,7 +232,7 @@ mod tests {
     fn moving_friend_found_at_predicted_position() {
         let mut store = PolicyStore::new();
         store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
-        let mut t = build(store, 2);
+        let t = build(store, 2);
         // u1 moves right at speed 2 from x = 100; at tq = 50 it is at 200.
         t.upsert(MovingPoint::new(UserId(1), Point::new(100.0, 500.0), Vec2::new(2.0, 0.0), 0.0));
         let hit = t.prq(UserId(0), &Rect::new(180.0, 220.0, 480.0, 520.0), 50.0);
@@ -251,7 +251,7 @@ mod tests {
         for o in 1..40u64 {
             store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 40);
+        let t = build(store, 40);
         for o in 1..40u64 {
             t.upsert(still(o, (o as f64 * 131.0) % 1000.0, (o as f64 * 47.0) % 1000.0));
         }
@@ -284,7 +284,7 @@ mod tests {
         for o in 1..80u64 {
             store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 80);
+        let t = build(store, 80);
         let mut indexed = Vec::new();
         for o in 1..80u64 {
             let m = still(o, (o as f64 * 131.0) % 1000.0, (o as f64 * 47.0) % 1000.0);
@@ -334,7 +334,7 @@ mod tests {
                 TimeInterval::new(0.0, 1000.0),
             ),
         );
-        let mut t = build(store, 4);
+        let t = build(store, 4);
         let groups = t.context().friend_sv_groups(UserId(0));
         assert_eq!(groups.len(), 2, "distinct policies must map to distinct SV groups");
         // One friend per rotation phase → two live partitions.
@@ -377,7 +377,7 @@ mod tests {
         for o in 1..60u64 {
             store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 60);
+        let t = build(store, 60);
         for o in 1..60u64 {
             let tu = if o % 2 == 0 { 10.0 } else { 70.0 }; // two live partitions
             t.upsert(MovingPoint::new(
@@ -403,7 +403,7 @@ mod tests {
         for o in 1..60u64 {
             store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
         }
-        let mut t = build(store, 60);
+        let t = build(store, 60);
         for o in 1..60u64 {
             let tu = if o % 2 == 0 { 10.0 } else { 70.0 };
             t.upsert(MovingPoint::new(
@@ -454,7 +454,7 @@ mod tests {
         // Mutual grants between 0 and 1 so both have friend lists.
         store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
         store.add(UserId(1), Policy::new(UserId(0), RoleId::FRIEND, WHOLE, ALWAYS));
-        let mut t = build(store, 2);
+        let t = build(store, 2);
         t.upsert(still(0, 100.0, 100.0));
         t.upsert(still(1, 101.0, 101.0));
         let got = t.prq(UserId(0), &WHOLE, 10.0);

@@ -15,8 +15,8 @@
 
 use std::sync::Arc;
 
-use peb_common::{MovingPoint, Rect, SpaceConfig, Timestamp, UserId};
-use peb_index::{IndexError, IndexStats, KeyLayout, ShardedMovingIndex, TimePartitioning};
+use peb_common::{MovingPoint, SpaceConfig, UserId};
+use peb_index::{IndexStats, KeyLayout, ShardedMovingIndex, TimePartitioning};
 use peb_storage::BufferPool;
 
 use crate::context::PrivacyContext;
@@ -47,9 +47,23 @@ impl KeyLayout for PebIndexLayout {
     }
 }
 
-/// The Policy-Embedded Bx-tree.
+/// The Policy-Embedded Bx-tree: the shared index under the PEB key layout.
+/// Updates, lookups, stats and scans are the index's own methods, reached
+/// through `Deref`; this type adds the layout-binding constructors, the
+/// privacy context and the query algorithms. The deref is immutable only:
+/// [`ShardedMovingIndex::layout_mut`] stays unreachable from outside, so
+/// the context can only change through [`PebTree::ctx_mut`] and
+/// [`PebTree::refresh_sequence_values`].
 pub struct PebTree {
     idx: ShardedMovingIndex<PebIndexLayout>,
+}
+
+impl std::ops::Deref for PebTree {
+    type Target = ShardedMovingIndex<PebIndexLayout>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.idx
+    }
 }
 
 impl PebTree {
@@ -82,29 +96,11 @@ impl PebTree {
         }
     }
 
-    /// Switch write-ahead logging on or off (see
-    /// [`peb_index::ShardedMovingIndex::set_durable`]): on enrollment
-    /// every partition tree is registered in the log and an initial
-    /// checkpoint makes the current state the recovery floor.
+    /// Switch write-ahead logging on or off
+    /// ([`ShardedMovingIndex::set_durable`]). Kept here because it needs
+    /// `&mut self` and the handle deliberately derefs immutably only.
     pub fn set_durable(&mut self, on: bool) {
         self.idx.set_durable(on);
-    }
-
-    /// Whether mutations are write-ahead logged.
-    pub fn is_durable(&self) -> bool {
-        self.idx.is_durable()
-    }
-
-    /// Take a fuzzy checkpoint
-    /// ([`peb_index::ShardedMovingIndex::checkpoint`]); returns the
-    /// number of pages flushed (0 when not durable).
-    pub fn checkpoint(&self) -> usize {
-        self.idx.checkpoint()
-    }
-
-    /// Cumulative committed mutation calls (0 while not durable).
-    pub fn committed_ops(&self) -> u64 {
-        self.idx.committed_ops()
     }
 
     /// Rebuild a PEB-tree from a recovered pool after a crash (see
@@ -126,32 +122,11 @@ impl PebTree {
         PebTree { idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed) }
     }
 
-    /// Switch the write path between whole-shard exclusion (off, the
-    /// default) and optimistic lock coupling (on): same-partition
-    /// refreshes and removals run under the shard read lock with
-    /// per-page latches, so updaters overlap concurrent queries (see
-    /// [`peb_index::ShardedMovingIndex::set_olc_writes`]). Results are
-    /// identical.
+    /// Switch the write path between whole-shard exclusion and optimistic
+    /// lock coupling ([`ShardedMovingIndex::set_olc_writes`]); `&mut self`,
+    /// so kept here like [`PebTree::set_durable`].
     pub fn set_olc_writes(&mut self, enabled: bool) {
         self.idx.set_olc_writes(enabled);
-    }
-
-    /// Whether OLC writes are active.
-    pub fn olc_writes(&self) -> bool {
-        self.idx.olc_writes()
-    }
-
-    /// OLC contention counters summed across partitions (restarts and
-    /// gate escalations; see [`peb_btree::OlcStats`]).
-    pub fn olc_stats(&self) -> peb_btree::OlcStats {
-        self.idx.olc_stats()
-    }
-
-    /// Deterministic write-path counters summed across shard trees: leaf
-    /// pages written (see [`peb_btree::WriteStats`]) — the write-side
-    /// companion to the I/O ledger.
-    pub fn write_stats(&self) -> peb_btree::WriteStats {
-        self.idx.write_stats()
     }
 
     /// Swap in a rebuilt privacy context and re-key every live object
@@ -173,17 +148,9 @@ impl PebTree {
         })
     }
 
-    /// The shared moving-object index core.
+    /// The shared moving-object index core (what the handle derefs to).
     pub fn index(&self) -> &ShardedMovingIndex<PebIndexLayout> {
         &self.idx
-    }
-
-    pub fn space(&self) -> &SpaceConfig {
-        self.idx.space()
-    }
-
-    pub fn partitioning(&self) -> &TimePartitioning {
-        self.idx.partitioning()
     }
 
     pub fn context(&self) -> &Arc<PrivacyContext> {
@@ -207,125 +174,6 @@ impl PebTree {
     /// The pure PEB key bit packing (for key introspection).
     pub fn key_layout(&self) -> &PebKeyLayout {
         &self.idx.layout().keys
-    }
-
-    pub fn max_speed(&self) -> f64 {
-        self.idx.max_speed()
-    }
-
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        self.idx.pool()
-    }
-
-    /// Locking counters of the shared pool: how much of the query read
-    /// path (interval scans and the refinement lookups behind them) ran
-    /// lock-free vs through a shard mutex (see
-    /// [`peb_storage::LockStats`]). Deterministic for a fixed workload —
-    /// the companion of [`PebTree::pool`]'s I/O ledger for the optimistic
-    /// read path.
-    pub fn lock_stats(&self) -> peb_storage::LockStats {
-        self.idx.lock_stats()
-    }
-
-    /// Number of leaf pages — `Nl` in the paper's cost model (Sec 6).
-    pub fn leaf_page_count(&self) -> usize {
-        self.idx.leaf_page_count()
-    }
-
-    /// The PEB key an object updated at `m.t_update` is indexed under
-    /// (Eq. 5 plus the uid suffix).
-    pub fn key_for(&self, m: &MovingPoint) -> u128 {
-        self.idx.key_for(m)
-    }
-
-    /// Insert or update an object: exact delete of the old key (if any)
-    /// followed by a single-path insert.
-    pub fn upsert(&mut self, m: MovingPoint) {
-        self.idx.upsert(m);
-    }
-
-    /// Fallible twin of [`PebTree::upsert`]: an unresolvable media fault
-    /// surfaces as [`IndexError::Io`] instead of panicking (see
-    /// [`peb_index::ShardedMovingIndex::try_upsert`] for the partial-state
-    /// contract on `Err`).
-    pub fn try_upsert(&mut self, m: MovingPoint) -> Result<(), IndexError> {
-        self.idx.try_upsert(m)
-    }
-
-    /// Apply a batch of updates: grouped by target partition, each group
-    /// merged into its partition's leaves as one sorted run. Takes `&self`
-    /// — batches bound for different partitions may be applied from
-    /// different threads concurrently (see
-    /// [`ShardedMovingIndex::upsert_batch`]). Returns the number of
-    /// distinct objects applied.
-    pub fn upsert_batch(&self, updates: &[MovingPoint]) -> usize {
-        self.idx.upsert_batch(updates)
-    }
-
-    /// Remove an object entirely.
-    pub fn remove(&mut self, uid: UserId) -> bool {
-        self.idx.remove(uid)
-    }
-
-    /// Fallible twin of [`PebTree::remove`]: an unresolvable media fault
-    /// surfaces as [`IndexError::Io`] instead of panicking.
-    pub fn try_remove(&mut self, uid: UserId) -> Result<bool, IndexError> {
-        self.idx.try_remove(uid)
-    }
-
-    /// Fetch an object's current record by id.
-    pub fn get(&self, uid: UserId) -> Option<MovingPoint> {
-        self.idx.get(uid)
-    }
-
-    /// Fallible twin of [`PebTree::get`]: an unresolvable media fault
-    /// surfaces as [`IndexError::Io`] instead of panicking.
-    pub fn try_get(&self, uid: UserId) -> Result<Option<MovingPoint>, IndexError> {
-        self.idx.try_get(uid)
-    }
-
-    /// The live `(tid, label timestamp)` pairs, sorted by tid.
-    pub fn live_partitions(&self) -> Vec<(u8, Timestamp)> {
-        self.idx.live_partitions()
-    }
-
-    /// Bx query-window enlargement (shared with the Bx-tree, Fig 2).
-    pub fn enlarge(&self, r: &Rect, t_lab: Timestamp, tq: Timestamp) -> Rect {
-        self.idx.enlarge(r, t_lab, tq)
-    }
-
-    /// Garbage-collect expired partitions (see
-    /// [`peb_index::ShardedMovingIndex::expire_stale`]): drops each stale
-    /// partition's whole shard tree in O(1) and returns the number of
-    /// dropped objects.
-    pub fn expire_stale(&mut self, now: Timestamp) -> usize {
-        self.idx.expire_stale(now)
-    }
-
-    /// O(1) diagnostics: B+-tree shape, live partitions, object count.
-    pub fn stats(&self) -> PebTreeStats {
-        self.idx.stats()
-    }
-
-    /// Deterministic scan-path counters summed across shard trees: root
-    /// descents and cache-served branch pages (see
-    /// [`peb_btree::ScanStats`]) — the scan-side companion to the I/O
-    /// ledger.
-    pub fn scan_stats(&self) -> peb_btree::ScanStats {
-        self.idx.scan_stats()
-    }
-
-    /// Zero the scan-path counters (measurement windows).
-    pub fn reset_scan_stats(&self) {
-        self.idx.reset_scan_stats()
     }
 
     /// The whole SV row `[TID ⊕ SV ⊕ 0 ; TID ⊕ SV ⊕ max]` of one partition:
@@ -352,7 +200,7 @@ pub type PebTreeStats = IndexStats;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peb_common::{Point, TimeInterval, Vec2};
+    use peb_common::{Point, Rect, TimeInterval, Vec2};
     use peb_policy::{Policy, PolicyStore, RoleId, SvAssignmentParams};
 
     fn simple_ctx(num_users: usize) -> Arc<PrivacyContext> {
@@ -383,7 +231,7 @@ mod tests {
 
     #[test]
     fn upsert_get_remove_roundtrip() {
-        let mut t = tree(simple_ctx(4));
+        let t = tree(simple_ctx(4));
         t.upsert(still(1, 100.0, 200.0, 0.0));
         t.upsert(still(2, 300.0, 400.0, 0.0));
         assert_eq!(t.len(), 2);
@@ -430,7 +278,7 @@ mod tests {
     #[test]
     fn scan_interval_filters_by_sv_and_zv() {
         let ctx = simple_ctx(8);
-        let mut t = tree(Arc::clone(&ctx));
+        let t = tree(Arc::clone(&ctx));
         for i in 0..8u64 {
             t.upsert(still(i, 100.0 + i as f64, 100.0, 0.0));
         }
@@ -499,7 +347,7 @@ mod tests {
             100,
             SvAssignmentParams::default(),
         ));
-        let mut t = PebTree::new(
+        let t = PebTree::new(
             Arc::new(BufferPool::new(64)),
             space,
             TimePartitioning::default(),
@@ -560,8 +408,7 @@ mod bulk_tests {
             &users,
             1.0,
         );
-        let mut inc =
-            PebTree::new(Arc::new(BufferPool::new(64)), space, part, 3.0, Arc::clone(&ctx));
+        let inc = PebTree::new(Arc::new(BufferPool::new(64)), space, part, 3.0, Arc::clone(&ctx));
         for m in &users {
             inc.upsert(*m);
         }
@@ -571,7 +418,6 @@ mod bulk_tests {
         let b: Vec<UserId> = inc.prq(UserId(0), &window, 20.0).iter().map(|m| m.uid).collect();
         assert_eq!(a, b, "bulk-loaded PEB-tree answers queries identically");
         // Updates keep working on a bulk-loaded tree.
-        let mut bulk = bulk;
         bulk.upsert(MovingPoint::new(UserId(5), Point::new(900.0, 900.0), Vec2::ZERO, 10.0));
         assert!(bulk.remove(UserId(7)));
         assert_eq!(bulk.len(), users.len() - 1);
@@ -594,7 +440,7 @@ mod expiry_tests {
             store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, whole, always));
         }
         let ctx = Arc::new(PrivacyContext::build(store, space, 3, SvAssignmentParams::default()));
-        let mut t = PebTree::new(
+        let t = PebTree::new(
             Arc::new(BufferPool::new(64)),
             space,
             TimePartitioning::new(120.0, 2),

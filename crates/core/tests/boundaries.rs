@@ -30,7 +30,7 @@ fn user_exactly_on_window_edges_is_included() {
     for o in 1..=4u64 {
         store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
     }
-    let mut t = tree_with(store, 5);
+    let t = tree_with(store, 5);
     // Friends parked precisely on each edge of the closed query window.
     t.upsert(still(1, 200.0, 300.0)); // left edge
     t.upsert(still(2, 400.0, 500.0)); // right edge
@@ -49,7 +49,7 @@ fn policy_boundary_instants_and_positions() {
         UserId(0),
         Policy::new(UserId(1), RoleId::FRIEND, region, TimeInterval::new(50.0, 60.0)),
     );
-    let mut t = tree_with(store, 2);
+    let t = tree_with(store, 2);
     // Exactly on the policy region's corner.
     t.upsert(still(1, 200.0, 200.0));
     let w = Rect::new(0.0, 500.0, 0.0, 500.0);
@@ -68,7 +68,7 @@ fn sv_code_collisions_do_not_hide_friends() {
         // and also each other (mutual, C identical).
         store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
     }
-    let mut t = tree_with(store, 7);
+    let t = tree_with(store, 7);
     let ctx = Arc::clone(t.context());
     // Verify the collision actually exists (otherwise the test is vacuous).
     let codes: std::collections::HashSet<u64> =
@@ -88,7 +88,7 @@ fn friends_straddling_grid_cell_boundaries() {
     for o in 1..=2u64 {
         store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
     }
-    let mut t = tree_with(store, 3);
+    let t = tree_with(store, 3);
     // cell ≈ 0.9766: one friend just below a cell boundary, one just above.
     let cell = SpaceConfig::default().cell_size();
     t.upsert(still(1, cell * 512.0 - 1e-9, 500.0));
@@ -104,7 +104,7 @@ fn pknn_with_k_equal_to_friend_count_and_beyond() {
     for o in 1..=3u64 {
         store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
     }
-    let mut t = tree_with(store, 4);
+    let t = tree_with(store, 4);
     for o in 1..=3u64 {
         t.upsert(still(o, 100.0 * o as f64, 500.0));
     }
@@ -120,7 +120,7 @@ fn pknn_ties_break_deterministically() {
     for o in 1..=4u64 {
         store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
     }
-    let mut t = tree_with(store, 5);
+    let t = tree_with(store, 5);
     // Four friends at identical distance from the query point.
     t.upsert(still(1, 600.0, 500.0));
     t.upsert(still(2, 400.0, 500.0));
@@ -135,7 +135,7 @@ fn pknn_ties_break_deterministically() {
 fn query_window_larger_than_space() {
     let mut store = PolicyStore::new();
     store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
-    let mut t = tree_with(store, 2);
+    let t = tree_with(store, 2);
     t.upsert(still(1, 999.0, 999.0));
     let w = Rect::new(-500.0, 1500.0, -500.0, 1500.0);
     assert_eq!(t.prq(UserId(0), &w, 10.0).len(), 1);
@@ -146,7 +146,7 @@ fn issuer_present_in_multiple_partitions_is_never_returned() {
     let mut store = PolicyStore::new();
     store.add(UserId(1), Policy::new(UserId(0), RoleId::FRIEND, WHOLE, ALWAYS));
     store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
-    let mut t = tree_with(store, 2);
+    let t = tree_with(store, 2);
     t.upsert(MovingPoint::new(UserId(0), Point::new(500.0, 500.0), Vec2::ZERO, 10.0));
     t.upsert(MovingPoint::new(UserId(1), Point::new(501.0, 501.0), Vec2::ZERO, 70.0));
     // Issuer and friend sit in different time partitions.

@@ -50,7 +50,7 @@ fn build_world(
     }
     let ctx = Arc::new(PrivacyContext::build(store, space, n, SvAssignmentParams::default()));
 
-    let mut peb = PebTree::new(
+    let peb = PebTree::new(
         Arc::new(BufferPool::new(50)),
         space,
         TimePartitioning::default(),

@@ -57,7 +57,7 @@ fn build_peb() -> PebTree {
         USERS as usize + 2,
         SvAssignmentParams::default(),
     ));
-    let mut t =
+    let t =
         PebTree::new(Arc::new(BufferPool::new(64)), space, TimePartitioning::default(), 3.0, ctx);
     for i in 1..=USERS {
         t.upsert(grid_point(i));
@@ -101,7 +101,7 @@ fn peb_tree_queries_surface_typed_errors_then_recover_exactly() {
 
 #[test]
 fn peb_tree_writes_fail_typed_on_dead_media() {
-    let mut t = build_peb();
+    let t = build_peb();
     t.pool().flush_all();
     t.pool().clear();
     scorch(t.pool());
@@ -118,7 +118,7 @@ fn peb_tree_writes_fail_typed_on_dead_media() {
 
 #[test]
 fn bx_tree_queries_surface_typed_errors_then_recover_exactly() {
-    let mut t = BxTree::new(
+    let t = BxTree::new(
         Arc::new(BufferPool::new(64)),
         SpaceConfig::default(),
         TimePartitioning::default(),

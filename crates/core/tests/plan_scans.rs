@@ -64,7 +64,7 @@ fn build_world(specs: &[UserSpec], phases: u8) -> World {
         }
     }
     let ctx = Arc::new(PrivacyContext::build(store, space, n, SvAssignmentParams::default()));
-    let mut tree =
+    let tree =
         PebTree::new(Arc::new(BufferPool::new(50)), space, TimePartitioning::default(), 3.0, ctx);
     let mut indexed = Vec::new();
     let issuer = MovingPoint::new(ISSUER, Point::new(500.0, 500.0), Vec2::ZERO, 10.0);
@@ -208,7 +208,7 @@ fn a_big_sv_row_costs_no_more_leaf_pages_than_the_per_interval_leg() {
     let groups = ctx.friend_sv_groups(ISSUER);
     assert_eq!(groups.len(), 1, "identical policies share one SV code");
     assert_eq!(groups[0].1.len(), 600);
-    let mut tree =
+    let tree =
         PebTree::new(Arc::new(BufferPool::new(256)), space, TimePartitioning::default(), 3.0, ctx);
     let mut indexed = Vec::new();
     for f in 1..n as u64 {

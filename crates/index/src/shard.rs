@@ -51,7 +51,8 @@
 //! `live_partitions`) lock shards one at a time and are therefore not
 //! atomic snapshots.
 //!
-//! Multi-shard scans ([`ShardedMovingIndex::scan_keys`]), however, **are
+//! Multi-shard scans ([`ShardedMovingIndex::try_scan_plan`], the one
+//! router under every scan entry point), however, **are
 //! migration-consistent**: every update path that re-keys a live object
 //! outside a single shard-lock critical section (a cross-partition
 //! migration, or a batch's evict-then-merge within one partition) wraps
@@ -138,9 +139,9 @@ pub struct ShardedMovingIndex<L: KeyLayout> {
     pool: Arc<BufferPool>,
 }
 
-/// Buffered-scan attempts [`ShardedMovingIndex::scan_keys`] makes against
-/// the migration epoch before falling back to locking every intersecting
-/// shard at once.
+/// Buffered-scan attempts [`ShardedMovingIndex::try_scan_plan`] makes
+/// against the migration epoch before falling back to locking every
+/// intersecting shard at once.
 const SCAN_EPOCH_RETRIES: usize = 3;
 
 /// What a deadline-bounded scan actually delivered: the overall
@@ -853,33 +854,10 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
 
     /// Scan the stored records with keys in `[lo, hi]`, in key order,
     /// stopping early if `visit` returns `false`; returns `false` if the
-    /// scan was stopped. The range is routed to the shards whose partition
-    /// ranges it intersects, visited in ascending key order (partition
-    /// ranges are disjoint, so this preserves the global order).
-    ///
-    /// The scan is **migration-consistent** (see the module docs).
-    /// Ranges intersecting a **single** shard — every `scan_interval` the
-    /// query algorithms issue is one, since a PEB/Bx interval lives inside
-    /// one partition — stream directly under that shard's read lock: one
-    /// lock is already atomic against everything except a same-shard
-    /// evict→merge gap (see the module docs), and the early-exit contract
-    /// costs exactly the pages scanned until `visit` stops (the original
-    /// behavior). Multi-shard ranges take the
-    /// epoch-validated path: buffer the matching records while locking
-    /// shards one at a time, then revalidate the migration epoch before
-    /// handing anything to `visit` — if a cross-shard (or evict-then-
-    /// merge) re-key overlapped the scan, the buffer is discarded and the
-    /// scan retried; after `SCAN_EPOCH_RETRIES` failed attempts it waits
-    /// for in-flight spans to land, acquires every intersecting shard
-    /// lock at once (ascending tid — a strict superset of the writers'
-    /// one-lock-at-a-time order, so deadlock-free), and streams a true
-    /// snapshot. On that path the whole range is read before the stop
-    /// signal is consulted (the snapshot must be taken to be validated),
-    /// and persistent migration traffic delays — but with the cooperative
-    /// yield below cannot permanently starve — the scan.
-    ///
-    /// The visiting closure may run under shard read locks: it must not
-    /// call update methods on this index, but concurrent scans are free.
+    /// scan was stopped. The one-interval case of
+    /// [`ShardedMovingIndex::try_scan_keys_multi`]; routing and the
+    /// migration-consistency contract are those of
+    /// [`ShardedMovingIndex::try_scan_plan`].
     pub fn scan_keys(
         &self,
         lo: u128,
@@ -898,128 +876,33 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         &self,
         lo: u128,
         hi: u128,
-        mut visit: impl FnMut(u128, ObjectRecord) -> bool,
+        visit: impl FnMut(u128, ObjectRecord) -> bool,
     ) -> Result<bool, IndexError> {
-        if lo > hi {
-            return Ok(true);
-        }
-        let mut spans: Vec<(u128, u128, usize)> = (0..self.shards.len())
-            .filter_map(|tid| {
-                let (plo, phi) = self.layout.partition_range(tid as u8);
-                (phi >= lo && plo <= hi).then_some((plo.max(lo), phi.min(hi), tid))
-            })
-            .collect();
-        spans.sort_unstable_by_key(|span| span.0);
-
-        // Single-shard fast path: atomic under one read lock, streams
-        // with the visitor's early exit intact (the hot query path).
-        if let [(l, h, tid)] = spans[..] {
-            return Ok(self.shards[tid].read().btree.try_range_scan(l, h, &mut visit)?);
-        }
-
-        for _ in 0..SCAN_EPOCH_RETRIES {
-            // Valid start state: no migration in flight. (`mig_done` is
-            // read first so a span completing in between reads as "in
-            // flight" — conservative, never unsound.)
-            let done = self.mig_done.load(Ordering::SeqCst);
-            let started = self.mig_started.load(Ordering::SeqCst);
-            if done != started {
-                // Let the migrator finish its span instead of burning the
-                // scheduling quantum (the CI box has one CPU).
-                std::thread::yield_now();
-                continue;
-            }
-            let mut buf: Vec<(u128, ObjectRecord)> = Vec::new();
-            for (l, h, tid) in &spans {
-                let s = self.shards[*tid].read();
-                s.btree.try_range_scan(*l, *h, |k, rec| {
-                    buf.push((k, rec));
-                    true
-                })?;
-            }
-            // No migration started during the scan (and none was in
-            // flight when it began) ⇒ no re-key overlapped any part of
-            // it: the buffer is migration-consistent and can be emitted.
-            if self.mig_started.load(Ordering::SeqCst) == started {
-                for (k, rec) in buf {
-                    if !visit(k, rec) {
-                        return Ok(false);
-                    }
-                }
-                return Ok(true);
-            }
-        }
-
-        // Migrations keep racing us: wait for every in-flight span to
-        // land, then take every intersecting shard lock at once and
-        // re-verify the epoch *under* the locks. Holding all the locks
-        // blocks any further re-key (a writer needs a write lock per
-        // shard it touches), and the under-lock epoch check rules out a
-        // span that slipped a delete in before we finished acquiring —
-        // the mid-air case where the object is momentarily in no shard
-        // and no locking alone could make the scan see it. Each wait
-        // yields the CPU so the migration being waited on can complete;
-        // every span is finite, so the scan makes progress as soon as a
-        // gap in the migration traffic lets one lock-acquisition window
-        // pass undisturbed.
-        loop {
-            let done = self.mig_done.load(Ordering::SeqCst);
-            let started = self.mig_started.load(Ordering::SeqCst);
-            if done != started {
-                std::thread::yield_now();
-                continue;
-            }
-            let guards: Vec<_> = spans.iter().map(|(_, _, tid)| self.shards[*tid].read()).collect();
-            if self.mig_started.load(Ordering::SeqCst) != started
-                || self.mig_done.load(Ordering::SeqCst) != started
-            {
-                drop(guards);
-                std::thread::yield_now();
-                continue;
-            }
-            for ((l, h, _), s) in spans.iter().zip(guards.iter()) {
-                if !s.btree.try_range_scan(*l, *h, &mut visit)? {
-                    return Ok(false);
-                }
-            }
-            return Ok(true);
-        }
+        self.try_scan_keys_multi(&[(lo, hi)], visit)
     }
 
     /// Scan the stored records whose keys fall in the **union** of
     /// `intervals` (inclusive, any order, overlap allowed), each exactly
-    /// once, in ascending key order — the fused counterpart of one
-    /// [`ShardedMovingIndex::scan_keys`] call per interval. Returns
-    /// `Ok(false)` if `visit` stopped the scan; an unresolvable media
-    /// fault anywhere in the leaf walk surfaces as [`IndexError::Io`]
-    /// (records already handed to `visit` stay delivered).
+    /// once, in ascending key order. Returns `Ok(false)` if `visit`
+    /// stopped the scan; an unresolvable media fault anywhere in the leaf
+    /// walk surfaces as [`IndexError::Io`] (records already handed to
+    /// `visit` stay delivered).
     ///
     /// A thin wrapper over [`ShardedMovingIndex::try_scan_plan`] with the
     /// plain-interval plan ([`ScanPlan::from_intervals`]: what is read is
-    /// all that is emitted); routing, consistency and early-exit contract
-    /// are documented there.
+    /// all that is emitted) and no deadline; routing, consistency and
+    /// early-exit contract are documented there.
     pub fn try_scan_keys_multi(
         &self,
         intervals: &[(u128, u128)],
-        visit: impl FnMut(u128, ObjectRecord) -> bool,
+        mut visit: impl FnMut(u128, ObjectRecord) -> bool,
     ) -> Result<bool, IndexError> {
         let unbounded = Deadline::unbounded(self.pool.clock());
-        let report = self.try_scan_keys_multi_deadline(intervals, &unbounded, visit)?;
+        let report =
+            self.try_scan_plan(&ScanPlan::from_intervals(intervals), &unbounded, |k, rec| {
+                Visit::next_if(visit(k, rec))
+            })?;
         Ok(report.termination != ScanTermination::Stopped)
-    }
-
-    /// Deadline-bounded twin of [`ShardedMovingIndex::try_scan_keys_multi`]
-    /// (same wrapper, the caller's deadline): returns the [`ScanReport`]
-    /// of [`ShardedMovingIndex::try_scan_plan`].
-    pub fn try_scan_keys_multi_deadline(
-        &self,
-        intervals: &[(u128, u128)],
-        deadline: &Deadline,
-        mut visit: impl FnMut(u128, ObjectRecord) -> bool,
-    ) -> Result<ScanReport, IndexError> {
-        self.try_scan_plan(&ScanPlan::from_intervals(intervals), deadline, |k, rec| {
-            Visit::next_if(visit(k, rec))
-        })
     }
 
     /// Execute one [`ScanPlan`] across the partition trees it touches:
@@ -1043,18 +926,24 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// whether its range was fully delivered — the raw material for the
     /// serving layer's explicitly-partial query answers.
     ///
-    /// Consistency matches [`ShardedMovingIndex::scan_keys`] exactly: a
-    /// plan touching a **single** shard streams under that shard's read
-    /// lock with the early-exit contract intact; a multi-shard plan takes
-    /// the migration-epoch validated path — buffer, revalidate, retry
-    /// (each retry re-reads pages and therefore burns more of the
-    /// deadline, degrading the answer rather than blocking it; an expired
-    /// buffer that passes revalidation is emitted as a *consistent
-    /// prefix*), and after `SCAN_EPOCH_RETRIES` failures wait out
-    /// in-flight migration spans and hold every intersecting shard lock
-    /// (in ascending key order, the same total order `scan_keys` uses)
-    /// for a true snapshot. Records already handed to `visit` before a
-    /// fault stay delivered.
+    /// The scan is **migration-consistent** (protocol in the module docs).
+    /// A plan touching a **single** shard — every plan the query
+    /// algorithms issue, since a PEB/Bx interval lives inside one
+    /// partition — streams under that shard's read lock, and an early
+    /// exit costs exactly the pages scanned until `visit` stops. A
+    /// multi-shard plan takes the epoch-validated path — buffer,
+    /// revalidate, retry — so the whole plan is read before the stop
+    /// signal is consulted; each retry re-reads pages and therefore burns
+    /// more of the deadline (degrading the answer rather than blocking
+    /// it), and an expired buffer that passes revalidation is emitted as a
+    /// *consistent prefix*. After `SCAN_EPOCH_RETRIES` failures it waits
+    /// out in-flight migration spans and holds every intersecting shard
+    /// lock for a true snapshot: persistent migration traffic delays but,
+    /// with the cooperative yields, cannot permanently starve the scan.
+    /// Records already handed to `visit` before a fault stay delivered.
+    ///
+    /// The visiting closure may run under shard read locks: it must not
+    /// call update methods on this index, but concurrent scans are free.
     pub fn try_scan_plan(
         &self,
         plan: &ScanPlan,
@@ -1155,12 +1044,18 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         }
 
         // Persistent migration traffic: wait out in-flight spans and hold
-        // every intersecting shard lock at once (ascending key order, the
-        // same total order `scan_keys` acquires in; writers take one lock
-        // at a time, so any shared total order is deadlock-free),
-        // re-verify the epoch under the locks, then stream with the
-        // deadline intact. The waits burn wall time, never virtual ticks,
-        // so waiting cannot by itself expire a query.
+        // every intersecting shard lock at once (ascending key order;
+        // writers take one lock at a time, so any total order shared by
+        // the scans is deadlock-free), re-verify the epoch *under* the
+        // locks, then stream with the deadline intact. Holding all the
+        // locks blocks any further re-key, and the under-lock check rules
+        // out a span that slipped a delete in before we finished
+        // acquiring — the mid-air case where the object is momentarily in
+        // no shard and no locking alone could make the scan see it. Every
+        // span is finite and each wait yields the CPU, so the scan makes
+        // progress as soon as one lock-acquisition window passes
+        // undisturbed. The waits burn wall time, never virtual ticks, so
+        // waiting cannot by itself expire a query.
         loop {
             if deadline.expired() {
                 return Ok(expired_report());
@@ -1320,7 +1215,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
 
     /// The number of migration spans ever started on this index (the
     /// migration epoch's leading edge). Exposed for tests and diagnostics;
-    /// `scan_keys` consumes it internally.
+    /// `try_scan_plan` consumes it internally.
     pub fn migration_epoch(&self) -> u64 {
         self.mig_started.load(Ordering::SeqCst)
     }

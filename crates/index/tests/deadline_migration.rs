@@ -3,7 +3,7 @@
 //!
 //! Two contracts under test:
 //!
-//! * [`ShardedMovingIndex::try_scan_keys_multi_deadline`] delivers an
+//! * [`ShardedMovingIndex::try_scan_plan`] of a plain interval delivers an
 //!   exact prefix with an honest per-partition completeness tag — the
 //!   partitions it finished are marked complete, the one the budget died
 //!   in and everything after are not, and the records handed out match
@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use peb_btree::ScanTermination;
+use peb_btree::{ScanPlan, ScanTermination, Visit};
 use peb_common::{sched, Deadline, MovingPoint, Point, SpaceConfig, UserId, Vec2};
 use peb_index::{KeyLayout, ShardedMovingIndex, TimePartitioning};
 use peb_storage::BufferPool;
@@ -88,10 +88,14 @@ fn unbounded_deadline_scan_matches_the_plain_scan() {
     let clock = idx.pool().clock().clone();
     let mut got = Vec::new();
     let report = idx
-        .try_scan_keys_multi_deadline(&[(0, u128::MAX)], &Deadline::unbounded(&clock), |k, r| {
-            got.push((k, r.uid));
-            true
-        })
+        .try_scan_plan(
+            &ScanPlan::from_intervals(&[(0, u128::MAX)]),
+            &Deadline::unbounded(&clock),
+            |k, r| {
+                got.push((k, r.uid));
+                Visit::Next
+            },
+        )
         .unwrap();
     assert_eq!(report.termination, ScanTermination::Complete);
     assert!(report.is_complete());
@@ -115,9 +119,9 @@ fn expiry_tags_the_partitions_the_scan_never_finished() {
     let deadline = Deadline::after(&clock, 2);
     let mut got = Vec::new();
     let report = idx
-        .try_scan_keys_multi_deadline(&[(0, u128::MAX)], &deadline, |k, r| {
+        .try_scan_plan(&ScanPlan::from_intervals(&[(0, u128::MAX)]), &deadline, |k, r| {
             got.push((k, r.uid));
-            true
+            Visit::Next
         })
         .unwrap();
     assert_eq!(report.termination, ScanTermination::Expired);
@@ -137,8 +141,12 @@ fn expiry_tags_the_partitions_the_scan_never_finished() {
     let cost_of = |tid: u8| {
         let (plo, phi) = idx.layout().partition_range(tid);
         let t0 = clock.now();
-        idx.try_scan_keys_multi_deadline(&[(plo, phi)], &Deadline::unbounded(&clock), |_, _| true)
-            .unwrap();
+        idx.try_scan_plan(
+            &ScanPlan::from_intervals(&[(plo, phi)]),
+            &Deadline::unbounded(&clock),
+            |_, _| Visit::Next,
+        )
+        .unwrap();
         clock.now() - t0
     };
     let costs: Vec<u64> = tids.iter().map(|&t| cost_of(t)).collect();
@@ -151,9 +159,9 @@ fn expiry_tags_the_partitions_the_scan_never_finished() {
     let deadline = Deadline::after(&clock, budget);
     let mut got = Vec::new();
     let report = idx
-        .try_scan_keys_multi_deadline(&[(0, u128::MAX)], &deadline, |k, r| {
+        .try_scan_plan(&ScanPlan::from_intervals(&[(0, u128::MAX)]), &deadline, |k, r| {
             got.push((k, r.uid));
-            true
+            Visit::Next
         })
         .unwrap();
     assert_eq!(report.termination, ScanTermination::Expired);
@@ -177,10 +185,14 @@ fn single_partition_deadline_scan_streams_with_early_exit() {
     let (lo, hi) = idx.layout().partition_range(idx.live_partitions()[0].0);
     let mut n = 0usize;
     let report = idx
-        .try_scan_keys_multi_deadline(&[(lo, hi)], &Deadline::unbounded(&clock), |_, _| {
-            n += 1;
-            n < 10
-        })
+        .try_scan_plan(
+            &ScanPlan::from_intervals(&[(lo, hi)]),
+            &Deadline::unbounded(&clock),
+            |_, _| {
+                n += 1;
+                Visit::next_if(n < 10)
+            },
+        )
         .unwrap();
     assert_eq!(report.termination, ScanTermination::Stopped);
     assert_eq!(n, 10);
@@ -225,9 +237,9 @@ fn expired_scan_degrades_while_a_migration_is_in_flight() {
     assert!(deadline.expired());
     let mut seen = 0usize;
     let report = idx
-        .try_scan_keys_multi_deadline(&[(0, u128::MAX)], &deadline, |_, _| {
+        .try_scan_plan(&ScanPlan::from_intervals(&[(0, u128::MAX)]), &deadline, |_, _| {
             seen += 1;
-            true
+            Visit::Next
         })
         .unwrap();
     assert_eq!(report.termination, ScanTermination::Expired);
@@ -246,7 +258,11 @@ fn expired_scan_degrades_while_a_migration_is_in_flight() {
     assert_eq!(idx.get(UserId(7)).unwrap().pos, Point::new(110.0, 110.0));
     let clock2 = idx.pool().clock().clone();
     let report = idx
-        .try_scan_keys_multi_deadline(&[(0, u128::MAX)], &Deadline::unbounded(&clock2), |_, _| true)
+        .try_scan_plan(
+            &ScanPlan::from_intervals(&[(0, u128::MAX)]),
+            &Deadline::unbounded(&clock2),
+            |_, _| Visit::Next,
+        )
         .unwrap();
     assert!(report.is_complete(), "the epoch is balanced: full scans complete again");
 }

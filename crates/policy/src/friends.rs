@@ -42,9 +42,11 @@ impl FriendIndex {
         FriendIndex { lists }
     }
 
-    /// The SV-ascending friend list of `uid`.
+    /// The SV-ascending friend list of `uid`. Empty for a uid outside the
+    /// encoded population: query issuers arrive from outside the program,
+    /// and nobody has a policy toward a stranger.
     pub fn friends(&self, uid: UserId) -> &[FriendEntry] {
-        &self.lists[uid.as_index()]
+        self.lists.get(uid.as_index()).map_or(&[], Vec::as_slice)
     }
 
     /// `SVmin`/`SVmax` over the friend list, if non-empty.

@@ -63,7 +63,7 @@ fn build_world() -> PebTree {
         USERS as usize + 2,
         SvAssignmentParams::default(),
     ));
-    let mut t =
+    let t =
         PebTree::new(Arc::new(BufferPool::new(64)), space, TimePartitioning::default(), 3.0, ctx);
     for i in 1..=USERS {
         let tu = if i % 2 == 0 { 10.0 } else { 70.0 };
@@ -530,6 +530,46 @@ fn goodput_recovers_after_a_burst() {
     assert_eq!(s3.goodput() - s2.goodput(), 6, "goodput is back to the pre-burst rate");
     assert_eq!(s3.queue_full, s2.queue_full, "no queue-full after the burst subsides");
     assert_eq!(s3.shed, s2.shed, "no shedding after the burst subsides");
+}
+
+/// The issuer uid arrives from outside the program. One the policy
+/// encoding has never seen is an issuer nobody has a policy toward:
+/// Definition 2 gives the empty, complete answer at zero I/O — and the
+/// server keeps serving (this used to be an index-out-of-bounds panic in
+/// the friend lists, inside `drain`).
+#[test]
+fn a_strangers_query_completes_empty_and_the_server_lives_on() {
+    let tree = Arc::new(build_world());
+    let pool = Arc::clone(tree.pool());
+    let server = QueryServer::new(Arc::clone(&tree), ServerConfig::default());
+    let serve_one = |req: Request| {
+        let ticket = server.submit(req).expect("an idle server admits");
+        assert_eq!(server.drain_n(1), 1);
+        let mut done = server.take_completions();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].ticket, ticket);
+        done.remove(0).result.expect("served, not failed")
+    };
+
+    let live = tree.live_partitions().len();
+    // First uid past the encoded population (`build_world` encodes
+    // USERS + 2), and one far beyond any table.
+    for stranger in [UserId(USERS + 2), UserId(u64::MAX >> 1)] {
+        for req in [
+            Request::Prq { issuer: stranger, window: WHOLE, tq: TQ },
+            Request::Pknn { issuer: stranger, center: Point::new(500.0, 500.0), k: 3, tq: TQ },
+        ] {
+            let before = pool.stats();
+            let answer = serve_one(req);
+            assert_eq!(answer.rows(), 0, "{req:?}");
+            assert!(answer.is_complete(), "{req:?}");
+            assert_eq!(answer.partitions().len(), live, "every live partition is tagged");
+            assert_eq!(pool.stats(), before, "nobody to look for: no page is touched");
+        }
+    }
+
+    let answer = serve_one(Request::Prq { issuer: UserId(0), window: WHOLE, tq: TQ });
+    assert_eq!(answer.rows(), USERS as usize, "the next well-formed query is answered in full");
 }
 
 /// The breaker lifecycle end to end: hard faults trip it, it fast-fails

@@ -300,7 +300,7 @@ pub enum OptimisticRead<R> {
 
 /// A cached copy of one page plus the mirror version it was published
 /// at — the unit a descent-path cursor caches and revalidates
-/// ([`BufferPool::read_snapshot`] / [`BufferPool::snapshot_valid`]).
+/// ([`BufferPool::try_read_snapshot`] / [`BufferPool::snapshot_valid`]).
 ///
 /// Fused multi-interval scans keep one snapshot per B+-tree level so that
 /// re-routing to a nearby key can reuse the upper-level pages already in
@@ -319,7 +319,7 @@ pub struct PageSnapshot {
 
 impl PageSnapshot {
     /// An empty snapshot (refers to no page until filled by
-    /// [`BufferPool::read_snapshot`]).
+    /// [`BufferPool::try_read_snapshot`]).
     pub fn new() -> Self {
         PageSnapshot { pid: PageId::INVALID, version: None, page: Page::new() }
     }
@@ -330,7 +330,7 @@ impl PageSnapshot {
     }
 
     /// The cached page image. Only meaningful after a successful
-    /// [`BufferPool::read_snapshot`], and only trustworthy for *reuse*
+    /// [`BufferPool::try_read_snapshot`], and only trustworthy for *reuse*
     /// while [`BufferPool::snapshot_valid`] holds.
     pub fn page(&self) -> &Page {
         &self.page
@@ -690,20 +690,16 @@ impl BufferPool {
     /// pool.write(pid, |p| p.put_u64(0, 7));
     ///
     /// let mut snap = PageSnapshot::new();
-    /// assert!(pool.read_snapshot(pid, &mut snap), "resident page is published");
+    /// assert!(pool.try_read_snapshot(pid, &mut snap).unwrap(), "resident page is published");
     /// assert_eq!(snap.page().get_u64(0), 7);
     /// assert!(pool.snapshot_valid(&snap), "nothing changed: reuse is free");
     /// pool.write(pid, |p| p.put_u64(0, 8));
     /// assert!(!pool.snapshot_valid(&snap), "a write invalidates the cached copy");
     /// ```
-    pub fn read_snapshot(&self, pid: PageId, snap: &mut PageSnapshot) -> bool {
-        self.try_read_snapshot(pid, snap).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
-    }
-
-    /// Fallible [`BufferPool::read_snapshot`]: the lock-free attempt never
-    /// touches the device (the mirror only ever publishes verified,
-    /// frame-resident pages), so a fault can only arise in the locked
-    /// fallback's fetch — and surfaces typed here instead of panicking.
+    ///
+    /// The lock-free attempt never touches the device (the mirror only
+    /// ever publishes verified, frame-resident pages), so a fault can only
+    /// arise in the locked fallback's fetch — and surfaces typed.
     pub fn try_read_snapshot(&self, pid: PageId, snap: &mut PageSnapshot) -> Result<bool, IoFault> {
         snap.pid = pid;
         snap.version = None;
@@ -1785,7 +1781,10 @@ mod tests {
         pool.write(pid, |p| p.put_u64(0, 99));
         pool.reset_stats();
         let mut snap = PageSnapshot::new();
-        assert!(pool.read_snapshot(pid, &mut snap), "published page snapshots lock-free");
+        assert!(
+            pool.try_read_snapshot(pid, &mut snap).unwrap(),
+            "published page snapshots lock-free"
+        );
         assert!(snap.is_versioned());
         assert_eq!(snap.pid(), pid);
         assert_eq!(snap.page().get_u64(0), 99);
@@ -1806,7 +1805,10 @@ mod tests {
         pool.clear(); // unpublished: the snapshot must go through the lock
         pool.reset_stats();
         let mut snap = PageSnapshot::new();
-        assert!(!pool.read_snapshot(pid, &mut snap), "cold page needs the locked path");
+        assert!(
+            !pool.try_read_snapshot(pid, &mut snap).unwrap(),
+            "cold page needs the locked path"
+        );
         assert!(!snap.is_versioned());
         assert_eq!(snap.page().get_u64(0), 123, "the locked copy is still exact");
         assert!(!pool.snapshot_valid(&snap), "locked snapshots are single-use");
@@ -1815,7 +1817,7 @@ mod tests {
         assert_eq!(io.physical_reads, 1, "faulted in once");
         // Eviction invalidates a versioned snapshot too.
         let mut warm = PageSnapshot::new();
-        assert!(pool.read_snapshot(pid, &mut warm), "resident again after the fault");
+        assert!(pool.try_read_snapshot(pid, &mut warm).unwrap(), "resident again after the fault");
         pool.clear();
         assert!(!pool.snapshot_valid(&warm), "eviction unpublishes the page");
     }
@@ -1825,7 +1827,7 @@ mod tests {
         let pool = BufferPool::with_shards(4, 1).optimistic(false);
         let pid = pool.allocate();
         let mut snap = PageSnapshot::new();
-        assert!(!pool.read_snapshot(pid, &mut snap));
+        assert!(!pool.try_read_snapshot(pid, &mut snap).unwrap());
         assert!(!pool.snapshot_valid(&snap));
         assert_eq!(pool.lock_stats().optimistic_attempts(), 0);
     }

@@ -34,7 +34,7 @@ fn measure(n: usize, theta: f64) -> (CostInputs, f64) {
         store2.add(viewer, p.clone());
     }
     let ctx = Arc::new(PrivacyContext::build(store2, ds.space, n, SvAssignmentParams::default()));
-    let mut tree = PebTree::new(
+    let tree = PebTree::new(
         Arc::new(BufferPool::new(50)),
         ds.space,
         TimePartitioning::default(),

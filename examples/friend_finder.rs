@@ -44,7 +44,7 @@ fn main() {
 
     // Build both indexes.
     let part = TimePartitioning::default();
-    let mut peb = PebTree::new(Arc::new(BufferPool::new(50)), space, part, 3.0, Arc::clone(&ctx));
+    let peb = PebTree::new(Arc::new(BufferPool::new(50)), space, part, 3.0, Arc::clone(&ctx));
     let mut spatial =
         SpatialBaseline::new(BxTree::new(Arc::new(BufferPool::new(50)), space, part, 3.0));
     for m in &dataset.users {

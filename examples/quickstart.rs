@@ -38,7 +38,7 @@ fn main() {
     // 3. Build the index and insert moving users (position, velocity,
     //    update time). Phones report in every few minutes, so updates
     //    arrive shortly before queries.
-    let mut tree = PebTree::new(
+    let tree = PebTree::new(
         Arc::new(BufferPool::new(50)),
         space,
         TimePartitioning::default(),

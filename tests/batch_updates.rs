@@ -61,7 +61,7 @@ fn parallel_cross_partition_batches_match_sequential() {
     assert_eq!(applied, n as usize);
 
     // Sequential single-object reference.
-    let mut sequential = build();
+    let sequential = build();
     sequential.pool().reset_stats();
     for m in batch_a.iter().chain(batch_b.iter()) {
         sequential.upsert(*m);

@@ -30,7 +30,7 @@ fn parallel_queries_match_oracle() {
         store2.add(viewer, p.clone());
     }
     let ctx = Arc::new(PrivacyContext::build(store2, ds.space, n, SvAssignmentParams::default()));
-    let mut tree = PebTree::new(
+    let tree = PebTree::new(
         Arc::new(BufferPool::new(50)),
         ds.space,
         TimePartitioning::default(),

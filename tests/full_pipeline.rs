@@ -45,7 +45,7 @@ fn rig(n: usize, np: usize, theta: f64, dist: Distribution, seed: u64) -> Rig {
         SvAssignmentParams::default(),
     ));
     let part = TimePartitioning::default();
-    let mut peb =
+    let peb =
         PebTree::new(Arc::new(BufferPool::new(50)), ds.space, part, ds.max_speed, Arc::clone(&ctx));
     let mut baseline = SpatialBaseline::new(BxTree::new(
         Arc::new(BufferPool::new(50)),
