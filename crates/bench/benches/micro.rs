@@ -10,7 +10,7 @@ use peb_bench::harness::{RunConfig, World};
 use peb_btree::BTree;
 use peb_common::{MovingPoint, Point, SpaceConfig, UserId, Vec2};
 use peb_policy::{SequenceValues, SvAssignmentParams};
-use peb_storage::BufferPool;
+use peb_storage::{seal64, BufferPool, DiskSim, Page, WalRecord, PAGE_SIZE};
 use peb_workload::{DatasetBuilder, QueryGenerator};
 use peb_zorder::{decompose, encode};
 
@@ -49,6 +49,34 @@ fn bench_btree(c: &mut Criterion) {
                 true
             });
             black_box(n)
+        })
+    });
+    g.finish();
+}
+
+/// The storage constants every miss, write-back and log record is a
+/// multiple of: one page seal, one small-record checksum, and one device
+/// read (verify in place + copy out).
+fn bench_storage(c: &mut Criterion) {
+    let mut g = c.benchmark_group("storage");
+    let mut page = Page::new();
+    for i in 0..PAGE_SIZE {
+        page.put_u8(i, (31 * i + 7) as u8);
+    }
+    g.bench_function("seal_4k", |b| b.iter(|| black_box(black_box(&page).seal())));
+    let commit = WalRecord::Commit { ops: 7 }.encode(1);
+    let body = &commit[..commit.len() - 8];
+    g.bench_function("seal_commit_record", |b| b.iter(|| black_box(seal64(black_box(body)))));
+    let mut disk = DiskSim::new();
+    let pids: Vec<_> = (0..64).map(|_| disk.allocate()).collect();
+    for &pid in &pids {
+        disk.write(pid, &page);
+    }
+    g.bench_function("disk_read_miss", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i += 1;
+            black_box(disk.read(pids[i % pids.len()]).is_ok())
         })
     });
     g.finish();
@@ -182,6 +210,7 @@ fn bench_updates(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_btree,
+    bench_storage,
     bench_zorder,
     bench_policy_encoding,
     bench_queries,

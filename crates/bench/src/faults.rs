@@ -256,8 +256,8 @@ pub fn measure_faults_with(cfg: &RunConfig, read_density: u64) -> FaultBenchRepo
     }
 }
 
-/// Price one seal: FNV-1a over a full page, averaged over enough
-/// iterations to rise above timer resolution.
+/// Price one seal: [`Page::seal`] (the `seal64` kernel) over a full
+/// page, averaged over enough iterations to rise above timer resolution.
 fn seal_ns_per_page() -> f64 {
     let mut page = Page::new();
     for i in 0..PAGE_WORDS {

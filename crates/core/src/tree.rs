@@ -40,6 +40,10 @@ impl KeyLayout for PebIndexLayout {
         self.keys.key(tid, self.ctx.sv_code(UserId(uid)), zv, uid)
     }
 
+    fn admits(&self, uid: u64) -> bool {
+        uid < self.ctx.seqvals.num_users() as u64
+    }
+
     fn partition_range(&self, tid: u8) -> (u128, u128) {
         let max_sv = (1u64 << SV_BITS) - 1;
         let max_zv = (1u64 << self.keys.zv_bits) - 1;

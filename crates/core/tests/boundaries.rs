@@ -6,6 +6,8 @@ use std::sync::Arc;
 
 use pebtree::{PebTree, PrivacyContext};
 
+use peb_index::IndexError;
+
 use peb_bx::TimePartitioning;
 use peb_common::{MovingPoint, Point, Rect, SpaceConfig, TimeInterval, UserId, Vec2};
 use peb_policy::{Policy, PolicyStore, RoleId, SvAssignmentParams};
@@ -155,4 +157,32 @@ fn issuer_present_in_multiple_partitions_is_never_returned() {
     let knn = t.pknn(UserId(0), Point::new(500.0, 500.0), 2, 80.0);
     assert_eq!(knn.len(), 1);
     assert_eq!(knn[0].0.uid.0, 1);
+}
+
+/// A position report for a uid at or past the encoded population is input
+/// from outside the program: it gets a typed refusal before any shard, the
+/// pool or the log is touched, and the index keeps working.
+#[test]
+fn a_strangers_position_report_is_refused_and_touches_nothing() {
+    const POPULATION: u64 = 3;
+    for durable in [false, true] {
+        let mut store = PolicyStore::new();
+        store.add(UserId(0), Policy::new(UserId(1), RoleId::FRIEND, WHOLE, ALWAYS));
+        let mut t = tree_with(store, POPULATION as usize);
+        t.set_durable(durable);
+        t.upsert(still(1, 100.0, 100.0));
+        let ledger =
+            |t: &PebTree| (t.len(), t.pool().stats(), t.committed_ops(), t.pool().wal_stats());
+        let before = ledger(&t);
+        for stranger in [POPULATION, u64::MAX >> 1] {
+            assert_eq!(
+                t.try_upsert(still(stranger, 500.0, 500.0)),
+                Err(IndexError::UnknownUser { uid: stranger })
+            );
+            assert_eq!(ledger(&t), before, "a refused report (durable: {durable}) left a trace");
+        }
+        t.try_upsert(still(2, 300.0, 300.0)).expect("a well-formed report lands");
+        assert_eq!(t.try_get(UserId(2)).unwrap().map(|m| m.uid), Some(UserId(2)));
+        assert_eq!(t.len(), 2);
+    }
 }

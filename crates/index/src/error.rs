@@ -30,6 +30,13 @@ use peb_storage::IoFault;
 pub enum IndexError {
     /// An unresolvable media fault from the storage layer.
     Io(IoFault),
+    /// A position report for an object the key layout has no state for (a
+    /// uid outside the encoded population). Rejected before any shard, the
+    /// pool or the log is touched.
+    UnknownUser {
+        /// The uid the report named.
+        uid: u64,
+    },
 }
 
 impl From<IoFault> for IndexError {
@@ -42,6 +49,9 @@ impl std::fmt::Display for IndexError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IndexError::Io(fault) => write!(f, "index I/O error: {fault}"),
+            IndexError::UnknownUser { uid } => {
+                write!(f, "user {uid} is outside the indexed population")
+            }
         }
     }
 }
@@ -50,6 +60,7 @@ impl std::error::Error for IndexError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IndexError::Io(fault) => Some(fault),
+            IndexError::UnknownUser { .. } => None,
         }
     }
 }

@@ -22,6 +22,16 @@ pub trait KeyLayout {
     /// the partition's label timestamp encodes to `zv`, in partition `tid`.
     fn key(&self, tid: u8, zv: u64, uid: u64) -> u128;
 
+    /// Whether `uid` is an object this layout can compose a key for. Position
+    /// reports arrive from outside the program; a layout whose keys depend
+    /// on per-user state (the PEB layout's sequence values) answers `false`
+    /// for a uid it has no state for, and the fallible upsert refuses the
+    /// report instead of calling [`KeyLayout::key`] with it.
+    #[inline]
+    fn admits(&self, _uid: u64) -> bool {
+        true
+    }
+
     /// Inclusive `(lowest, highest)` key bounds of partition `tid`, over
     /// every other key component. Used for partition-wide scans (expiry /
     /// rollover migration).

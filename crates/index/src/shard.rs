@@ -493,7 +493,9 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
 
     /// Fallible twin of [`ShardedMovingIndex::upsert`]: an unresolvable
     /// media fault surfaces as [`IndexError::Io`] instead of panicking,
-    /// and a failed call is not committed to the WAL. The OLC write path
+    /// and a failed call is not committed to the WAL. A report for a uid
+    /// the layout does not admit is [`IndexError::UnknownUser`], returned
+    /// before any shard, the pool or the log is touched. The OLC write path
     /// still runs the legacy tree calls (infallible by design); disable
     /// OLC writes before operating on suspect media.
     ///
@@ -508,6 +510,9 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             "object {} exceeds the declared max speed",
             m.uid
         );
+        if !self.layout.admits(m.uid.0) {
+            return Err(IndexError::UnknownUser { uid: m.uid.0 });
+        }
         let (key, tid, t_lab) = self.placement(&m);
         // OLC fast path: a same-shard refresh runs all of its page I/O
         // under the shard *read* lock — the tree's per-page latches are

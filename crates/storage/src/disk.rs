@@ -8,15 +8,20 @@
 //!
 //! # Checksums
 //!
-//! Every physical write seals the page: its FNV-1a checksum
-//! ([`crate::page::Page::seal`]) is recorded in a catalog stored *beside*
-//! the data array, not inside the sector it covers — the ZFS /
-//! T10-DIF placement. That placement is what makes the two write-side
-//! fault kinds detectable at all: a dropped or torn write leaves the
-//! medium holding stale or mixed bytes while the catalog already carries
-//! the seal of the *intended* content, so the next physical read reports
-//! [`ReadOutcome::Mismatch`]. A checksum stored inside the sector would
-//! validate the stale sector perfectly.
+//! Every physical write seals the page: its 64-bit checksum
+//! ([`crate::page::Page::seal`], the [`crate::page::seal64`] kernel) is
+//! recorded in a catalog stored *beside* the data array, not inside the
+//! sector it covers — the ZFS / T10-DIF placement. That placement is what
+//! makes the two write-side fault kinds detectable at all: a dropped or
+//! torn write leaves the medium holding stale or mixed bytes while the
+//! catalog already carries the seal of the *intended* content, so the next
+//! physical read reports [`ReadOutcome::Mismatch`]. A checksum stored
+//! inside the sector would validate the stale sector perfectly.
+//!
+//! The device hashes exactly what its command needs: a write seals the
+//! intended image once, a read verifies the platter copy once, in place,
+//! and an allocation hashes nothing (the seal of a zero page is a
+//! constant).
 //!
 //! # Faults
 //!
@@ -38,6 +43,7 @@
 //! overload experiments deterministic (see `peb_serve`).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 use peb_common::clock::TickClock;
 
@@ -503,18 +509,20 @@ impl DiskSim {
         &self.clock
     }
 
-    /// Allocate a fresh zeroed page and return its id.
+    /// Allocate a fresh zeroed page and return its id. Its catalog entry
+    /// is the seal of a zero page, computed once per process.
     pub fn allocate(&mut self) -> PageId {
+        static ZERO_PAGE_SEAL: OnceLock<u64> = OnceLock::new();
         let pid = PageId(self.pages.len() as u32);
-        let page = Page::new();
-        self.seals.push(page.seal());
-        self.pages.push(page);
+        self.seals.push(*ZERO_PAGE_SEAL.get_or_init(|| Page::new().seal()));
+        self.pages.push(Page::new());
         pid
     }
 
     /// Physically read a page (counted), applying any armed fault and
-    /// verifying the stored bytes against the seal catalog. This is the
-    /// outcome-typed form [`DiskSim::read`] adapts into a `Result`.
+    /// verifying the stored bytes against the seal catalog — in place, so
+    /// only a page that verified is copied out. This is the outcome-typed
+    /// form [`DiskSim::read`] adapts into a `Result`.
     pub fn read_outcome(&mut self, pid: PageId) -> ReadOutcome {
         self.reads += 1;
         let slow = self.latency.on_read(pid);
@@ -543,13 +551,12 @@ impl DiskSim {
         if self.faults.is_bad_sector(pid) {
             return ReadOutcome::BadSector;
         }
-        let page = self.pages[idx].clone();
         let expected = self.seals[idx];
-        let found = page.seal();
+        let found = self.pages[idx].seal();
         if found != expected {
             ReadOutcome::Mismatch { expected, found }
         } else {
-            ReadOutcome::Clean(page)
+            ReadOutcome::Clean(self.pages[idx].clone())
         }
     }
 
@@ -754,6 +761,32 @@ mod tests {
         // ...and a rewrite heals it.
         d.write(pid, &p);
         assert_eq!(d.read(pid).unwrap().get_u64(128), 0xfeed);
+    }
+
+    #[test]
+    fn a_never_written_page_reads_clean_with_the_zero_seal() {
+        let mut d = DiskSim::new();
+        let pid = d.allocate();
+        assert_eq!(d.seal_of(pid), Ok(Page::new().seal()));
+        assert!(matches!(d.read_outcome(pid), ReadOutcome::Clean(p) if p == Page::new()));
+    }
+
+    #[test]
+    fn a_mismatch_names_the_catalog_seal_and_the_platter_seal() {
+        let mut d = DiskSim::new();
+        let pid = d.allocate();
+        let mut p = Page::new();
+        p.put_u64(128, 0xfeed);
+        d.write(pid, &p);
+        d.faults_mut().arm_read(Some(pid), 0, FaultKind::BitFlip { bits: 3 });
+        match d.read_outcome(pid) {
+            ReadOutcome::Mismatch { expected, found } => {
+                assert_eq!(expected, d.seal_of(pid).unwrap());
+                assert_eq!(expected, p.seal(), "the catalog holds the intended image's seal");
+                assert_eq!(found, d.peek(pid).unwrap().seal());
+            }
+            _ => panic!("an armed flip must read as a mismatch"),
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod wal;
 pub use disk::{
     DiskSim, FaultEvent, FaultInjector, FaultKind, IoFault, LatencyEvent, LatencyInjector,
 };
-pub use page::{Page, PageId, ReadOutcome, PAGE_SIZE, PAGE_WORDS};
+pub use page::{seal64, Page, PageId, ReadOutcome, PAGE_SIZE, PAGE_WORDS};
 pub use pool::{
     default_shard_count, BufferPool, FaultStats, IoStats, LockStats, OptimisticRead, PageLatch,
     PageSnapshot, TRANSIENT_RETRIES,

