@@ -7,12 +7,14 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use peb_bench::harness::{RunConfig, World};
-use peb_btree::BTree;
-use peb_common::{MovingPoint, Point, SpaceConfig, UserId, Vec2};
-use peb_policy::{SequenceValues, SvAssignmentParams};
+use peb_btree::{BTree, ScanPlan};
+use peb_common::{MovingPoint, Point, Rect, SpaceConfig, TimeInterval, UserId, Vec2};
+use peb_index::TimePartitioning;
+use peb_policy::{Policy, PolicyStore, RoleId, SequenceValues, SvAssignmentParams};
 use peb_storage::{seal64, BufferPool, DiskSim, Page, WalRecord, PAGE_SIZE};
 use peb_workload::{DatasetBuilder, QueryGenerator};
-use peb_zorder::{decompose, encode};
+use peb_zorder::{coarsen, cover, decompose, encode};
+use pebtree::{PebTree, PrivacyContext};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,6 +98,78 @@ fn bench_zorder(c: &mut Criterion) {
             b.iter(|| black_box(decompose(100, 100 + side, 200, 200 + side, 10)))
         });
     }
+    g.finish();
+}
+
+/// What a PRQ pays before its first page: the window's Z-cover (the
+/// reference pipeline beside the budgeted walk that replaced it on the
+/// query path), the issuer's friend table, and the scan plan in its
+/// listed and product forms.
+fn bench_plan(c: &mut Criterion) {
+    let mut g = c.benchmark_group("plan");
+    // The benchmark's shape: a 320-cell-wide window on the 1024 grid.
+    let (x0, y0) = (black_box(101u32), black_box(203u32));
+    g.bench_function("decompose_coarsen_320_b20", |b| {
+        b.iter(|| black_box(coarsen(decompose(x0, x0 + 319, y0, y0 + 319, 10), 20)))
+    });
+    g.bench_function("cover_320_b20", |b| {
+        b.iter(|| black_box(cover(x0, x0 + 319, y0, y0 + 319, 10, 20)))
+    });
+    g.bench_function("cover_320_b50", |b| {
+        b.iter(|| black_box(cover(x0, x0 + 319, y0, y0 + 319, 10, 50)))
+    });
+
+    // An issuer with 50 friends in a handful of SV groups, on a tree with
+    // no live partition: the PRQ builds its friend table and has nothing
+    // to scan.
+    let mut store = PolicyStore::new();
+    for owner in 1..=50u64 {
+        let reach = 1000.0 - 100.0 * (owner % 7) as f64;
+        let policy = Policy::new(
+            UserId(owner),
+            RoleId::FRIEND,
+            Rect::new(0.0, reach, 0.0, 1000.0),
+            TimeInterval::new(0.0, 1440.0),
+        );
+        store.add(UserId(0), policy);
+    }
+    let space = SpaceConfig::default();
+    let ctx = PrivacyContext::build(store, space, 51, SvAssignmentParams::default());
+    let empty = PebTree::new(
+        Arc::new(BufferPool::new(8)),
+        space,
+        TimePartitioning::default(),
+        3.0,
+        Arc::new(ctx),
+    );
+    let window = Rect::new(100.0, 400.0, 200.0, 500.0);
+    g.bench_function("friends_table_50", |b| {
+        b.iter(|| black_box(empty.try_prq(UserId(0), black_box(&window), 10.0)))
+    });
+
+    // 50 SV rows x 50 Z-ranges, as the factors a PRQ hands over and as the
+    // 2 500 listed runs it used to.
+    let row = |j: u128| (j << 52, (j << 52) + (1 << 52) - 1);
+    let offset = |w: u128| (w << 40, (w << 40) + (1 << 36));
+    g.bench_function("scanplan_product_50x50", |b| {
+        b.iter(|| {
+            let rows = (0..black_box(50u128)).map(row).collect();
+            let offsets = (0..black_box(50u128)).map(offset).collect();
+            black_box(ScanPlan::product(rows, offsets))
+        })
+    });
+    g.bench_function("scanplan_listed_50x50", |b| {
+        b.iter(|| {
+            let rows: Vec<(u128, u128)> = (0..black_box(50u128)).map(row).collect();
+            let runs = rows
+                .iter()
+                .flat_map(|&(base, _)| {
+                    (0..50u128).map(move |w| (base + offset(w).0, base + offset(w).1))
+                })
+                .collect();
+            black_box(ScanPlan::new(runs, rows))
+        })
+    });
     g.finish();
 }
 
@@ -212,6 +286,7 @@ criterion_group!(
     bench_btree,
     bench_storage,
     bench_zorder,
+    bench_plan,
     bench_policy_encoding,
     bench_queries,
     bench_updates

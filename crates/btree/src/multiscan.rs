@@ -24,7 +24,9 @@
 //! row it was just shown — its remaining runs are never navigated — so a
 //! row that fits one leaf costs one page however many runs it carried.
 //! Plain interval scans are plans with `rows == runs`
-//! ([`ScanPlan::from_intervals`]). [`ScanStats`] is the deterministic
+//! ([`ScanPlan::from_intervals`]); a plan whose rows all carry the same
+//! runs keeps the two factors instead of their product
+//! ([`ScanPlan::product`]). [`ScanStats`] is the deterministic
 //! ledger: descents performed and branch pages served from the descent
 //! cache instead of the buffer pool.
 //!
@@ -187,12 +189,27 @@ impl Visit {
 
 /// What one fused scan reads and what it may answer — see the module
 /// docs. The fields are private because the leaf walk relies on their
-/// invariants: `runs` sorted, disjoint and non-adjacent unless split at a
+/// invariants: runs sorted, disjoint and non-adjacent unless split at a
 /// row boundary; `rows` sorted and disjoint; every run inside one row.
+///
+/// The runs are either listed or kept as a **product**
+/// ([`ScanPlan::product`]): one list of offsets that every row carries,
+/// `rows + offsets` pairs standing for `rows × offsets` runs. The leaf
+/// walk reads either form through [`ScanPlan::run`] and drops settled
+/// runs through `next_run`, which steps over a whole row by index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanPlan {
-    runs: Vec<(u128, u128)>,
+    runs: Runs,
     rows: Vec<(u128, u128)>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Runs {
+    /// The runs themselves.
+    Listed(Vec<(u128, u128)>),
+    /// Non-empty offsets relative to a row's first key, the same for
+    /// every row: run `n` is row `n / s` plus offset `n % s`.
+    PerRow(Vec<(u128, u128)>),
 }
 
 impl ScanPlan {
@@ -200,7 +217,7 @@ impl ScanPlan {
     /// are both what is read and all that is emitted.
     pub fn from_intervals(intervals: &[(u128, u128)]) -> ScanPlan {
         let runs = coalesce_intervals(intervals);
-        ScanPlan { rows: runs.clone(), runs }
+        ScanPlan { rows: runs.clone(), runs: Runs::Listed(runs) }
     }
 
     /// Build a plan from navigation `runs` and emission `rows` (inclusive
@@ -239,7 +256,48 @@ impl ScanPlan {
                 }
             };
         }
-        ScanPlan { runs, rows }
+        ScanPlan { runs: Runs::Listed(runs), rows }
+    }
+
+    /// The plan in which every row carries the same runs: `offsets` are
+    /// relative to a row's first key, so run `n` of the plan is
+    /// `rows[n / s].0 + offsets[n % s]` (`s = offsets.len()`). Run for run
+    /// it is `ScanPlan::new` of the multiplied-out list, but it holds
+    /// `rows + offsets` pairs instead of `rows × offsets`, nothing is
+    /// sorted, and the walk steps over a skipped row by index. This is
+    /// the PRQ shape — friend SV rows × the window's Z-ranges.
+    ///
+    /// The factors are kept as handed over when they are already
+    /// canonical: rows ascending and disjoint, offsets ascending and
+    /// non-adjacent, and the last offset inside the narrowest row.
+    /// Anything else is multiplied out and goes through [`ScanPlan::new`].
+    ///
+    /// ```
+    /// use peb_btree::ScanPlan;
+    ///
+    /// let plan = ScanPlan::product(vec![(100, 199), (300, 399)], vec![(5, 9), (40, 41)]);
+    /// assert_eq!(plan.runs(), &[(105, 109), (140, 141), (305, 309), (340, 341)]);
+    /// assert_eq!((plan.run_count(), plan.run(2)), (4, (305, 309)));
+    /// ```
+    pub fn product(rows: Vec<(u128, u128)>, offsets: Vec<(u128, u128)>) -> ScanPlan {
+        let reach = offsets.last().map_or(0, |&(_, hi)| hi);
+        let canonical = !offsets.is_empty()
+            && offsets.iter().all(|&(lo, hi)| lo <= hi)
+            && offsets.windows(2).all(|w| w[0].1 < w[1].0 && w[1].0 - w[0].1 > 1)
+            && rows.iter().all(|&(lo, hi)| lo <= hi && hi - lo >= reach)
+            && rows.windows(2).all(|w| w[0].1 < w[1].0);
+        if canonical {
+            return ScanPlan { runs: Runs::PerRow(offsets), rows };
+        }
+        let runs = rows
+            .iter()
+            .flat_map(|&(base, _)| {
+                offsets
+                    .iter()
+                    .map(move |&(lo, hi)| (base.saturating_add(lo), base.saturating_add(hi)))
+            })
+            .collect();
+        ScanPlan::new(runs, rows)
     }
 
     /// Cut each run where it crosses from one row into the adjacent next
@@ -268,9 +326,58 @@ impl ScanPlan {
         Some(cut)
     }
 
-    /// The navigation runs, ascending.
-    pub fn runs(&self) -> &[(u128, u128)] {
-        &self.runs
+    /// The navigation runs, ascending, listed out — a product plan is
+    /// multiplied out here (and nowhere on the scan path, which reads
+    /// [`ScanPlan::run`]).
+    pub fn runs(&self) -> Vec<(u128, u128)> {
+        (0..self.run_count()).map(|n| self.run(n)).collect()
+    }
+
+    /// Number of navigation runs.
+    pub fn run_count(&self) -> usize {
+        match &self.runs {
+            Runs::Listed(runs) => runs.len(),
+            Runs::PerRow(offsets) => self.rows.len() * offsets.len(),
+        }
+    }
+
+    /// Navigation run `n` (ascending in `n`).
+    pub fn run(&self, n: usize) -> (u128, u128) {
+        match &self.runs {
+            Runs::Listed(runs) => runs[n],
+            Runs::PerRow(offsets) => {
+                let (base, (lo, hi)) = (self.rows[n / offsets.len()].0, offsets[n % offsets.len()]);
+                (base + lo, base + hi)
+            }
+        }
+    }
+
+    /// The first run at or after `n` that ends at or beyond `frontier` —
+    /// [`ScanPlan::run_count`] when none does. How the leaf walk drops the
+    /// runs a leaf, or a skipped row, has settled; on a product plan a row
+    /// wholly below the frontier is stepped over by index.
+    pub(crate) fn next_run(&self, mut n: usize, frontier: u128) -> usize {
+        match &self.runs {
+            Runs::Listed(runs) => {
+                while n < runs.len() && runs[n].1 < frontier {
+                    n += 1;
+                }
+            }
+            Runs::PerRow(offsets) => {
+                let s = offsets.len();
+                while n < self.rows.len() * s {
+                    let (base, row_end) = self.rows[n / s];
+                    if row_end < frontier {
+                        n = (n / s + 1) * s;
+                    } else if base + offsets[n % s].1 < frontier {
+                        n += 1;
+                    } else {
+                        break;
+                    }
+                }
+            }
+        }
+        n
     }
 
     /// The emission rows, ascending.
@@ -290,11 +397,12 @@ impl ScanPlan {
     /// The part of the plan inside `[lo, hi]` — how the sharded index
     /// routes one plan to the partition trees it touches. `None` when no
     /// run reaches into the range (nothing would be read); borrowed when
-    /// the whole plan already lies inside it.
+    /// the whole plan already lies inside it (a product plan stays a
+    /// product; one that straddles the range is listed out).
     pub fn clipped(&self, lo: u128, hi: u128) -> Option<Cow<'_, ScanPlan>> {
         let (first, last) = (self.rows.first()?, self.rows.last()?);
         if first.0 >= lo && last.1 <= hi {
-            return (!self.runs.is_empty()).then_some(Cow::Borrowed(self));
+            return (self.run_count() > 0).then_some(Cow::Borrowed(self));
         }
         let clip = |spans: &[(u128, u128)]| -> Vec<(u128, u128)> {
             spans
@@ -303,8 +411,9 @@ impl ScanPlan {
                 .map(|(l, h)| ((*l).max(lo), (*h).min(hi)))
                 .collect()
         };
-        let runs = clip(&self.runs);
-        (!runs.is_empty()).then(|| Cow::Owned(ScanPlan { runs, rows: clip(&self.rows) }))
+        let runs = clip(&self.runs());
+        (!runs.is_empty())
+            .then(|| Cow::Owned(ScanPlan { runs: Runs::Listed(runs), rows: clip(&self.rows) }))
     }
 }
 
@@ -367,6 +476,77 @@ mod tests {
         // Rows reach in but no run does: nothing would be read.
         assert!(p.clipped(23, 39).is_none());
         assert!(p.clipped(60, 70).is_none());
+    }
+
+    #[test]
+    fn a_product_plan_keeps_its_factors() {
+        // g rows x s offsets: g + s pairs held, g * s runs read through
+        // the accessors, run for run the listed plan of the same runs.
+        let rows: Vec<(u128, u128)> = (0..7u128).map(|j| (j * 1_000, j * 1_000 + 999)).collect();
+        let offsets: Vec<(u128, u128)> = vec![(0, 4), (10, 19), (400, 400), (990, 999)];
+        let p = ScanPlan::product(rows.clone(), offsets.clone());
+        let Runs::PerRow(held) = &p.runs else { panic!("canonical factors must stay factors") };
+        assert_eq!(held.len() + p.rows.len(), 7 + 4);
+        assert_eq!(p.run_count(), 7 * 4);
+        let listed = ScanPlan::new(p.runs(), rows.clone());
+        assert!(matches!(listed.runs, Runs::Listed(_)));
+        assert_eq!((listed.runs(), listed.rows()), (p.runs(), p.rows()));
+        assert_eq!(p.run(9), (2_010, 2_019));
+        // Dropping settled runs agrees with the listed form from every
+        // start and for frontiers on, between and past the runs — and a
+        // row wholly below the frontier is one step, not s.
+        for n in 0..=p.run_count() {
+            for frontier in [0u128, 5, 20, 400, 401, 999, 1_000, 2_995, 3_000, 6_999, 7_000] {
+                assert_eq!(p.next_run(n, frontier), listed.next_run(n, frontier), "{n} {frontier}");
+            }
+        }
+        assert_eq!((p.next_run(0, 3_000), p.next_run(0, 7_000)), (12, 28));
+        // Inside one partition the plan passes through borrowed, still a
+        // product; straddling a boundary it is listed out and clipped.
+        assert!(matches!(p.clipped(0, 6_999), Some(Cow::Borrowed(_))));
+        let c = p.clipped(2_015, 3_402).expect("runs reach in");
+        assert_eq!(
+            c.runs(),
+            &[
+                (2_015, 2_019),
+                (2_400, 2_400),
+                (2_990, 2_999),
+                (3_000, 3_004),
+                (3_010, 3_019),
+                (3_400, 3_400)
+            ]
+        );
+        assert_eq!(c.rows(), &[(2_015, 2_999), (3_000, 3_402)]);
+        assert_eq!(
+            c.clipped(0, 10_000).unwrap().runs(),
+            listed.clipped(2_015, 3_402).unwrap().runs()
+        );
+    }
+
+    #[test]
+    fn non_canonical_factors_are_multiplied_out() {
+        let multiplied = |rows: &[(u128, u128)], offsets: &[(u128, u128)]| -> Vec<(u128, u128)> {
+            rows.iter()
+                .flat_map(|(base, _)| offsets.iter().map(move |(lo, hi)| (base + lo, base + hi)))
+                .collect()
+        };
+        for (rows, offsets) in [
+            (vec![(0u128, 99u128), (50, 149)], vec![(1u128, 2u128)]), // overlapping rows
+            (vec![(200, 299), (0, 99)], vec![(1, 2)]),                // unsorted rows
+            (vec![(0, 99), (200, 209)], vec![(1, 2), (50, 60)]),      // an offset past a row's end
+            (vec![(0, 99)], vec![(1, 2), (3, 9)]),                    // adjacent offsets
+            (vec![(0, 99)], vec![(5, 9), (1, 2)]),                    // unsorted offsets
+            (vec![(0, 99)], vec![(9, 3)]),                            // a reversed offset
+            (vec![(0, 99)], vec![]),                                  // nothing to read
+        ] {
+            let p = ScanPlan::product(rows.clone(), offsets.clone());
+            assert!(matches!(p.runs, Runs::Listed(_)), "{rows:?} x {offsets:?}");
+            assert_eq!(p, ScanPlan::new(multiplied(&rows, &offsets), rows.clone()));
+        }
+        // No rows: no runs, whatever the offsets.
+        let empty = ScanPlan::product(vec![], vec![(1, 2)]);
+        assert_eq!((empty.run_count(), empty.next_run(0, 0)), (0, 0));
+        assert!(empty.clipped(0, u128::MAX).is_none());
     }
 
     #[test]
@@ -932,6 +1112,75 @@ mod proptests {
             for k in keys.iter().filter(|k| !skipped(**k)) {
                 if plan.runs().iter().any(|(lo, hi)| k >= lo && k <= hi) {
                     prop_assert!(got.binary_search(k).is_ok(), "kept row lost in-run key {}", k);
+                }
+            }
+        }
+        /// Move 3's oracle: a product plan and the listed plan of the same
+        /// runs are one scan — same visit sequence, same termination,
+        /// same page and descent ledger — whatever the visitor answers,
+        /// under every deadline budget, on both legs of the leaf walk.
+        #[test]
+        fn a_product_plan_scans_like_its_listed_twin(
+            keys in proptest::collection::btree_set(0u128..8_000, 50..600),
+            starts in proptest::collection::btree_set(0u128..16, 1..9),
+            windows in proptest::collection::btree_set(0u128..60, 1..8),
+            lens in proptest::collection::vec(0u128..6, 8),
+            verdicts in any::<u64>(),
+            olc in any::<bool>(),
+        ) {
+            use crate::BTree;
+            use peb_common::Deadline;
+            use peb_storage::BufferPool;
+            use std::sync::Arc;
+
+            let mut t: BTree<u64> = BTree::new(Arc::new(BufferPool::new(64)));
+            for &k in &keys {
+                t.insert(k, k as u64);
+            }
+            t.set_olc_writes(olc);
+            // Row j spans [500 j, 500 j + 499]; window w is the offset
+            // range [8 w, 8 w + len], so offsets never touch.
+            let rows: Vec<(u128, u128)> = starts.iter().map(|j| (j * 500, j * 500 + 499)).collect();
+            let offsets: Vec<(u128, u128)> =
+                windows.iter().zip(&lens).map(|(w, len)| (w * 8, w * 8 + len)).collect();
+            let product = ScanPlan::product(rows.clone(), offsets.clone());
+            prop_assert!(matches!(product.runs, Runs::PerRow(_)));
+            let listed = ScanPlan::new(product.runs(), rows.clone());
+            prop_assert!(matches!(listed.runs, Runs::Listed(_)));
+            prop_assert_eq!(listed.runs().len(), rows.len() * offsets.len());
+
+            // Two bits of `verdicts` per key residue: mostly Next, some
+            // SkipRow, a rare Stop.
+            let verdict = |k: u128| match (verdicts >> (2 * (k % 29))) & 3 {
+                0 if k.is_multiple_of(7) => Visit::Stop,
+                1 => Visit::SkipRow,
+                _ => Visit::Next,
+            };
+            let clock = t.pool().clock().clone();
+            let scan = |plan: &ScanPlan, budget: Option<u64>, steer: bool| {
+                let deadline = match budget {
+                    Some(ticks) => Deadline::after(&clock, ticks),
+                    None => Deadline::unbounded(&clock),
+                };
+                t.pool().reset_stats();
+                t.reset_scan_stats();
+                let mut seen: Vec<u128> = Vec::new();
+                let term = t
+                    .try_scan_plan(plan, &deadline, |k, _| {
+                        seen.push(k);
+                        if steer { verdict(k) } else { Visit::Next }
+                    })
+                    .unwrap();
+                (seen, term, t.pool().stats().logical_reads, t.scan_stats())
+            };
+            scan(&listed, None, false); // warm: every page resident and published
+            for steer in [false, true] {
+                for budget in [None, Some(0), Some(1), Some(2), Some(3), Some(5), Some(8), Some(13)] {
+                    prop_assert_eq!(
+                        scan(&product, budget, steer),
+                        scan(&listed, budget, steer),
+                        "budget {:?}, steering {}", budget, steer
+                    );
                 }
             }
         }

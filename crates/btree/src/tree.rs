@@ -1247,7 +1247,6 @@ impl<V: RecordValue> BTree<V> {
         if !self.olc_enabled() {
             return self.scan_plan_relaxed(plan, visit, checkpoint);
         }
-        let runs = plan.runs();
         // The fused descent-path cache validates each cached level's
         // version in isolation — there is no parent-after-child
         // handshake — which is only sound while writers are excluded.
@@ -1255,11 +1254,11 @@ impl<V: RecordValue> BTree<V> {
         // frontier-validated chain scan instead (one descent per run;
         // the cache saving and the out-of-run emission are forgone).
         let mut i = 0usize;
-        while i < runs.len() {
+        while i < plan.run_count() {
             if !checkpoint() {
                 return Ok(false);
             }
-            let (lo, hi) = runs[i];
+            let (lo, hi) = plan.run(i);
             let mut skip = false;
             let done = self.range_scan_leaves_olc(lo, hi, |k, v| {
                 let verdict = visit(k, v);
@@ -1267,9 +1266,11 @@ impl<V: RecordValue> BTree<V> {
                 verdict == Visit::Next
             })?;
             if skip {
-                let end = plan.row_end(lo);
-                while i < runs.len() && runs[i].0 <= end {
-                    i += 1;
+                // A run lies inside one row, so the skipped row's runs
+                // are exactly those ending at or before the row does.
+                match plan.row_end(lo).checked_add(1) {
+                    Some(past_row) => i = plan.next_run(i, past_row),
+                    None => return Ok(true),
                 }
             } else if !done {
                 return Ok(false);
@@ -1292,7 +1293,7 @@ impl<V: RecordValue> BTree<V> {
         visit: &mut dyn FnMut(u128, V) -> Visit,
         checkpoint: &mut dyn FnMut() -> bool,
     ) -> Result<bool, IoFault> {
-        let (runs, rows) = (plan.runs(), plan.rows());
+        let (runs, rows) = (plan.run_count(), plan.rows());
         let vsize = Self::vsize();
         let mut path: Vec<PathLevel> = (1..self.height()).map(|_| PathLevel::default()).collect();
         // `i`: first run not yet consumed; `r`: first row reaching the
@@ -1300,14 +1301,14 @@ impl<V: RecordValue> BTree<V> {
         // everything below was emitted, lies in no row, or was skipped.
         let (mut i, mut r) = (0usize, 0usize);
         let mut frontier = 0u128;
-        'runs: while i < runs.len() {
+        'runs: while i < runs {
             // Checked before the descent too: a freshly expired deadline
             // must not pay height-many branch reads for a run it will
             // never emit from.
             if !checkpoint() {
                 return Ok(false);
             }
-            let (mut pid, fence) = self.descend_cached(runs[i].0, &mut path)?;
+            let (mut pid, fence) = self.descend_cached(plan.run(i).0, &mut path)?;
             // The fence is exact for the descended leaf; once the walk
             // moves along the sibling chain the new leaves' fences are
             // unknown (`None`) and the skip rule falls back to the last
@@ -1390,10 +1391,8 @@ impl<V: RecordValue> BTree<V> {
                 };
                 frontier = frontier.max(past_leaf);
                 // Drop the runs this leaf (or a skipped row) consumed.
-                while i < runs.len() && runs[i].1 < frontier {
-                    i += 1;
-                }
-                if i == runs.len() || !next.is_valid() {
+                i = plan.next_run(i, frontier);
+                if i == runs || !next.is_valid() {
                     // Plan exhausted — or the rightmost leaf: no key
                     // beyond it, the remaining runs are empty.
                     return Ok(true);
@@ -1411,7 +1410,7 @@ impl<V: RecordValue> BTree<V> {
                 // — re-descend through the cached path (upper levels are
                 // normally still valid, so the re-route costs one leaf
                 // read, like a sibling step).
-                if runs[i].0 <= past_leaf {
+                if plan.run(i).0 <= past_leaf {
                     pid = next;
                     fence = None;
                 } else {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use peb_common::{MovingPoint, Point, Rect, SpaceConfig, Timestamp, UserId};
 use peb_index::{IndexError, ShardedMovingIndex, TimePartitioning};
 use peb_storage::BufferPool;
-use peb_zorder::{coarsen, decompose, IntervalSet};
+use peb_zorder::{cover, IntervalSet};
 
 use crate::keys::BxKeyLayout;
 
@@ -109,8 +109,9 @@ impl BxTree {
         Ok(out)
     }
 
-    /// Walk the coarsened Z-ranges of `r`'s enlargement in every live
-    /// partition — the shared front half of both interval builders.
+    /// Walk the budgeted Z-cover ([`peb_zorder::cover`]) of `r`'s
+    /// enlargement in every live partition — the shared front half of
+    /// both interval builders.
     /// The coarsening budget clamps against the whole population: every
     /// object is a candidate for a privacy-unaware query (unlike the PEB
     /// side, whose candidates are the issuer's friends).
@@ -125,13 +126,13 @@ impl BxTree {
         for (tid, t_lab) in self.live_partitions() {
             let enlarged = self.enlarge(r, t_lab, tq);
             let (x0, x1, y0, y1) = space.to_grid_rect(&enlarged);
-            for zr in coarsen(decompose(x0, x1, y0, y1, space.grid_bits), budget) {
+            for zr in cover(x0, x1, y0, y1, space.grid_bits, budget) {
                 f(tid, zr);
             }
         }
     }
 
-    /// Run the Bx search (enlarge → Z-decompose → coarsen to
+    /// Run the Bx search (enlarge → Z-cover within
     /// [`peb_costmodel::interval_budget`] → B+-tree scan) and hand every
     /// *candidate* (pre-refinement) of the window `r` at `tq` to `f`: the
     /// raw retrieval step both query algorithms refine. The whole

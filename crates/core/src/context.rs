@@ -34,17 +34,14 @@ impl PrivacyContext {
     }
 
     /// The query issuer's friend list grouped by distinct SV code, in
-    /// ascending SV order — the row set of the PkNN search matrix and the
-    /// SV range set of PRQ.
+    /// ascending SV order — [`FriendIndex::sv_groups`], materialised. The
+    /// query plans read the groups straight off the list; this owned form
+    /// is for callers outside the engine.
     pub fn friend_sv_groups(&self, issuer: UserId) -> Vec<(u64, Vec<UserId>)> {
-        let mut groups: Vec<(u64, Vec<UserId>)> = Vec::new();
-        for f in self.friends.friends(issuer) {
-            match groups.last_mut() {
-                Some((sv, members)) if *sv == f.sv_code => members.push(f.uid),
-                _ => groups.push((f.sv_code, vec![f.uid])),
-            }
-        }
-        groups
+        self.friends
+            .sv_groups(issuer)
+            .map(|group| (group[0].sv_code, group.iter().map(|f| f.uid).collect()))
+            .collect()
     }
 }
 

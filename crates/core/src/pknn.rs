@@ -25,8 +25,6 @@
 //! as before and the vertical scan still closes the k'th distance, so the
 //! answer is the same exact kNN.
 
-use std::collections::HashMap;
-
 use peb_btree::{ScanPlan, ScanTermination};
 use peb_bx::estimated_knn_distance;
 use peb_common::{Deadline, MovingPoint, Point, Rect, Timestamp, UserId};
@@ -36,9 +34,10 @@ use crate::friends::Friends;
 use crate::partial::Partial;
 use crate::tree::PebTree;
 
-/// Per-(partition, SV-code) record of the Z-interval already scanned; round
-/// windows nest, so one interval per cell key suffices.
-type ScannedMap = HashMap<(u8, u64), (u64, u64)>;
+/// The Z-interval already scanned per search-matrix row and live
+/// partition, indexed `row × partitions + p`; round windows nest, so one
+/// interval per slot suffices.
+type Scanned = Vec<Option<(u64, u64)>>;
 
 impl PebTree {
     /// Definition 3: the k users nearest to `q` at `tq` among those whose
@@ -104,17 +103,19 @@ impl PebTree {
     ) -> Result<Partial<Vec<(MovingPoint, f64)>>, IndexError> {
         let partitions = self.live_partitions();
         let tids: Vec<u8> = partitions.iter().map(|(t, _)| *t).collect();
-        let groups = self.ctx().friend_sv_groups(issuer);
-        if groups.is_empty() || k == 0 || self.is_empty() {
+        let mut friends = Friends::new(&self.ctx().friends, issuer);
+        // Nobody is at a defined distance from a NaN centre, and no policy
+        // interval contains a NaN time.
+        let well_formed = !(q.x.is_nan() || q.y.is_nan() || tq.is_nan());
+        if friends.all_done() || k == 0 || self.is_empty() || !well_formed {
             // No qualifying candidate exists anywhere: complete, no I/O.
             return Ok(Partial::complete(Vec::new(), tids));
         }
-        let m = groups.len();
+        let m = friends.groups();
         let (rq, max_rounds) = self.pknn_rounds(k);
         let keys = *self.key_layout();
 
-        let mut scanned: ScannedMap = HashMap::new();
-        let mut friends = Friends::new(&groups);
+        let mut scanned: Scanned = vec![None; m * partitions.len()];
         let mut pool: Vec<(MovingPoint, f64)> = Vec::new();
         // One plan scan over `cells` = [(row, radius)]: the unresolved
         // cells' fresh flanks navigate, their whole SV rows answer.
@@ -128,8 +129,9 @@ impl PebTree {
                 if friends.group_done(row) {
                     continue;
                 }
-                let sv_code = groups[row].0;
-                runs.extend(self.cell_intervals(sv_code, q, tq, radius, &partitions, &mut scanned));
+                let sv_code = friends.sv_code(row);
+                let slots = &mut scanned[row * partitions.len()..][..partitions.len()];
+                self.cell_intervals(sv_code, q, tq, radius, &partitions, slots, &mut runs);
                 rows.extend(partitions.iter().map(|(tid, _)| self.sv_row(*tid, sv_code)));
             }
             let plan = ScanPlan::new(runs, rows);
@@ -144,11 +146,14 @@ impl PebTree {
         // the cells (row, round) with row + (round − 1) = d — per scan.
         let mut done = false;
         let mut expired = false;
+        let mut cells: Vec<(usize, f64)> = Vec::new();
         for d in 0..(m + max_rounds) {
-            let cells: Vec<(usize, f64)> = (0..=d.min(m - 1))
-                .filter(|row| d - row < max_rounds)
-                .map(|row| (row, (d - row + 1) as f64 * rq))
-                .collect();
+            cells.clear();
+            cells.extend(
+                (0..=d.min(m - 1))
+                    .filter(|row| d - row < max_rounds)
+                    .map(|row| (row, (d - row + 1) as f64 * rq)),
+            );
             expired = deadline.expired() || scan_cells(&cells, &mut friends, &mut pool)?;
             if expired {
                 break;
@@ -197,12 +202,14 @@ impl PebTree {
         Ok(Partial::complete(pool, tids))
     }
 
-    /// The fresh key intervals of one search-matrix cell: the single
-    /// Z-interval of the window of half-side `radius` (the paper's
-    /// modification — `[min ZV; max ZV]` of the enlarged window, i.e. its
-    /// lower-left and upper-right cells), per live partition, minus
-    /// whatever previous (smaller, nested) rounds already covered.
-    /// Updates `scanned` to record the coverage.
+    /// Append the fresh key intervals of one search-matrix cell to `out`:
+    /// the single Z-interval of the window of half-side `radius` (the
+    /// paper's modification — `[min ZV; max ZV]` of the enlarged window,
+    /// i.e. its lower-left and upper-right cells), per live partition,
+    /// minus whatever previous (smaller, nested) rounds already covered.
+    /// `scanned` is the row's slot per partition; it is updated to record
+    /// the coverage.
+    #[allow(clippy::too_many_arguments)]
     fn cell_intervals(
         &self,
         sv_code: u64,
@@ -210,49 +217,43 @@ impl PebTree {
         tq: Timestamp,
         radius: f64,
         partitions: &[(u8, Timestamp)],
-        scanned: &mut ScannedMap,
-    ) -> Vec<(u128, u128)> {
+        scanned: &mut [Option<(u64, u64)>],
+        out: &mut Vec<(u128, u128)>,
+    ) {
         let keys = *self.key_layout();
         let window = Rect::square(q, 2.0 * radius);
-        let mut out: Vec<(u128, u128)> = Vec::new();
-        for (tid, t_lab) in partitions {
+        for ((tid, t_lab), slot) in partitions.iter().zip(scanned) {
             let enlarged = self.enlarge(&window, *t_lab, tq);
             let (x0, x1, y0, y1) = self.space().to_grid_rect(&enlarged);
             let lo = peb_zorder::encode(x0, y0);
             let hi = peb_zorder::encode(x1, y1);
-
-            // Subtract the nested interval scanned by earlier rounds.
-            let fresh: Vec<(u64, u64)> = match scanned.get(&(*tid, sv_code)) {
-                None => vec![(lo, hi)],
-                Some(&(plo, phi)) => {
-                    let mut v = Vec::new();
-                    if lo < plo {
-                        v.push((lo, plo - 1));
-                    }
-                    if hi > phi {
-                        v.push((phi + 1, hi));
-                    }
-                    v
-                }
-            };
-            let entry = scanned.entry((*tid, sv_code)).or_insert((lo, hi));
-            entry.0 = entry.0.min(lo);
-            entry.1 = entry.1.max(hi);
-
-            for (zlo, zhi) in fresh {
+            let mut fresh = |zlo: u64, zhi: u64| {
                 out.push((
                     keys.range_start(*tid, sv_code, zlo),
                     keys.range_end(*tid, sv_code, zhi),
                 ));
+            };
+            // Subtract the nested interval scanned by earlier rounds.
+            match *slot {
+                None => fresh(lo, hi),
+                Some((plo, phi)) => {
+                    if lo < plo {
+                        fresh(lo, plo - 1);
+                    }
+                    if hi > phi {
+                        fresh(phi + 1, hi);
+                    }
+                }
             }
+            let (plo, phi) = slot.unwrap_or((lo, hi));
+            *slot = Some((plo.min(lo), phi.max(hi)));
         }
-        out
     }
 
     /// PkNN candidate refinement: resolve the friend (a user has only one
-    /// location — `friends` records it and says whether it is news),
-    /// check the policy, and rank the qualified candidate by predicted
-    /// distance.
+    /// location — `friends` records it, says whether it is news, and drops
+    /// whoever is not on the issuer's list), check the policy on the live
+    /// store, and rank the qualified candidate by predicted distance.
     fn pknn_refine(
         &self,
         issuer: UserId,
@@ -263,7 +264,7 @@ impl PebTree {
         pool: &mut Vec<(MovingPoint, f64)>,
     ) {
         let uid = UserId(rec.uid);
-        if uid == issuer || self.ctx().store.policy(uid, issuer).is_none() || !friends.locate(uid) {
+        if !friends.locate(uid) {
             return;
         }
         let mp = rec.to_moving_point();

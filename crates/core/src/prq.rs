@@ -1,35 +1,40 @@
 //! The privacy-aware range query (PRQ) of Sec 5.3 / Fig 7.
 //!
-//! Four steps per live time partition:
+//! Three small things multiplied together, per live time partition:
 //!
 //! 1. **Location ranges** — enlarge the query rectangle Bx-style and
-//!    convert it to Z-curve intervals (`ZVconvert`).
-//! 2. **Policy ranges** — take the issuer's friend list, i.e. the SV codes
-//!    of users who have a policy toward the issuer, ascending.
-//! 3. **Key ranges** — cross every friend SV with every Z-interval: the
-//!    interval `[TID ⊕ SV ⊕ ZVs ; TID ⊕ SV ⊕ ZVe]` (the paper's worked
-//!    example enumerates exactly these). Equal SV codes are grouped so no
-//!    interval is scanned twice.
-//! 4. **Scan + refine** — walk the B+-tree leaves of each interval. The
-//!    moment a friend is seen anywhere, its location is known ("a user has
-//!    only one location"), so every remaining interval carrying that
-//!    friend's SV is skipped once all friends of the group are resolved.
-//!    Refinement checks the actual predicted position against `R` and the
-//!    friend's policy against the issuer and query time.
+//!    convert it to Z-curve intervals (`ZVconvert`), kept to the cost
+//!    model's interval budget: [`peb_zorder::cover`] walks the quadtree
+//!    only until the budget's worth of gaps is known, so the hundreds of
+//!    raw ranges of a window are never materialised.
+//! 2. **Policy ranges** — the issuer's own friend list, i.e. the SV codes
+//!    of users who have a policy toward the issuer, ascending, read
+//!    straight off the sorted list into the query's friend table
+//!    (`Friends`: SV groups with their missing counts, listed uids by
+//!    bisection). Equal SV codes form one group, so no row is scanned
+//!    twice.
+//! 3. **One scan** — the key ranges are the cross product
+//!    `[TID ⊕ SV ⊕ ZVs ; TID ⊕ SV ⊕ ZVe]` (the paper's worked example
+//!    enumerates exactly these), and they stay factors:
+//!    [`ScanPlan::product`] takes the unresolved groups' SV rows
+//!    `[TID ⊕ SV ⊕ 0 ; TID ⊕ SV ⊕ max]` and the Z-ranges as offsets
+//!    into a row, `groups + ranges` pairs for `groups × ranges` runs. The
+//!    runs say which leaves are read; the rows say what a page in hand
+//!    may answer for — a page read for one Z-range answers for every
+//!    friend row it holds.
 //!
-//! The plan executes steps 3–4 as **one scan per live partition**: a
-//! [`ScanPlan`] whose navigation runs are the unresolved
-//! groups' `SV × Z-range` intervals — generated in key order, nothing to
-//! sort — and whose emission rows are those groups' whole SV rows
-//! `[TID ⊕ SV ⊕ 0 ; TID ⊕ SV ⊕ max]`. A page read for one Z-range
-//! answers for every friend row it holds, and a group whose friends are
-//! all located answers `SkipRow`, so its remaining Z-ranges are never
-//! navigated.
+//! Refinement runs inside the scan. The friend table drops a record that
+//! is not on the issuer's list before anything else is asked. The moment
+//! a friend is seen anywhere, its location is known ("a user has only one
+//! location"), so a group whose friends are all located answers `SkipRow`
+//! and its remaining Z-ranges are never navigated. A located friend is
+//! returned only if the predicted position lies in `R` *and* the live
+//! policy store permits the issuer to see them there and then.
 
 use peb_btree::{ScanPlan, ScanTermination};
 use peb_common::{Deadline, MovingPoint, Rect, Timestamp, UserId};
 use peb_index::IndexError;
-use peb_zorder::{coarsen, decompose};
+use peb_zorder::cover;
 
 use crate::friends::Friends;
 use crate::partial::Partial;
@@ -63,11 +68,11 @@ impl PebTree {
     /// graceful-degradation entry point of the serving layer.
     ///
     /// Runs one plan scan per live partition with `deadline` checked at
-    /// every page visit. Per partition the enlarged window is
-    /// Z-decomposed once and coarsened to the cost model's interval
-    /// budget ([`peb_costmodel::interval_budget`] — more ranges than the
+    /// every page visit. Per partition the enlarged window is covered by
+    /// at most the cost model's interval budget of Z-ranges
+    /// ([`peb_costmodel::interval_budget`] — more ranges than the
     /// candidates' leaves cannot pay for themselves); a group located in
-    /// an earlier partition contributes no runs to a later one, and a
+    /// an earlier partition contributes no row to a later one, and a
     /// partition with nobody left to find is not scanned at all.
     /// Refinement is the paper's — a candidate outside the window,
     /// whether it came from a coarsened-in cell or from the rest of its SV
@@ -81,6 +86,10 @@ impl PebTree {
     /// tags say which rotating time partitions were fully covered before
     /// the budget died. With an unbounded (or unexpired-throughout)
     /// deadline every partition is tagged complete.
+    ///
+    /// A window no point can lie in — reversed or NaN bounds — and a NaN
+    /// query time (no policy interval contains it) have the empty answer
+    /// by Definition 2: complete, at zero I/O.
     pub fn try_prq_deadline(
         &self,
         issuer: UserId,
@@ -89,15 +98,14 @@ impl PebTree {
         deadline: &Deadline,
     ) -> Result<Partial<Vec<MovingPoint>>, IndexError> {
         let parts = self.live_partitions();
-        let groups = self.ctx().friend_sv_groups(issuer);
-        if groups.is_empty() {
-            // No friends means no I/O: the empty answer is complete even
-            // on an already-expired budget.
+        let mut friends = Friends::new(&self.ctx().friends, issuer);
+        let well_formed = r.xl <= r.xu && r.yl <= r.yu && !tq.is_nan();
+        if friends.all_done() || !well_formed {
+            // No friends (or no such place or time) means no I/O: the
+            // empty answer is complete even on an already-expired budget.
             return Ok(Partial::complete(Vec::new(), parts.iter().map(|(t, _)| *t)));
         }
-        let mut friends = Friends::new(&groups);
-        let total_friends: usize = groups.iter().map(|(_, m)| m.len()).sum();
-        let budget = self.query_interval_budget(total_friends);
+        let budget = self.query_interval_budget(friends.listed());
         let keys = *self.key_layout();
 
         let mut results: Vec<MovingPoint> = Vec::new();
@@ -113,28 +121,23 @@ impl PebTree {
             }
             let enlarged = self.enlarge(r, t_lab, tq);
             let (x0, x1, y0, y1) = self.space().to_grid_rect(&enlarged);
-            let zranges = coarsen(decompose(x0, x1, y0, y1, self.space().grid_bits), budget);
-            // rows × windows, unresolved groups only, already in key order.
-            let mut rows: Vec<(u128, u128)> = Vec::with_capacity(groups.len());
-            let mut runs: Vec<(u128, u128)> = Vec::with_capacity(groups.len() * zranges.len());
-            for (g, (sv_code, _)) in groups.iter().enumerate() {
-                if friends.group_done(g) {
-                    continue; // every friend at this SV already located
-                }
-                rows.push(self.sv_row(tid, *sv_code));
-                runs.extend(zranges.iter().map(|zr| {
-                    (keys.range_start(tid, *sv_code, zr.lo), keys.range_end(tid, *sv_code, zr.hi))
-                }));
-            }
-            let plan = ScanPlan::new(runs, rows);
+            // Unresolved rows × the window's ranges, kept as factors: a
+            // Z-range is the same offset into every SV row.
+            let rows = (0..friends.groups())
+                .filter(|&g| !friends.group_done(g))
+                .map(|g| self.sv_row(tid, friends.sv_code(g)))
+                .collect();
+            let offsets = cover(x0, x1, y0, y1, self.space().grid_bits, budget)
+                .iter()
+                .map(|zr| (keys.range_start(0, 0, zr.lo), keys.range_end(0, 0, zr.hi)))
+                .collect();
+            let plan = ScanPlan::product(rows, offsets);
             let report = self.index().try_scan_plan(&plan, deadline, |key, rec| {
                 let uid = UserId(rec.uid);
-                // Only friends can qualify; others sharing the SV code
-                // are skipped without policy evaluation.
-                if uid != issuer
-                    && self.ctx().store.policy(uid, issuer).is_some()
-                    && friends.locate(uid)
-                {
+                // Only the issuer's listed friends can qualify; whoever
+                // else shares the SV row is dropped by the table, and the
+                // live store has the last word on the rest.
+                if friends.locate(uid) {
                     let m = rec.to_moving_point();
                     let pos = m.position_at(tq);
                     if r.contains(&pos) && self.ctx().store.permits(uid, issuer, &pos, tq) {

@@ -186,3 +186,137 @@ fn a_strangers_position_report_is_refused_and_touches_nothing() {
         assert_eq!(t.len(), 2);
     }
 }
+
+/// A query that names no place or no time — a reversed or NaN window, a
+/// NaN query time, a NaN kNN centre — is input from outside the program
+/// (`Rect` has public fields, requests carry raw floats). Definitions 2
+/// and 3 give it the empty answer: complete, at zero I/O, and the engine
+/// answers the next well-formed query in full.
+#[test]
+fn a_malformed_query_is_answered_empty_and_touches_nothing() {
+    let mut store = PolicyStore::new();
+    for o in 1..=3u64 {
+        store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
+    }
+    let t = tree_with(store, 4);
+    t.upsert(MovingPoint::new(UserId(1), Point::new(100.0, 100.0), Vec2::ZERO, 10.0));
+    t.upsert(MovingPoint::new(UserId(2), Point::new(200.0, 200.0), Vec2::ZERO, 70.0));
+    t.upsert(MovingPoint::new(UserId(3), Point::new(300.0, 300.0), Vec2::ZERO, 70.0));
+    let live: Vec<(u8, bool)> = t.live_partitions().iter().map(|(tid, _)| (*tid, true)).collect();
+    assert_eq!(live.len(), 2);
+    let unbounded = peb_common::Deadline::unbounded(t.pool().clock());
+
+    let windows = [
+        (Rect { xl: 900.0, xu: 100.0, yl: 0.0, yu: 1000.0 }, 80.0), // xl > xu
+        (Rect { xl: 0.0, xu: 1000.0, yl: 900.0, yu: 100.0 }, 80.0), // yl > yu
+        (Rect { xl: f64::NAN, xu: 1000.0, yl: 0.0, yu: 1000.0 }, 80.0),
+        (Rect { xl: 0.0, xu: 1000.0, yl: 0.0, yu: f64::NAN }, 80.0),
+        (WHOLE, f64::NAN),
+    ];
+    for (window, tq) in windows {
+        let before = t.pool().stats();
+        let answer = t.try_prq_deadline(UserId(0), &window, tq, &unbounded).unwrap();
+        assert!(answer.value.is_empty(), "{window:?} at {tq}");
+        assert_eq!(answer.partitions, live, "empty is the complete answer: {window:?} at {tq}");
+        assert_eq!(t.pool().stats(), before, "{window:?} at {tq} read a page");
+        assert_eq!(t.try_prq(UserId(0), &WHOLE, 80.0).unwrap().len(), 3);
+    }
+
+    let centre = Point::new(150.0, 150.0);
+    let probes = [
+        (centre, f64::NAN),
+        (Point::new(f64::NAN, 150.0), 80.0),
+        (Point::new(150.0, f64::NAN), 80.0),
+    ];
+    for (q, tq) in probes {
+        let before = t.pool().stats();
+        let answer = t.try_pknn_deadline(UserId(0), q, 2, tq, &unbounded).unwrap();
+        assert!(answer.value.is_empty(), "{q:?} at {tq}");
+        assert_eq!(answer.partitions, live, "empty is the complete answer: {q:?} at {tq}");
+        assert_eq!(t.pool().stats(), before, "{q:?} at {tq} read a page");
+        let next: Vec<u64> =
+            t.try_pknn(UserId(0), centre, 2, 80.0).unwrap().iter().map(|(m, _)| m.uid.0).collect();
+        assert_eq!(next, vec![1, 2]);
+    }
+}
+
+/// Issuer 0 with listed friends 1 and 2, and user 3 in their SV row: the
+/// issuer grants 3 the same full-volume policy 1 and 2 grant the issuer,
+/// so all three are equally compatible with the group leader and share one
+/// SV code — a page read for 1 or 2 holds 3's record too.
+fn stale_list_world() -> (PebTree, Vec<MovingPoint>) {
+    let mut store = PolicyStore::new();
+    for o in [1u64, 2] {
+        store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
+    }
+    store.add(UserId(3), Policy::new(UserId(0), RoleId::FRIEND, WHOLE, ALWAYS));
+    let t = tree_with(store, 4);
+    let ctx = t.context();
+    assert_eq!(ctx.sv_code(UserId(3)), ctx.sv_code(UserId(1)), "3 must share the friends' row");
+    assert_eq!(ctx.friends.friends(UserId(0)).len(), 2);
+    // 3 sits before the friends on the Z-curve, so the scan that locates
+    // them meets its record first.
+    let users = vec![still(3, 50.0, 50.0), still(1, 100.0, 100.0), still(2, 200.0, 200.0)];
+    for m in &users {
+        t.upsert(*m);
+    }
+    (t, users)
+}
+
+fn answers(t: &PebTree) -> (Vec<UserId>, Vec<UserId>) {
+    let prq = t.try_prq(UserId(0), &WHOLE, 10.0).unwrap().iter().map(|m| m.uid).collect();
+    let pknn = t
+        .try_pknn(UserId(0), Point::new(0.0, 0.0), 3, 10.0)
+        .unwrap()
+        .iter()
+        .map(|(m, _)| m.uid)
+        .collect();
+    (prq, pknn)
+}
+
+fn oracle_answers(t: &PebTree, users: &[MovingPoint]) -> (Vec<UserId>, Vec<UserId>) {
+    let store = &t.context().store;
+    (
+        pebtree::oracle::oracle_prq(users, store, UserId(0), &WHOLE, 10.0),
+        pebtree::oracle::oracle_pknn(users, store, UserId(0), Point::new(0.0, 0.0), 3, 10.0),
+    )
+}
+
+/// Granted in the store, missing from a stale friend list: not seen —
+/// even on a page read for a listed friend — until `refresh_user` runs.
+#[test]
+fn a_grant_after_the_list_was_built_shows_once_the_list_is_refreshed() {
+    let (mut t, users) = stale_list_world();
+    let listed = vec![UserId(1), UserId(2)];
+    assert_eq!(answers(&t), (listed.clone(), listed.clone()));
+
+    let ctx = Arc::get_mut(t.ctx_mut()).expect("the test holds the only handle");
+    ctx.store.add(UserId(0), Policy::new(UserId(3), RoleId::FRIEND, WHOLE, ALWAYS));
+    assert_eq!(answers(&t), (listed.clone(), listed), "3 is granted but not yet listed");
+
+    let ctx = Arc::get_mut(t.ctx_mut()).expect("the test holds the only handle");
+    ctx.friends.refresh_user(&ctx.store, &ctx.seqvals, UserId(0));
+    let by_uid = vec![UserId(1), UserId(2), UserId(3)];
+    let by_distance = vec![UserId(3), UserId(1), UserId(2)];
+    assert_eq!(answers(&t), (by_uid, by_distance));
+    assert_eq!(answers(&t), oracle_answers(&t, &users));
+}
+
+/// Revoked in the store, still on a stale friend list: located by the
+/// plan, refused by the live store — before the refresh and after.
+#[test]
+fn a_revoked_friend_still_listed_is_refused_by_the_live_store() {
+    let (mut t, users) = stale_list_world();
+    let ctx = Arc::get_mut(t.ctx_mut()).expect("the test holds the only handle");
+    assert!(ctx.store.remove(UserId(1), UserId(0)).is_some());
+    assert_eq!(ctx.friends.friends(UserId(0)).len(), 2, "1 is still listed");
+    let only_2 = vec![UserId(2)];
+    assert_eq!(answers(&t), (only_2.clone(), only_2.clone()));
+    assert_eq!(answers(&t), oracle_answers(&t, &users));
+
+    let ctx = Arc::get_mut(t.ctx_mut()).expect("the test holds the only handle");
+    ctx.friends.refresh_user(&ctx.store, &ctx.seqvals, UserId(0));
+    assert_eq!(ctx.friends.friends(UserId(0)).len(), 1);
+    assert_eq!(answers(&t), (only_2.clone(), only_2));
+    assert_eq!(answers(&t), oracle_answers(&t, &users));
+}

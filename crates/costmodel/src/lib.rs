@@ -79,7 +79,7 @@ pub const MAX_QUERY_INTERVALS: usize = 64;
 
 /// The cost-model pick for how many Z-intervals a fused query scan
 /// should keep per partition (the `max_ranges` handed to
-/// `peb_zorder::coarsen`).
+/// `peb_zorder::cover`).
 ///
 /// Eq. 6's `min(Np, Nl)` clamp is the rationale: a query's candidates
 /// occupy at most `min(candidates, leaf_pages)` distinct leaves, so

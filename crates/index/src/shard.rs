@@ -961,7 +961,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                 plan.clipped(plo, phi).map(|clipped| (tid, clipped))
             })
             .collect();
-        spans.sort_unstable_by_key(|(_, clipped)| clipped.runs()[0].0);
+        spans.sort_unstable_by_key(|(_, clipped)| clipped.run(0).0);
         if spans.is_empty() {
             return Ok(ScanReport {
                 termination: ScanTermination::Complete,

@@ -49,6 +49,14 @@ impl FriendIndex {
         self.lists.get(uid.as_index()).map_or(&[], Vec::as_slice)
     }
 
+    /// The friend list of `uid` cut into its **SV groups**: maximal runs of
+    /// equal SV code, ascending. This is the one definition of "group" —
+    /// the rows of the PkNN search matrix, the SV ranges of PRQ, and the
+    /// unit a query plan skips once all its members are located.
+    pub fn sv_groups(&self, uid: UserId) -> impl Iterator<Item = &[FriendEntry]> {
+        self.friends(uid).chunk_by(|a, b| a.sv_code == b.sv_code)
+    }
+
     /// `SVmin`/`SVmax` over the friend list, if non-empty.
     pub fn sv_bounds(&self, uid: UserId) -> Option<(u64, u64)> {
         let l = self.friends(uid);
@@ -102,6 +110,24 @@ mod tests {
         assert_eq!(idx.friends(UserId(1)).iter().map(|e| e.uid.0).collect::<Vec<_>>(), vec![3]);
         // Owners don't gain friends by granting.
         assert!(idx.friends(UserId(2)).is_empty());
+    }
+
+    #[test]
+    fn sv_groups_are_the_runs_of_equal_code() {
+        let list = |codes: &[u64]| FriendIndex {
+            lists: vec![codes
+                .iter()
+                .enumerate()
+                .map(|(i, &sv_code)| FriendEntry { sv_code, uid: UserId(i as u64 + 1) })
+                .collect()],
+        };
+        let sizes = |idx: &FriendIndex| -> Vec<(u64, usize)> {
+            idx.sv_groups(UserId(0)).map(|g| (g[0].sv_code, g.len())).collect()
+        };
+        assert_eq!(sizes(&list(&[3, 3, 7, 9, 9, 9])), vec![(3, 2), (7, 1), (9, 3)]);
+        assert_eq!(sizes(&list(&[5])), vec![(5, 1)]);
+        assert!(sizes(&list(&[])).is_empty());
+        assert!(list(&[1]).sv_groups(UserId(44)).next().is_none(), "a stranger has no groups");
     }
 
     #[test]

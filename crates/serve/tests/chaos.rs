@@ -532,6 +532,17 @@ fn goodput_recovers_after_a_burst() {
     assert_eq!(s3.shed, s2.shed, "no shedding after the burst subsides");
 }
 
+/// One query through the front door of an idle server: admitted, drained,
+/// completed under its own ticket, served.
+fn serve_one(server: &QueryServer, req: Request) -> Response {
+    let ticket = server.submit(req).expect("an idle server admits");
+    assert_eq!(server.drain_n(1), 1);
+    let mut done = server.take_completions();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].ticket, ticket);
+    done.remove(0).result.expect("served, not failed")
+}
+
 /// The issuer uid arrives from outside the program. One the policy
 /// encoding has never seen is an issuer nobody has a policy toward:
 /// Definition 2 gives the empty, complete answer at zero I/O — and the
@@ -542,14 +553,6 @@ fn a_strangers_query_completes_empty_and_the_server_lives_on() {
     let tree = Arc::new(build_world());
     let pool = Arc::clone(tree.pool());
     let server = QueryServer::new(Arc::clone(&tree), ServerConfig::default());
-    let serve_one = |req: Request| {
-        let ticket = server.submit(req).expect("an idle server admits");
-        assert_eq!(server.drain_n(1), 1);
-        let mut done = server.take_completions();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].ticket, ticket);
-        done.remove(0).result.expect("served, not failed")
-    };
 
     let live = tree.live_partitions().len();
     // First uid past the encoded population (`build_world` encodes
@@ -560,7 +563,7 @@ fn a_strangers_query_completes_empty_and_the_server_lives_on() {
             Request::Pknn { issuer: stranger, center: Point::new(500.0, 500.0), k: 3, tq: TQ },
         ] {
             let before = pool.stats();
-            let answer = serve_one(req);
+            let answer = serve_one(&server, req);
             assert_eq!(answer.rows(), 0, "{req:?}");
             assert!(answer.is_complete(), "{req:?}");
             assert_eq!(answer.partitions().len(), live, "every live partition is tagged");
@@ -568,7 +571,42 @@ fn a_strangers_query_completes_empty_and_the_server_lives_on() {
         }
     }
 
-    let answer = serve_one(Request::Prq { issuer: UserId(0), window: WHOLE, tq: TQ });
+    let answer = serve_one(&server, Request::Prq { issuer: UserId(0), window: WHOLE, tq: TQ });
+    assert_eq!(answer.rows(), USERS as usize, "the next well-formed query is answered in full");
+}
+
+/// So do the window, the centre and the query time: `Rect` has public
+/// fields and a `Request` carries raw floats. A window no point can lie
+/// in, a NaN query time, a NaN kNN centre have the empty answer by
+/// Definitions 2 and 3 — complete, at zero I/O, nothing for the breakers
+/// or the retry policy to see — and the worker lives on (each of these
+/// used to trip `Rect::new`'s assert inside `drain`).
+#[test]
+fn a_malformed_query_completes_empty_and_the_server_lives_on() {
+    let tree = Arc::new(build_world());
+    let pool = Arc::clone(tree.pool());
+    let server = QueryServer::new(Arc::clone(&tree), ServerConfig::default());
+
+    let live = tree.live_partitions().len();
+    let centre = Point::new(500.0, 500.0);
+    for req in [
+        Request::Prq { issuer: UserId(0), window: Rect { xl: 5000.0, ..WHOLE }, tq: TQ },
+        Request::Prq { issuer: UserId(0), window: Rect { yu: -5000.0, ..WHOLE }, tq: TQ },
+        Request::Prq { issuer: UserId(0), window: Rect { xu: f64::NAN, ..WHOLE }, tq: TQ },
+        Request::Prq { issuer: UserId(0), window: WHOLE, tq: f64::NAN },
+        Request::Pknn { issuer: UserId(0), center: centre, k: 3, tq: f64::NAN },
+        Request::Pknn { issuer: UserId(0), center: Point::new(f64::NAN, 500.0), k: 3, tq: TQ },
+    ] {
+        let before = pool.stats();
+        let answer = serve_one(&server, req);
+        assert_eq!(answer.rows(), 0, "{req:?}");
+        assert!(answer.is_complete(), "{req:?}");
+        assert_eq!(answer.partitions().len(), live, "every live partition is tagged");
+        assert_eq!(pool.stats(), before, "no such place or time: no page is touched");
+    }
+    assert_eq!(server.stats().failed, 0);
+
+    let answer = serve_one(&server, Request::Prq { issuer: UserId(0), window: WHOLE, tq: TQ });
     assert_eq!(answer.rows(), USERS as usize, "the next well-formed query is answered in full");
 }
 

@@ -9,7 +9,9 @@
 //!   grid coordinates and curve values, and
 //! * [`ranges::decompose`] — the `ZVconvert()` step of the paper's query
 //!   algorithms: turning a grid-aligned query rectangle into the minimal
-//!   set of maximal intervals of consecutive Z-values that exactly cover it.
+//!   set of maximal intervals of consecutive Z-values that exactly cover it;
+//!   [`ranges::cover`] is the same step kept to an interval budget, which
+//!   is what the query plans call.
 
 #![warn(missing_docs)]
 
@@ -19,4 +21,4 @@ pub mod ranges;
 
 pub use intervals::IntervalSet;
 pub use morton::{decode, encode};
-pub use ranges::{coarsen, decompose, ZRange};
+pub use ranges::{coarsen, cover, decompose, ZRange};

@@ -8,7 +8,7 @@
 //! children. Adjacent intervals are merged, so the result is the minimal
 //! sorted set of maximal intervals exactly covering the rectangle.
 
-use crate::morton::encode;
+use crate::morton::{decode, encode};
 
 /// An inclusive interval `[lo, hi]` of consecutive Z-curve values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,6 +157,96 @@ pub fn coarsen(mut ranges: Vec<ZRange>, max_ranges: usize) -> Vec<ZRange> {
     ranges
 }
 
+/// The budgeted `ZVconvert`: exactly `coarsen(decompose(x0, x1, y0, y1,
+/// grid_bits), max_ranges)`, without materialising the raw decomposition.
+///
+/// The quadtree is walked level by level, keeping a Z-ordered list of
+/// blocks. A block inside the rectangle is its exact run; a partially
+/// covered block stands in as the one range `[encode(clipped lower-left),
+/// encode(clipped upper-right)]` — the curve is monotone in each
+/// coordinate, so those two corners are the block's first and last covered
+/// cells, and the range hides only the gaps *between* them. A gap between
+/// two list entries is therefore a true gap of the full decomposition,
+/// while a gap hidden inside an unsplit block of side `2^level` is at most
+/// `4^level − 2` wide (both ends lie in the block, and a block holding its
+/// own first and last cell is fully covered). Splitting stops at the first
+/// level where `max_ranges − 1` known gaps are each strictly wider than
+/// that: every hidden gap is then one [`coarsen`] would have closed, the
+/// gaps it keeps are all on the list in their original order, and running
+/// it over the short list gives the identical output, ties included.
+///
+/// ```
+/// use peb_zorder::{coarsen, cover, decompose};
+///
+/// let raw = decompose(101, 420, 203, 522, 10);
+/// assert_eq!(raw.len(), 957);
+/// assert_eq!(cover(101, 420, 203, 522, 10, 20), coarsen(raw, 20));
+/// ```
+///
+/// # Panics
+/// Panics if the rectangle is reversed or exceeds the grid, or if
+/// `max_ranges` is zero.
+pub fn cover(x0: u32, x1: u32, y0: u32, y1: u32, grid_bits: u32, max_ranges: usize) -> Vec<ZRange> {
+    assert!(x0 <= x1 && y0 <= y1, "reversed grid rect");
+    let cells = 1u64 << grid_bits;
+    assert!((x1 as u64) < cells && (y1 as u64) < cells, "rect exceeds grid");
+    assert!(max_ranges >= 1);
+
+    // Classify the block at `(bx, by)` of side `2^level` against the
+    // rectangle: `None` if disjoint, else its range and whether the range
+    // is partial (hides gaps a split would reveal).
+    let classify = |bx: u32, by: u32, level: u32| -> Option<(ZRange, bool)> {
+        #[cfg(test)]
+        BLOCKS_CLASSIFIED.with(|n| n.set(n.get() + 1));
+        let last = ((1u64 << level) - 1) as u32;
+        let (bx1, by1) = (bx + last, by + last);
+        if bx > x1 || bx1 < x0 || by > y1 || by1 < y0 {
+            return None;
+        }
+        let lo = encode(bx.max(x0), by.max(y0));
+        let hi = encode(bx1.min(x1), by1.min(y1));
+        Some((ZRange::new(lo, hi), hi - lo != (1u64 << (2 * level)) - 1))
+    };
+
+    let mut level = grid_bits;
+    let mut blocks: Vec<(ZRange, bool)> = classify(0, 0, level).into_iter().collect();
+    let mut split: Vec<(ZRange, bool)> = Vec::new();
+    while level > 0 {
+        let hidden = (1u64 << (2 * level)) - 2;
+        let wide = blocks.windows(2).filter(|w| w[1].0.lo - w[0].0.hi > hidden).count();
+        if wide + 1 >= max_ranges || blocks.iter().all(|(_, partial)| !partial) {
+            break;
+        }
+        level -= 1;
+        let (h, mask) = (1u32 << level, !((2u32 << level) - 1));
+        for &(range, partial) in &blocks {
+            if !partial {
+                split.push((range, false));
+                continue;
+            }
+            // The block's origin: any covered cell with the in-block bits
+            // cleared. Children in Z-order keep the list sorted.
+            let (cx, cy) = decode(range.lo);
+            let (bx, by) = (cx & mask, cy & mask);
+            for (dx, dy) in [(0, 0), (h, 0), (0, h), (h, h)] {
+                split.extend(classify(bx + dx, by + dy, level));
+            }
+        }
+        std::mem::swap(&mut blocks, &mut split);
+        split.clear();
+    }
+    let mut ranges: Vec<ZRange> = blocks.into_iter().map(|(range, _)| range).collect();
+    merge_adjacent(&mut ranges);
+    coarsen(ranges, max_ranges)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Quadtree blocks [`cover`] has classified on this thread — the pin
+    /// that the budget keeps pruning.
+    static BLOCKS_CLASSIFIED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The original quadratic formulation of [`coarsen`], kept as the test
 /// reference: rescan every gap, glue the smallest, repeat.
 #[cfg(test)]
@@ -263,6 +353,67 @@ mod tests {
         }
     }
 
+    /// `cover` against its oracle, plus how many blocks it classified.
+    fn check_cover(x0: u32, x1: u32, y0: u32, y1: u32, bits: u32, max: usize) -> usize {
+        BLOCKS_CLASSIFIED.with(|n| n.set(0));
+        let got = cover(x0, x1, y0, y1, bits, max);
+        let want = coarsen(decompose(x0, x1, y0, y1, bits), max);
+        assert_eq!(got, want, "rect {x0}..{x1} x {y0}..{y1}, bits {bits}, max {max}");
+        BLOCKS_CLASSIFIED.with(|n| n.get())
+    }
+
+    #[test]
+    fn cover_equals_the_reference_on_every_small_rect() {
+        // Every rectangle of the 2x2, 4x4 and 8x8 grids under every cap
+        // that can bite: gaps come from a tiny alphabet here, so ties —
+        // among kept gaps and at the stopping threshold — are the rule.
+        for bits in 1..=3u32 {
+            let side = 1u32 << bits;
+            for x0 in 0..side {
+                for x1 in x0..side {
+                    for y0 in 0..side {
+                        for y1 in y0..side {
+                            let raw = decompose(x0, x1, y0, y1, bits).len();
+                            for max in 1..=raw + 1 {
+                                check_cover(x0, x1, y0, y1, bits, max);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cover_handles_the_edge_shapes() {
+        let m = (1u32 << 10) - 1;
+        for max in [1usize, 2, 3, 20, 50, 70] {
+            assert_eq!(check_cover(0, m, 0, m, 10, max), 1, "the full grid is its root block");
+            check_cover(517, 517, 301, 301, 10, max); // a single cell
+            check_cover(333, 333, 100, 900, 10, max); // a one-cell-wide column
+            check_cover(100, 900, 333, 333, 10, max); // a one-cell-high row
+            check_cover(0, 319, 401, 720, 10, max); // touching the left edge
+            check_cover(m - 319, m, 401, 720, 10, max); // right
+            check_cover(401, 720, 0, 319, 10, max); // bottom
+            check_cover(401, 720, m - 319, m, 10, max); // top
+            check_cover(0, 319, m - 319, m, 10, max); // a corner
+            check_cover(0, (1 << 16) - 1, 7, (1 << 16) - 9, 16, max); // the widest grid
+        }
+    }
+
+    #[test]
+    fn the_budget_keeps_pruning() {
+        // The benchmark's shape: a 320 x 320-cell window, odd-aligned, on
+        // the 1024 grid. `decompose` classifies 5 125 blocks for it and
+        // returns 957 ranges; the budgeted walk stops levels above the
+        // cells, the sooner the smaller the budget.
+        assert_eq!(decompose(101, 420, 203, 522, 10).len(), 957);
+        let blocks = check_cover(101, 420, 203, 522, 10, 20);
+        assert!(blocks <= 200, "cover classified {blocks} blocks for 20 ranges");
+        let blocks = check_cover(101, 420, 203, 522, 10, 50);
+        assert!(blocks <= 700, "cover classified {blocks} blocks for 50 ranges");
+    }
+
     #[test]
     fn zrange_basics() {
         let r = ZRange::new(10, 20);
@@ -286,6 +437,15 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A well-formed rectangle of the `2^bits` grid from two arbitrary
+    /// coordinate pairs.
+    fn grid_rect(bits: u32, xs: (u16, u16), ys: (u16, u16)) -> (u32, u32, u32, u32) {
+        let m = (1u32 << bits) - 1;
+        let (x0, x1) = (xs.0 as u32 & m, xs.1 as u32 & m);
+        let (y0, y1) = (ys.0 as u32 & m, ys.1 as u32 & m);
+        (x0.min(x1), x0.max(x1), y0.min(y1), y0.max(y1))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -294,11 +454,7 @@ mod proptests {
             xs in any::<(u16, u16)>(),
             ys in any::<(u16, u16)>(),
         ) {
-            let m = (1u32 << bits) - 1;
-            let (mut x0, mut x1) = (xs.0 as u32 & m, xs.1 as u32 & m);
-            let (mut y0, mut y1) = (ys.0 as u32 & m, ys.1 as u32 & m);
-            if x0 > x1 { std::mem::swap(&mut x0, &mut x1); }
-            if y0 > y1 { std::mem::swap(&mut y0, &mut y1); }
+            let (x0, x1, y0, y1) = grid_rect(bits, xs, ys);
 
             let rs = decompose(x0, x1, y0, y1, bits);
             // Exact coverage.
@@ -316,6 +472,38 @@ mod proptests {
                     prop_assert!(gx >= x0 && gx <= x1 && gy >= y0 && gy <= y1);
                 }
             }
+        }
+
+        /// The budgeted cover is the reference pipeline, output for
+        /// output, on every grid `SpaceConfig` allows.
+        #[test]
+        fn cover_equals_coarsen_of_decompose(
+            bits in 1u32..17,
+            xs in any::<(u16, u16)>(),
+            ys in any::<(u16, u16)>(),
+            max in 1usize..71,
+        ) {
+            let (x0, x1, y0, y1) = grid_rect(bits, xs, ys);
+            prop_assert_eq!(
+                cover(x0, x1, y0, y1, bits, max),
+                coarsen(decompose(x0, x1, y0, y1, bits), max)
+            );
+        }
+
+        /// Small grids and small caps: few distinct gap widths, so the
+        /// cap usually cuts through a run of equal gaps.
+        #[test]
+        fn cover_breaks_ties_like_the_reference(
+            bits in 2u32..7,
+            xs in any::<(u16, u16)>(),
+            ys in any::<(u16, u16)>(),
+            max in 1usize..13,
+        ) {
+            let (x0, x1, y0, y1) = grid_rect(bits, xs, ys);
+            prop_assert_eq!(
+                cover(x0, x1, y0, y1, bits, max),
+                coarsen(decompose(x0, x1, y0, y1, bits), max)
+            );
         }
 
         /// The selection-based `coarsen` is the quadratic reference, output
