@@ -4,10 +4,10 @@
 //! * `--baseline-only` — skip the figures; measure the fixed perf baseline
 //!   (what CI runs) and every per-feature trajectory entry, and write them
 //!   as `BENCH_seed.json`, `BENCH_updates.json`, `BENCH_scans.json`,
-//!   `BENCH_optreads.json`, `BENCH_recovery.json`, `BENCH_writeconc.json`,
-//!   `BENCH_faults.json` and `BENCH_overload.json` into the output
-//!   directory. The committed `BENCH_*.json` at the repo root are frozen
-//!   history (protocol: docs/BENCHMARKS.md) and are never written here.
+//!   `BENCH_optreads.json`, `BENCH_recovery.json`, `BENCH_faults.json`
+//!   and `BENCH_overload.json` into the output directory. The committed
+//!   `BENCH_*.json` at the repo root are frozen history (protocol:
+//!   docs/BENCHMARKS.md) and are never written here.
 //! * `--out-dir <dir>` — where `--baseline-only` writes (default
 //!   `target/bench/`, created if missing).
 use std::path::{Path, PathBuf};
@@ -20,7 +20,6 @@ use peb_bench::recovery;
 use peb_bench::report;
 use peb_bench::scans;
 use peb_bench::updates;
-use peb_bench::writeconc;
 
 fn write_entry(dir: &Path, file: &str, what: &str, json: String) {
     let path = dir.join(file);
@@ -62,12 +61,6 @@ fn main() {
             "BENCH_recovery.json",
             "durability/recovery trajectory",
             recovery::measure_recovery().to_json(),
-        );
-        write_entry(
-            &dir,
-            "BENCH_writeconc.json",
-            "write-concurrency trajectory",
-            writeconc::measure_writeconc().to_json(),
         );
 
         let flt = faults::measure_faults();
@@ -153,12 +146,6 @@ fn main() {
         "write-ahead-log cost and crash-recovery replay: one checkpoint, two unflushed rounds",
     );
     recovery::print_table(&recovery::measure_recovery());
-    println!();
-    report::header(
-        "WriteConc",
-        "update throughput and reader overlap: whole-shard exclusive vs OLC write path",
-    );
-    writeconc::print_table(&writeconc::measure_writeconc());
     println!();
     report::header(
         "Faults",

@@ -31,15 +31,6 @@ pub struct RunConfig {
     /// identical either way). The optimistic-reads experiment builds a
     /// `false` world as its locked-path comparison point.
     pub optimistic_reads: bool,
-    /// Whether updates run through the optimistic-lock-coupling write
-    /// path (per-page latches under the shard read lock) instead of
-    /// whole-shard exclusion. The default of `false` is the paper-exact
-    /// exclusive write path every frozen I/O measurement uses (the OLC
-    /// path publishes structural modifications from finished images, so
-    /// write ledgers are only comparable at a fixed protocol); the
-    /// write-concurrency experiment builds a `true` world as its
-    /// latched comparison point.
-    pub olc_writes: bool,
     /// Whether the write-ahead-log durability protocol is on for both
     /// engines. The default of `false` is the paper-exact configuration
     /// every frozen I/O measurement uses (logging adds log-page writes to
@@ -68,7 +59,6 @@ impl Default for RunConfig {
             buffer_pages: 50,
             pool_shards: 1,
             optimistic_reads: true,
-            olc_writes: false,
             durable: false,
             seed: 0xC0FFEE,
             tq: 30.0,
@@ -148,8 +138,6 @@ impl World {
         };
         let mut peb = PebTree::new(pool(cfg), space, part, cfg.max_speed, Arc::clone(&ctx));
         let mut baseline = SpatialBaseline::new(BxTree::new(pool(cfg), space, part, cfg.max_speed));
-        peb.set_olc_writes(cfg.olc_writes);
-        baseline.set_olc_writes(cfg.olc_writes);
         if cfg.durable {
             // Before the ingest loop, so the whole load is logged and a
             // crash at any later point recovers every inserted object.

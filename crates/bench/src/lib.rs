@@ -21,6 +21,5 @@ pub mod recovery;
 pub mod report;
 pub mod scans;
 pub mod updates;
-pub mod writeconc;
 
 pub use harness::{Measured, RunConfig};

@@ -321,8 +321,7 @@ mod tests {
                 optimistic_retries: 0,
                 locked_fallbacks: 50,
                 lock_acquisitions: 50,
-                latch_acquisitions: 0,
-                latch_waits: 0,
+                ..LockStats::default()
             },
             hot_lock_share_acquired: 0.5,
         };

@@ -263,7 +263,6 @@ impl<V: RecordValue> BTree<V> {
         let scans = self.scan_stats();
         let writes = self.write_stats();
         let tree_id = self.tree_id;
-        let olc = self.olc_enabled();
         *self = BTree::bulk_load(Arc::clone(self.pool()), merged, MERGE_FILL);
         // The rebuild replaced `self` wholesale; the scan and write
         // ledgers outlive structural maintenance like every other counter
@@ -273,9 +272,6 @@ impl<V: RecordValue> BTree<V> {
         self.restore_scan_stats(scans);
         self.restore_write_stats(writes.merged(&self.write_stats()));
         self.tree_id = tree_id;
-        if olc {
-            self.set_olc_writes(true);
-        }
         self.log_meta();
         added
     }

@@ -25,24 +25,19 @@
 //!   following its child pointer, restart from the root on a mismatch)
 //!   and fall back to the locked read path per page or — after bounded
 //!   restarts — wholesale; see the [`tree`] module docs.
-//! * **Optional optimistic-lock-coupling writes.** With
-//!   [`BTree::set_olc_writes`] on, [`BTree::olc_insert`] and
-//!   [`BTree::olc_delete`] run through `&self` under per-page latches
-//!   with version validation, so writers overlap optimistic readers
-//!   instead of excluding them; structural modifications stay
-//!   reader-safe purely through publish ordering. Off (the default)
-//!   nothing changes; see the [`olc`] module docs.
+//! * **One write path.** [`BTree::try_insert`] / [`BTree::try_delete`]
+//!   take `&mut self`; the index layer serialises writers per partition
+//!   under its shard lock. The per-page-latch alternative lost by number
+//!   and was removed (docs/BENCHMARKS.md, "Decided by number (PR 24)").
 
 #![warn(missing_docs)]
 
 pub mod bulk;
 pub mod multiscan;
 pub mod node;
-pub mod olc;
 pub mod tree;
 pub mod value;
 
 pub use multiscan::{coalesce_intervals, ScanPlan, ScanStats, ScanTermination, Visit};
-pub use olc::{OlcStats, OLC_WRITE_RESTARTS};
-pub use tree::{BTree, TreeStats, WriteStats, OPT_MAX_RESTARTS};
+pub use tree::{BTree, OlcStats, TreeStats, WriteStats, OPT_MAX_RESTARTS};
 pub use value::RecordValue;

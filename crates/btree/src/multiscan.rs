@@ -866,28 +866,6 @@ mod deadline_tests {
         assert_eq!(seen, 0);
         assert_eq!(t.pool().stats().logical_reads, before, "checkpoint precedes the first read");
     }
-
-    #[test]
-    fn olc_scan_path_checks_deadlines_between_runs() {
-        let mut t = tree_with(1024, 6_000);
-        t.set_olc_writes(true);
-        let intervals: Vec<(u128, u128)> =
-            (0..30u128).map(|j| (j * 100_003, j * 100_003 + 4_000)).collect();
-        let want = full(&t, &intervals);
-        assert!(!want.is_empty());
-        let clock = t.pool().clock().clone();
-        let deadline = Deadline::after(&clock, 5);
-        let mut got = Vec::new();
-        let term = t
-            .try_scan_plan(&ScanPlan::from_intervals(&intervals), &deadline, |k, v| {
-                got.push((k, v));
-                Visit::Next
-            })
-            .unwrap();
-        assert_eq!(term, ScanTermination::Expired);
-        assert!(got.len() < want.len());
-        assert_eq!(got[..], want[..got.len()]);
-    }
 }
 
 #[cfg(test)]
@@ -1118,7 +1096,7 @@ mod proptests {
         /// Move 3's oracle: a product plan and the listed plan of the same
         /// runs are one scan — same visit sequence, same termination,
         /// same page and descent ledger — whatever the visitor answers,
-        /// under every deadline budget, on both legs of the leaf walk.
+        /// under every deadline budget.
         #[test]
         fn a_product_plan_scans_like_its_listed_twin(
             keys in proptest::collection::btree_set(0u128..8_000, 50..600),
@@ -1126,7 +1104,6 @@ mod proptests {
             windows in proptest::collection::btree_set(0u128..60, 1..8),
             lens in proptest::collection::vec(0u128..6, 8),
             verdicts in any::<u64>(),
-            olc in any::<bool>(),
         ) {
             use crate::BTree;
             use peb_common::Deadline;
@@ -1137,7 +1114,6 @@ mod proptests {
             for &k in &keys {
                 t.insert(k, k as u64);
             }
-            t.set_olc_writes(olc);
             // Row j spans [500 j, 500 j + 499]; window w is the offset
             // range [8 w, 8 w + len], so offsets never touch.
             let rows: Vec<(u128, u128)> = starts.iter().map(|j| (j * 500, j * 500 + 499)).collect();

@@ -3,10 +3,9 @@
 //!
 //! # Optimistic read path
 //!
-//! [`BTree::get`] (and, under the OLC write path, each scan run) descends
-//! the tree through the buffer pool's lock-free versioned reads
-//! ([`BufferPool::read_versioned`]) in the style of optimistic lock
-//! coupling: each page is copied out under no lock with its publication
+//! [`BTree::get`] descends the tree through the buffer pool's lock-free
+//! versioned reads ([`BufferPool::read_versioned`]) in the style of
+//! optimistic lock coupling: each page is copied out under no lock with its publication
 //! version validated around the copy, and after following a child pointer
 //! the parent's version is re-checked ([`BufferPool::read_version`]) so a
 //! page that changed underneath the descent restarts it from the root.
@@ -15,7 +14,7 @@
 //! through the ordinary locked path *within* the descent, which keeps the
 //! per-page I/O accounting identical to a fully locked traversal. The
 //! write path ([`BTree::insert`], [`BTree::delete`], bulk loading) is
-//! unchanged and locked; it requires `&mut self`, so traversals racing a
+//! locked; it requires `&mut self`, so traversals racing a
 //! *tree* writer are excluded by Rust's borrow rules — the version
 //! protocol defends against the page-level churn (evictions, reloads,
 //! cross-tree pool traffic) that shared-pool concurrency can cause.
@@ -23,16 +22,14 @@
 //! instead ([`BTree::try_scan_plan`]), validated the same way.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use peb_common::Deadline;
 use peb_storage::{BufferPool, IoFault, OptimisticRead, Page, PageId, PageSnapshot};
 
 use crate::multiscan::{ScanCounters, ScanPlan, ScanStats, ScanTermination, Visit};
 use crate::node::{self, branch_capacity, leaf_capacity, HEADER};
-use crate::olc::OlcCounters;
 use crate::value::RecordValue;
 
 /// Bound on root-restarts of an optimistic descent before it falls back
@@ -43,7 +40,7 @@ pub const OPT_MAX_RESTARTS: usize = 3;
 
 /// Signal that an optimistic descent observed a version conflict and must
 /// restart from the root (internal to the read path).
-pub(crate) struct Restart;
+struct Restart;
 
 /// One cached level of a fused scan's descent path: a versioned snapshot
 /// of the branch page last consulted at this depth. Reused by the next
@@ -62,13 +59,12 @@ pub struct BTree<V: RecordValue> {
     /// `(root page id << 32) | height`, packed so one atomic load yields a
     /// *consistent pair*: root growth and root collapse change both, and a
     /// concurrent traversal that read them separately could pair a new
-    /// root with an old height. Plain loads/stores under `&mut self`;
-    /// acquire/release once the OLC write path shares the tree.
+    /// root with an old height.
     top: AtomicU64,
-    /// Stored entries. Relaxed: a statistic, not a routing input.
-    len: AtomicUsize,
-    leaf_pages: AtomicUsize,
-    total_pages: AtomicUsize,
+    /// Stored entries.
+    len: usize,
+    leaf_pages: usize,
+    total_pages: usize,
     /// Deterministic scan-path counters (descents, cached branch pages).
     scans: ScanCounters,
     /// Deterministic write-path counter (leaf pages written).
@@ -78,21 +74,6 @@ pub struct BTree<V: RecordValue> {
     /// when durability is on; survives wholesale rebuilds
     /// ([`BTree::bulk_load`]-based merges) via [`BTree::set_tree_id`].
     pub(crate) tree_id: u32,
-    /// Whether the optimistic-lock-coupling write path is active
-    /// ([`BTree::set_olc_writes`]). Flips reader semantics to *strict*
-    /// validation: an unpublished page aborts an optimistic descent
-    /// instead of being read through the locked path, because with
-    /// concurrent writers a locked read mid-descent has no version to
-    /// validate the route against.
-    pub(crate) olc: AtomicBool,
-    /// Contention counters of the OLC paths ([`BTree::olc_stats`]).
-    pub(crate) olc_stats: OlcCounters,
-    /// Writer drain for terminal fallbacks. OLC writers hold the shared
-    /// side for the duration of one operation; a reader (or writer) that
-    /// exhausts its optimistic restart budget takes the exclusive side,
-    /// which drains every in-flight writer and makes a locked traversal
-    /// safe again. Acquired before any page latch (gate → latch order).
-    pub(crate) gate: RwLock<()>,
     _values: PhantomData<V>,
 }
 
@@ -112,65 +93,32 @@ impl<V: RecordValue> BTree<V> {
         ((root.0 as u64) << 32) | height as u64
     }
 
-    pub(crate) const fn unpack_top(top: u64) -> (PageId, u32) {
+    const fn unpack_top(top: u64) -> (PageId, u32) {
         (PageId((top >> 32) as u32), top as u32)
     }
 
     /// One consistent load of the `(root, height)` pair.
-    pub(crate) fn top(&self) -> (PageId, u32) {
+    fn top(&self) -> (PageId, u32) {
         Self::unpack_top(self.top_raw())
     }
 
     /// The raw packed top word, for equality re-validation after a
     /// descent's first page read (catches root growth/collapse that
     /// republished the old root underneath the reader).
-    pub(crate) fn top_raw(&self) -> u64 {
+    fn top_raw(&self) -> u64 {
         self.top.load(Ordering::Acquire)
     }
 
-    /// Publish a new `(root, height)` pair. Within a structural
-    /// modification this must be ordered per the SMO publish discipline
-    /// (new pages first; the old root's shrink only after).
-    pub(crate) fn set_top(&self, root: PageId, height: u32) {
+    /// Publish a new `(root, height)` pair.
+    fn set_top(&self, root: PageId, height: u32) {
         self.top.store(Self::pack_top(root, height), Ordering::Release);
     }
 
-    pub(crate) fn add_len(&self, delta: isize) {
-        if delta >= 0 {
-            self.len.fetch_add(delta as usize, Ordering::Relaxed);
-        } else {
-            self.len.fetch_sub((-delta) as usize, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn add_leaf_pages(&self, delta: isize) {
-        if delta >= 0 {
-            self.leaf_pages.fetch_add(delta as usize, Ordering::Relaxed);
-        } else {
-            self.leaf_pages.fetch_sub((-delta) as usize, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn add_total_pages(&self, delta: isize) {
-        if delta >= 0 {
-            self.total_pages.fetch_add(delta as usize, Ordering::Relaxed);
-        } else {
-            self.total_pages.fetch_sub((-delta) as usize, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether the optimistic-lock-coupling write path is on (strict
-    /// reader validation; writers may run concurrently under the shared
-    /// side of the gate).
-    pub fn olc_enabled(&self) -> bool {
-        self.olc.load(Ordering::Relaxed)
-    }
-
-    pub(crate) const fn vsize() -> usize {
+    const fn vsize() -> usize {
         V::SIZE
     }
 
-    pub(crate) const fn stride() -> usize {
+    const fn stride() -> usize {
         16 + V::SIZE
     }
 
@@ -178,17 +126,17 @@ impl<V: RecordValue> BTree<V> {
         leaf_capacity(V::SIZE)
     }
 
-    pub(crate) const fn leaf_min() -> usize {
+    const fn leaf_min() -> usize {
         leaf_capacity(V::SIZE) / 2
     }
 
-    pub(crate) const fn branch_min() -> usize {
+    const fn branch_min() -> usize {
         branch_capacity() / 2
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len
     }
 
     /// Whether the tree stores no entries.
@@ -203,12 +151,12 @@ impl<V: RecordValue> BTree<V> {
 
     /// Number of live leaf pages (`Nl` in the paper's cost model).
     pub fn leaf_page_count(&self) -> usize {
-        self.leaf_pages.load(Ordering::Relaxed)
+        self.leaf_pages
     }
 
     /// Number of live pages across all levels.
     pub fn page_count(&self) -> usize {
-        self.total_pages.load(Ordering::Relaxed)
+        self.total_pages
     }
 
     /// The buffer pool this tree performs I/O through.
@@ -229,15 +177,12 @@ impl<V: RecordValue> BTree<V> {
         BTree {
             pool,
             top: AtomicU64::new(Self::pack_top(root, height)),
-            len: AtomicUsize::new(len),
-            leaf_pages: AtomicUsize::new(leaf_pages),
-            total_pages: AtomicUsize::new(total_pages),
+            len,
+            leaf_pages,
+            total_pages,
             scans: ScanCounters::default(),
             writes: WriteCounters::default(),
             tree_id: u32::MAX,
-            olc: AtomicBool::new(false),
-            olc_stats: OlcCounters::default(),
-            gate: RwLock::new(()),
             _values: PhantomData,
         }
     }
@@ -285,7 +230,7 @@ impl<V: RecordValue> BTree<V> {
         for _ in 0..height {
             let mut next = Vec::new();
             for &pid in &frontier {
-                t.add_total_pages(1);
+                t.total_pages += 1;
                 let (n, leaf, children) = t.pool.read(pid, |p| {
                     let n = node::count(p);
                     let leaf = node::is_leaf(p);
@@ -297,8 +242,8 @@ impl<V: RecordValue> BTree<V> {
                     (n, leaf, children)
                 });
                 if leaf {
-                    t.add_leaf_pages(1);
-                    t.add_len(n as isize);
+                    t.leaf_pages += 1;
+                    t.len += n;
                 } else {
                     next.extend(children);
                 }
@@ -349,29 +294,21 @@ impl<V: RecordValue> BTree<V> {
     /// replaced by this page's version for the next step. A locked read
     /// yields no version, so the chain restarts from it.
     ///
-    /// With the tree quiesced on the write side (`olc` off — writers hold
-    /// `&mut self` or a shard-exclusive lock), a parent that merely became
-    /// *unpublished* (evicted or displaced from its mirror slot — its
+    /// Writers hold `&mut self` (a shard-exclusive lock, one level up), so
+    /// the tree is quiesced on the write side and a parent that merely
+    /// became *unpublished* (evicted or displaced from its mirror slot — its
     /// content survives on disk unchanged) does **not** restart the
     /// descent: page contents only change under exclusive tree access, so
     /// an unpublished parent cannot have rerouted us, and tolerating it
     /// keeps buffer churn from perturbing the deterministic I/O ledger.
     /// Only a parent republished at a *different version* — a genuine
     /// rewrite — forces the restart.
-    ///
-    /// With the OLC write path on, both relaxations are unsound — a
-    /// locked mid-descent read has no version to validate the route
-    /// against while a writer races, and a vanished parent version can
-    /// hide a rewrite — so *strict* mode turns an unpublished page and a
-    /// vanished parent version into restarts. The terminal fallback
-    /// ([`BTree::gate`]) drains writers before any locked traversal.
     fn descend_step<R>(
         &self,
         pid: PageId,
         prev: &mut Option<(PageId, u64)>,
         f: impl Fn(&Page) -> R,
     ) -> Result<R, Restart> {
-        let strict = self.olc_enabled();
         let (r, version) = match self.pool.read_versioned(pid, &f) {
             OptimisticRead::Hit(r, v) => (r, Some(v)),
             // Not published lock-free (cold page, mirror collision): the
@@ -380,17 +317,15 @@ impl<V: RecordValue> BTree<V> {
             // fault here aborts the attempt like a conflict; the caller's
             // locked fallback re-encounters it and surfaces (or panics,
             // on the legacy entry points) with full typing.
-            OptimisticRead::Unpublished if !strict => match self.pool.try_read(pid, &f) {
+            OptimisticRead::Unpublished => match self.pool.try_read(pid, &f) {
                 Ok(r) => (r, None),
                 Err(_) => return Err(Restart),
             },
-            OptimisticRead::Unpublished | OptimisticRead::Conflict => return Err(Restart),
+            OptimisticRead::Conflict => return Err(Restart),
         };
         if let Some((ppid, pv)) = *prev {
-            match self.pool.read_version(ppid) {
-                Some(v) if v != pv => return Err(Restart),
-                None if strict => return Err(Restart),
-                _ => {}
+            if self.pool.read_version(ppid).is_some_and(|v| v != pv) {
+                return Err(Restart);
             }
         }
         *prev = version.map(|v| (pid, v));
@@ -453,9 +388,9 @@ impl<V: RecordValue> BTree<V> {
 
     /// Exact-key lookup.
     ///
-    /// Descends optimistically — lock-free versioned page snapshots with
-    /// an OLC-style validation chain — and transparently falls back to
-    /// the locked read path, per page when a page is not published
+    /// Descends optimistically — lock-free versioned page snapshots with a
+    /// parent-after-child version validation chain — and transparently
+    /// falls back to the locked read path, per page when a page is not published
     /// lock-free and wholesale after [`OPT_MAX_RESTARTS`] version
     /// conflicts. Both paths return the same answer and count the same
     /// I/O; only the pool's [`peb_storage::LockStats`] can tell them
@@ -501,15 +436,7 @@ impl<V: RecordValue> BTree<V> {
                 return Ok(found);
             }
         }
-        if self.olc_enabled() {
-            // Strict mode has no per-page locked fallback, so a cold or
-            // contended path lands here: drain writers, then read locked
-            // (which also republishes the path for future attempts).
-            let _drain = self.gate.write();
-            self.get_locked(key)
-        } else {
-            self.get_locked(key)
-        }
+        self.get_locked(key)
     }
 
     /// Whether `key` is present.
@@ -535,19 +462,19 @@ impl<V: RecordValue> BTree<V> {
         Ok(match self.insert_rec(root, height - 1, key, &value)? {
             InsertOutcome::Replaced(old) => Some(old),
             InsertOutcome::Done => {
-                self.add_len(1);
+                self.len += 1;
                 None
             }
             InsertOutcome::Split(sep, right) => {
                 // Grow a new root above the old one.
                 let new_root = self.pool.allocate();
-                self.add_total_pages(1);
+                self.total_pages += 1;
                 self.pool.try_write(new_root, |p| {
                     node::init_branch(p, root);
                     node::branch_insert_entry(p, 0, sep, right);
                 })?;
                 self.set_top(new_root, height + 1);
-                self.add_len(1);
+                self.len += 1;
                 self.log_meta();
                 None
             }
@@ -624,8 +551,8 @@ impl<V: RecordValue> BTree<V> {
                 // Full leaf: split, then insert into the proper half.
                 let mid = n / 2;
                 let right = self.pool.allocate();
-                self.add_total_pages(1);
-                self.add_leaf_pages(1);
+                self.total_pages += 1;
+                self.leaf_pages += 1;
 
                 // Move entries [mid..n) into the new right leaf.
                 let moved: Vec<u8> = self.pool.try_read(pid, |p| {
@@ -681,7 +608,7 @@ impl<V: RecordValue> BTree<V> {
         let m = entries.len() / 2;
         let (up_key, up_child) = entries[m];
         let right = self.pool.allocate();
-        self.add_total_pages(1);
+        self.total_pages += 1;
 
         self.pool.try_write(right, |p| {
             node::init_branch(p, up_child);
@@ -713,14 +640,14 @@ impl<V: RecordValue> BTree<V> {
         let (root, height) = self.top();
         let removed = self.delete_rec(root, height - 1, key)?;
         if removed.is_some() {
-            self.add_len(-1);
+            self.len -= 1;
             // Collapse the root if it is an empty branch.
             if height > 1 {
                 let (n, first_child) =
                     self.pool.try_read(root, |p| (node::count(p), node::leftmost_child(p)))?;
                 if n == 0 {
                     self.set_top(first_child, height - 1);
-                    self.add_total_pages(-1);
+                    self.total_pages -= 1;
                     self.log_meta();
                 }
             }
@@ -911,7 +838,7 @@ impl<V: RecordValue> BTree<V> {
                 node::set_right_sibling(p, r_sibling);
             })?;
             self.writes.bump_leaf_writes(1);
-            self.add_leaf_pages(-1);
+            self.leaf_pages -= 1;
         } else {
             let sep = self.pool.try_read(pid, |p| node::branch_key(p, sep_idx))?;
             let r_leftmost = self.pool.try_read(r, node::leftmost_child)?;
@@ -931,7 +858,7 @@ impl<V: RecordValue> BTree<V> {
             })?;
         }
         self.pool.try_write(pid, |p| node::branch_remove_entry(p, sep_idx))?;
-        self.add_total_pages(-1);
+        self.total_pages -= 1;
         // The page of `r` is leaked on the simulated disk; the simulator has
         // no free list, and leaked pages cost no I/O.
         Ok(())
@@ -958,128 +885,6 @@ impl<V: RecordValue> BTree<V> {
         visit: impl FnMut(u128, V) -> bool,
     ) -> Result<bool, IoFault> {
         self.try_multi_range_scan(&[(lo, hi)], visit)
-    }
-
-    /// OLC-safe counterpart of [`BTree::scan_plan_relaxed`] for one run, used
-    /// while the write path runs concurrently. The scan keeps a **frontier**
-    /// (the smallest key not yet emitted) so a restart never re-emits or
-    /// skips an entry, and the chain walk validates the previous leaf's
-    /// version after reading each next leaf — a sibling link read from a
-    /// leaf that has since split or been absorbed would otherwise skip
-    /// the keys that moved. After [`OPT_MAX_RESTARTS`] failed attempts
-    /// the scan drains writers through the gate and finishes on the
-    /// relaxed walk, which is exact once writers are excluded.
-    fn range_scan_leaves_olc(
-        &self,
-        lo: u128,
-        hi: u128,
-        mut visit: impl FnMut(u128, V) -> bool,
-    ) -> Result<bool, IoFault> {
-        if lo > hi {
-            return Ok(true);
-        }
-        self.scans.bump_descent();
-        let mut frontier = lo;
-        for _ in 0..OPT_MAX_RESTARTS {
-            if let Ok(done) = self.try_scan_olc(&mut frontier, hi, &mut visit) {
-                return Ok(done);
-            }
-            self.olc_stats.bump_scan_restarts();
-        }
-        self.olc_stats.bump_scan_escalations();
-        let _drain = self.gate.write();
-        // Straight to the relaxed body: re-entering `scan_plan_leaves`
-        // would dispatch back here.
-        let rest = ScanPlan::from_intervals(&[(frontier, hi)]);
-        self.scan_plan_relaxed(&rest, &mut |k, v| Visit::next_if(visit(k, v)), &mut || true)
-    }
-
-    /// One attempt of the OLC chain scan: emit every `[*frontier, hi]`
-    /// entry in order, advancing the frontier past each emitted key.
-    /// `Ok(done)` mirrors the visitor protocol (`false` = early stop);
-    /// `Err` means a validation failed after the frontier had advanced
-    /// past everything already emitted, so the caller can retry from the
-    /// frontier with no duplicate or missed emission.
-    fn try_scan_olc(
-        &self,
-        frontier: &mut u128,
-        hi: u128,
-        visit: &mut impl FnMut(u128, V) -> bool,
-    ) -> Result<bool, Restart> {
-        let vsize = Self::vsize();
-        let lo = *frontier;
-        let top = self.top_raw();
-        let (mut pid, height) = Self::unpack_top(top);
-        let mut prev: Option<(PageId, u64)> = None;
-        for level in 1..height {
-            pid = self.descend_step(pid, &mut prev, |p| {
-                node::child_at(p, node::branch_child_index(p, lo))
-            })?;
-            if level == 1 && self.top_raw() != top {
-                return Err(Restart);
-            }
-        }
-        // The leaf batch is collected inside the descent's own validated
-        // read, so its route is covered by the parent re-check and no
-        // separate (unvalidatable) re-read of the leaf is needed.
-        let collect = |p: &Page, from: u128| {
-            let n = node::count(p);
-            let mut batch = Vec::new();
-            let mut i = node::leaf_lower_bound(p, from, vsize);
-            while i < n {
-                let k = node::leaf_key(p, i, vsize);
-                if k > hi {
-                    return (batch, PageId::INVALID);
-                }
-                batch.push((k, V::read(p.bytes(node::leaf_entry_off(i, vsize) + 16, vsize))));
-                i += 1;
-            }
-            (batch, node::right_sibling(p))
-        };
-        let (batch, mut next) = self.descend_step(pid, &mut prev, |p| collect(p, lo))?;
-        if height == 1 && self.top_raw() != top {
-            return Err(Restart);
-        }
-        // Strict mode never returns a version-less read, so the descent
-        // left this leaf's (id, version) in `prev`.
-        let (mut cur, mut cur_v) = prev.ok_or(Restart)?;
-        for (k, v) in batch {
-            if !visit(k, v) {
-                return Ok(false);
-            }
-            if k == u128::MAX {
-                return Ok(true);
-            }
-            *frontier = k + 1;
-        }
-        while next.is_valid() {
-            let from = *frontier;
-            let (r, v) = match self.pool.read_versioned(next, |p| collect(p, from)) {
-                OptimisticRead::Hit(r, v) => (r, v),
-                OptimisticRead::Unpublished | OptimisticRead::Conflict => return Err(Restart),
-            };
-            // The link we followed must still be current: if `cur` has
-            // changed since we read it (split shrank it, a merge absorbed
-            // it), the keys between it and `next` may have moved and this
-            // leaf is not necessarily the true successor.
-            match self.pool.read_version(cur) {
-                Some(x) if x == cur_v => {}
-                _ => return Err(Restart),
-            }
-            let (batch, nn) = r;
-            (cur, cur_v) = (next, v);
-            for (k, v) in batch {
-                if !visit(k, v) {
-                    return Ok(false);
-                }
-                if k == u128::MAX {
-                    return Ok(true);
-                }
-                *frontier = k + 1;
-            }
-            next = nn;
-        }
-        Ok(true)
     }
 
     /// Collect all `(key, value)` pairs in `[lo, hi]`.
@@ -1199,9 +1004,7 @@ impl<V: RecordValue> BTree<V> {
     ///
     /// Leaves are read from lock-free versioned snapshots when published
     /// and from the locked page otherwise; entries are handed to `visit`
-    /// with no page borrow or lock held. Under the OLC write path each run
-    /// walks the strict frontier-validated chain scan and only in-run
-    /// entries are emitted.
+    /// with no page borrow or lock held.
     pub fn try_scan_plan(
         &self,
         plan: &ScanPlan,
@@ -1234,60 +1037,16 @@ impl<V: RecordValue> BTree<V> {
         })
     }
 
-    /// The leaf walk of [`BTree::try_scan_plan`].
-    /// `checkpoint` is consulted once per leaf-page iteration (and per
-    /// run on the OLC path); returning `false` ends the scan like a
-    /// visitor's `Stop`. Returns whether the plan ran out.
-    fn scan_plan_leaves(
-        &self,
-        plan: &ScanPlan,
-        visit: &mut dyn FnMut(u128, V) -> Visit,
-        checkpoint: &mut dyn FnMut() -> bool,
-    ) -> Result<bool, IoFault> {
-        if !self.olc_enabled() {
-            return self.scan_plan_relaxed(plan, visit, checkpoint);
-        }
-        // The fused descent-path cache validates each cached level's
-        // version in isolation — there is no parent-after-child
-        // handshake — which is only sound while writers are excluded.
-        // Under the OLC write path each run walks the strict
-        // frontier-validated chain scan instead (one descent per run;
-        // the cache saving and the out-of-run emission are forgone).
-        let mut i = 0usize;
-        while i < plan.run_count() {
-            if !checkpoint() {
-                return Ok(false);
-            }
-            let (lo, hi) = plan.run(i);
-            let mut skip = false;
-            let done = self.range_scan_leaves_olc(lo, hi, |k, v| {
-                let verdict = visit(k, v);
-                skip = verdict == Visit::SkipRow;
-                verdict == Visit::Next
-            })?;
-            if skip {
-                // A run lies inside one row, so the skipped row's runs
-                // are exactly those ending at or before the row does.
-                match plan.row_end(lo).checked_add(1) {
-                    Some(past_row) => i = plan.next_run(i, past_row),
-                    None => return Ok(true),
-                }
-            } else if !done {
-                return Ok(false);
-            } else {
-                i += 1;
-            }
-        }
-        Ok(true)
-    }
-
-    /// The relaxed (writers-excluded) body of [`BTree::scan_plan_leaves`]:
-    /// leaves are read from lock-free versioned snapshots when published
+    /// The leaf walk of [`BTree::try_scan_plan`]. `checkpoint` is
+    /// consulted before every descent and once per leaf-page iteration;
+    /// returning `false` ends the scan like a visitor's `Stop`. Returns
+    /// whether the plan ran out.
+    ///
+    /// Leaves are read from lock-free versioned snapshots when published
     /// and from the locked page otherwise, and once entries have reached
-    /// the visitor the walk never restarts. Exact while writers are
-    /// excluded — by `&mut self` / the shard lock with OLC off, by the
-    /// drained gate when the OLC chain scan escalates to it.
-    fn scan_plan_relaxed(
+    /// the visitor the walk never restarts. Exact because writers are
+    /// excluded (`&mut self` / the shard lock).
+    fn scan_plan_leaves(
         &self,
         plan: &ScanPlan,
         visit: &mut dyn FnMut(u128, V) -> Visit,
@@ -1988,6 +1747,18 @@ impl WriteStats {
     pub fn merged(&self, other: &WriteStats) -> WriteStats {
         WriteStats { leaf_pages_written: self.leaf_pages_written + other.leaf_pages_written }
     }
+}
+
+/// Shim: the four counters of the deleted latched write path, always 0.
+/// `e2e/src/adapter.rs` is the only reader; the next `benchmark` PR deletes
+/// this with `btree.olc_restarts` / `btree.olc_escalations`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub struct OlcStats {
+    pub write_restarts: u64,
+    pub write_escalations: u64,
+    pub scan_restarts: u64,
+    pub scan_escalations: u64,
 }
 
 /// The tree-resident atomic half of [`WriteStats`] (snapshots take

@@ -71,16 +71,9 @@ impl BxTree {
         BxTree { idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed) }
     }
 
-    /// Switch the write path between whole-shard exclusion and optimistic
-    /// lock coupling ([`ShardedMovingIndex::set_olc_writes`]). Kept here
-    /// because it needs `&mut self` and the handle derefs immutably only.
-    pub fn set_olc_writes(&mut self, enabled: bool) {
-        self.idx.set_olc_writes(enabled);
-    }
-
     /// Switch write-ahead logging on or off
-    /// ([`ShardedMovingIndex::set_durable`]); `&mut self`, so kept here
-    /// like [`BxTree::set_olc_writes`].
+    /// ([`ShardedMovingIndex::set_durable`]). Kept here because it needs
+    /// `&mut self` and the handle derefs immutably only.
     pub fn set_durable(&mut self, on: bool) {
         self.idx.set_durable(on);
     }

@@ -1,9 +1,9 @@
 //! Deterministic schedule-perturbation hooks for concurrency tests.
 //!
-//! Interleaving bugs in the latch/seqlock protocols depend on *where*
-//! threads get preempted, which an OS scheduler chooses arbitrarily. This
-//! module gives tests two handles on that choice without adding any cost
-//! to production runs:
+//! Interleaving bugs in the seqlock and migration-epoch protocols depend
+//! on *where* threads get preempted, which an OS scheduler chooses
+//! arbitrarily. This module gives tests two handles on that choice without
+//! adding any cost to production runs:
 //!
 //! * a **seeded yield injector** — [`enable_seeded`] makes every
 //!   instrumented site ([`probe`]) decide from `hash(seed, site, per-site
@@ -12,16 +12,15 @@
 //!   different interleavings;
 //! * **gates** — [`gate`] blocks a thread at a named site until the test
 //!   calls [`open`], letting a test freeze a writer mid-protocol (say,
-//!   between latching a leaf and publishing its split) and prove readers
-//!   still make progress. This is what turns a race that "usually" shows
-//!   up into a named, always-failing-before-the-fix regression test.
+//!   between evicting a migrating object and re-inserting it) and prove
+//!   readers still make progress. This is what turns a race that "usually"
+//!   shows up into a named, always-failing-before-the-fix regression test.
 //!
-//! Instrumented code calls [`probe`] at protocol boundaries (latch
-//! acquire/release, version publication). Disabled — the default — a
-//! probe is one relaxed atomic load and a predicted branch; no allocation,
-//! no lock, nothing on the I/O or lock ledgers. The hooks live in
-//! `peb_common` so every crate (storage latches, btree descents, index
-//! entry points) can share one schedule controller.
+//! Instrumented code calls [`probe`] at protocol boundaries (today the
+//! migration span). Disabled — the default — a probe is one relaxed atomic
+//! load and a predicted branch; no allocation, no lock, nothing on the I/O
+//! or lock ledgers. The hooks live in `peb_common` so every crate can
+//! share one schedule controller.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,14 +31,6 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 /// control uses [`gate`] with a site name instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// A page latch was just acquired (blocking or try — successful only).
-    LatchAcquire,
-    /// A page latch is about to be released.
-    LatchRelease,
-    /// A page image is about to be (re)published at a bumped version.
-    Publish,
-    /// One step of an optimistic descent validated a parent version.
-    Descend,
     /// Inside a migration span: the epoch's `started` edge is bumped and
     /// the re-keyed object is mid-flight (evicted from its old shard,
     /// not yet inserted into its new one). Tests park a writer here to
@@ -91,12 +82,6 @@ pub fn disable() {
     gates().cv.notify_all();
 }
 
-/// Whether the injector is currently on (used by tests to avoid nesting
-/// two seeded sections).
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// SplitMix64 — a tiny, well-distributed mixer; good enough to turn
 /// (seed, site, counter) into an unbiased yield decision.
 fn mix(mut z: u64) -> u64 {
@@ -120,14 +105,10 @@ pub fn probe(site: Site) {
 
 /// The gate name [`probe`] routes `site` through while the injector is
 /// enabled, so a test can park threads at a site *class* — "the next
-/// publish", "the third latch acquisition" — with [`close`] alone,
+/// migration span", "the second one" — with [`close`] alone,
 /// without bespoke [`gate`] calls in the instrumented code.
 pub const fn site_name(site: Site) -> &'static str {
     match site {
-        Site::LatchAcquire => "site:latch-acquire",
-        Site::LatchRelease => "site:latch-release",
-        Site::Publish => "site:publish",
-        Site::Descend => "site:descend",
         Site::MigSpan => "site:mig-span",
     }
 }
@@ -155,8 +136,8 @@ fn probe_slow(site: Site) {
 /// [`open`] releases every currently and subsequently arriving thread).
 /// `permits` threads may *pass* before blocking starts — `0` blocks the
 /// first arrival, `1` lets one through and blocks the second, and so on;
-/// this is how a test stops a writer at its *n*-th latch acquisition
-/// rather than its first.
+/// this is how a test stops a writer at its *n*-th arrival rather than
+/// its first.
 pub fn close(name: &'static str, permits: usize) {
     let mut closed = gates().closed.lock().unwrap();
     closed.insert(name, permits);
@@ -260,14 +241,14 @@ mod tests {
     fn disabled_probe_is_a_noop() {
         let _serial = section_lock();
         disable();
-        probe(Site::LatchAcquire);
+        probe(Site::MigSpan);
         gate("never-closed");
     }
 
     #[test]
     fn decisions_are_deterministic_per_seed() {
         let stream = |seed: u64| -> Vec<u64> {
-            (0..64).map(|n| mix(seed ^ mix(Site::Publish as u64) ^ n) % 8).collect()
+            (0..64).map(|n| mix(seed ^ mix(Site::MigSpan as u64) ^ n) % 8).collect()
         };
         assert_eq!(stream(7), stream(7));
         assert_ne!(stream(7), stream(8), "different seeds must explore differently");
@@ -309,8 +290,7 @@ mod tests {
                 let done = Arc::clone(&done);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        probe(Site::LatchAcquire);
-                        probe(Site::Publish);
+                        probe(Site::MigSpan);
                     }
                     done.fetch_add(1, Ordering::Relaxed);
                 })

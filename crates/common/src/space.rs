@@ -7,7 +7,6 @@
 //! the ZV component of an index key occupies.
 
 use crate::geometry::{Point, Rect};
-use crate::time::TimeInterval;
 
 /// Global domain configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,11 +43,6 @@ impl SpaceConfig {
     /// Area `S` of the space domain.
     pub fn area(&self) -> f64 {
         self.side * self.side
-    }
-
-    /// The whole time domain as an interval `[0, T]`.
-    pub fn time_bounds(&self) -> TimeInterval {
-        TimeInterval::new(0.0, self.time_domain)
     }
 
     /// Number of grid cells per axis.

@@ -35,16 +35,9 @@ impl SpatialBaseline {
         self.bx.upsert(m);
     }
 
-    /// Switch the underlying Bx-tree between whole-shard exclusion and
-    /// optimistic-lock-coupling writes (see [`BxTree::set_olc_writes`]);
-    /// `&mut self`, and the handle derefs immutably only.
-    pub fn set_olc_writes(&mut self, enabled: bool) {
-        self.bx.set_olc_writes(enabled);
-    }
-
     /// Switch the underlying Bx-tree's write-ahead-log durability
-    /// protocol (see [`BxTree::set_durable`]); `&mut self`, like
-    /// [`SpatialBaseline::set_olc_writes`].
+    /// protocol (see [`BxTree::set_durable`]); `&mut self`, and the
+    /// handle derefs immutably only.
     pub fn set_durable(&mut self, enabled: bool) {
         self.bx.set_durable(enabled);
     }

@@ -126,13 +126,6 @@ impl PebTree {
         PebTree { idx: ShardedMovingIndex::recover(pool, recovery, layout, space, part, max_speed) }
     }
 
-    /// Switch the write path between whole-shard exclusion and optimistic
-    /// lock coupling ([`ShardedMovingIndex::set_olc_writes`]); `&mut self`,
-    /// so kept here like [`PebTree::set_durable`].
-    pub fn set_olc_writes(&mut self, enabled: bool) {
-        self.idx.set_olc_writes(enabled);
-    }
-
     /// Swap in a rebuilt privacy context and re-key every live object
     /// whose sequence value changed, returning how many moved. This is
     /// the policy-churn maintenance pass: a policy grant/revoke reshuffles

@@ -187,6 +187,76 @@ fn a_strangers_position_report_is_refused_and_touches_nothing() {
     }
 }
 
+/// Reports for user 2 with one NaN or infinite number each.
+fn malformed_reports() -> Vec<MovingPoint> {
+    let at = |pos: Point, vel: Vec2, t: f64| MovingPoint::new(UserId(2), pos, vel, t);
+    let here = Point::new(300.0, 300.0);
+    vec![
+        at(here, Vec2::ZERO, f64::NAN),
+        at(here, Vec2::ZERO, f64::INFINITY),
+        at(Point::new(f64::NAN, 300.0), Vec2::ZERO, 0.0),
+        at(Point::new(300.0, f64::NEG_INFINITY), Vec2::ZERO, 0.0),
+        at(here, Vec2::new(f64::NAN, 0.0), 0.0),
+        at(here, Vec2::new(0.0, f64::INFINITY), 0.0),
+    ]
+}
+
+/// Issuer 0 befriended by 1..=3 in a population of 4, user 1 reported.
+fn report_world(durable: bool) -> (PebTree, Vec<MovingPoint>) {
+    let mut store = PolicyStore::new();
+    for o in 1..=3u64 {
+        store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
+    }
+    let mut t = tree_with(store, 4);
+    t.set_durable(durable);
+    let users = vec![still(1, 100.0, 100.0)];
+    t.upsert(users[0]);
+    (t, users)
+}
+
+/// A position report is input from outside the program. One with a NaN
+/// `t_update` used to be stored, its NaN became the partition's label, and
+/// every PRQ and PkNN after it panicked in `enlarge`. Refused at the door,
+/// it leaves no trace and the engine goes on answering like the oracle.
+#[test]
+fn a_malformed_position_report_is_refused_and_the_next_query_answers() {
+    for durable in [false, true] {
+        let (t, mut users) = report_world(durable);
+        let ledger =
+            |t: &PebTree| (t.len(), t.pool().stats(), t.committed_ops(), t.live_partitions());
+        let before = ledger(&t);
+        for m in malformed_reports() {
+            assert_eq!(t.try_upsert(m), Err(IndexError::MalformedReport { uid: 2 }), "{m:?}");
+            assert_eq!(ledger(&t), before, "a refused report (durable: {durable}) left a trace");
+        }
+        let m = still(2, 300.0, 300.0);
+        t.try_upsert(m).expect("the next well-formed report lands");
+        users.push(m);
+        assert_eq!(t.try_get(UserId(2)).unwrap(), Some(m));
+        assert_eq!(answers(&t), oracle_answers(&t, &users), "durable: {durable}");
+    }
+}
+
+/// The batch door drops what the single door refuses — a stranger used to
+/// panic in `placement` — and applies the rest.
+#[test]
+fn a_batch_drops_the_reports_the_single_door_refuses() {
+    for durable in [false, true] {
+        let (t, mut users) = report_world(durable);
+        let live = t.live_partitions();
+        let mut batch = malformed_reports();
+        batch.push(still(4, 500.0, 500.0)); // outside the population of 4
+        assert_eq!(t.upsert_batch(&batch), 0, "nothing in the batch is well-formed");
+        assert_eq!((t.len(), t.live_partitions()), (1, live.clone()));
+        let m = still(3, 400.0, 400.0);
+        batch.push(m);
+        assert_eq!(t.upsert_batch(&batch), 1, "only user 3's report is well-formed");
+        users.push(m);
+        assert_eq!((t.len(), t.live_partitions()), (2, live));
+        assert_eq!(answers(&t), oracle_answers(&t, &users), "durable: {durable}");
+    }
+}
+
 /// A query that names no place or no time — a reversed or NaN window, a
 /// NaN query time, a NaN kNN centre — is input from outside the program
 /// (`Rect` has public fields, requests carry raw floats). Definitions 2

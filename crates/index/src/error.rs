@@ -37,6 +37,12 @@ pub enum IndexError {
         /// The uid the report named.
         uid: u64,
     },
+    /// A position report whose position, velocity or `t_update` is NaN or
+    /// infinite. Rejected before any shard, the pool or the log is touched.
+    MalformedReport {
+        /// The uid the report named.
+        uid: u64,
+    },
 }
 
 impl From<IoFault> for IndexError {
@@ -52,6 +58,9 @@ impl std::fmt::Display for IndexError {
             IndexError::UnknownUser { uid } => {
                 write!(f, "user {uid} is outside the indexed population")
             }
+            IndexError::MalformedReport { uid } => {
+                write!(f, "position report for user {uid} has a non-finite number")
+            }
         }
     }
 }
@@ -60,7 +69,7 @@ impl std::error::Error for IndexError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             IndexError::Io(fault) => Some(fault),
-            IndexError::UnknownUser { .. } => None,
+            IndexError::UnknownUser { .. } | IndexError::MalformedReport { .. } => None,
         }
     }
 }

@@ -24,20 +24,12 @@
 //! shard-local counters, so the aggregation here is unchanged either way.
 //!
 //! Lock ordering across the whole stack is strictly downward:
-//! **index shard lock → page latch → pool shard lock → WAL lock → disk
-//! lock**, never more than one lock of the same level at a time (page
-//! latches excepted: an OLC structural write holds its whole latched
-//! scope, acquired first-blocking-then-try-only, see `peb_btree::olc`),
-//! and never upward — which is what makes the layered locking
-//! deadlock-free (see the `peb_storage::pool` module docs for the
-//! pool's half of the contract).
-//!
-//! With [`ShardedMovingIndex::set_olc_writes`] on, same-shard refreshes
-//! and removals run their page I/O under the shard **read** lock —
-//! per-page latches replace whole-shard exclusion — so single-object
-//! writers overlap scans, point reads, and each other; see that
-//! method's docs for the exact protocol and the read-committed
-//! relaxations it introduces.
+//! **index shard lock → pool shard lock → WAL lock → disk lock**, never
+//! more than one lock of the same level at a time and never upward —
+//! which is what makes the layered locking deadlock-free (see the
+//! `peb_storage::pool` module docs for the pool's half of the contract).
+//! Every write to a partition's tree runs under that shard's exclusive
+//! lock: one write path.
 //!
 //! # Concurrency contract
 //!
@@ -480,6 +472,18 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         (self.layout.key(tid, zv, m.uid.0), tid, t_lab)
     }
 
+    /// Why a position report is turned away at the door, if it is. Reports
+    /// arrive from outside the program: the uid must be one the layout can
+    /// compose a key for, and every number must be finite.
+    fn refusal(&self, m: &MovingPoint) -> Option<IndexError> {
+        let uid = m.uid.0;
+        if !self.layout.admits(uid) {
+            return Some(IndexError::UnknownUser { uid });
+        }
+        let finite = [m.pos.x, m.pos.y, m.vel.x, m.vel.y, m.t_update].iter().all(|v| v.is_finite());
+        (!finite).then_some(IndexError::MalformedReport { uid })
+    }
+
     /// Insert or update one object: the old entry (in whichever shard
     /// holds it) is deleted exactly, then the new entry is inserted into
     /// the target shard. Locks are taken one shard at a time, so
@@ -494,10 +498,12 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// Fallible twin of [`ShardedMovingIndex::upsert`]: an unresolvable
     /// media fault surfaces as [`IndexError::Io`] instead of panicking,
     /// and a failed call is not committed to the WAL. A report for a uid
-    /// the layout does not admit is [`IndexError::UnknownUser`], returned
-    /// before any shard, the pool or the log is touched. The OLC write path
-    /// still runs the legacy tree calls (infallible by design); disable
-    /// OLC writes before operating on suspect media.
+    /// the layout does not admit is [`IndexError::UnknownUser`], and one
+    /// whose position, velocity or `t_update` is NaN or infinite is
+    /// [`IndexError::MalformedReport`] — a NaN `t_update` would become the
+    /// partition's label and take every later query down. Both are returned
+    /// before any shard, the pool or the log is touched. A finite but
+    /// absurd timestamp (say 1e18) is a report like any other.
     ///
     /// On `Err` the object's previous entry may already have been
     /// deleted with the new one not yet inserted: the uid reads as
@@ -505,44 +511,15 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// always rebalanced on the error path, so concurrent scans cannot
     /// be wedged by a failed migration.
     pub fn try_upsert(&self, m: MovingPoint) -> Result<(), IndexError> {
+        if let Some(refusal) = self.refusal(&m) {
+            return Err(refusal);
+        }
         debug_assert!(
             m.speed() <= self.max_speed + 1e-9,
             "object {} exceeds the declared max speed",
             m.uid
         );
-        if !self.layout.admits(m.uid.0) {
-            return Err(IndexError::UnknownUser { uid: m.uid.0 });
-        }
         let (key, tid, t_lab) = self.placement(&m);
-        // OLC fast path: a same-shard refresh runs all of its page I/O
-        // under the shard *read* lock — the tree's per-page latches are
-        // the only write-side exclusion — publishing the new entry first
-        // and deleting the displaced one after the map points at the new
-        // key (transient duplicate, never a transient miss; see
-        // [`ShardedMovingIndex::set_olc_writes`]). The exclusive lock is
-        // held only for the O(1) map/label update in between.
-        {
-            let s = self.shards[tid as usize].read();
-            if s.btree.olc_enabled() && s.current_key.contains_key(&m.uid) {
-                s.btree.olc_insert(key, ObjectRecord::from_moving_point(&m));
-                drop(s);
-                let old = {
-                    let mut s = self.shards[tid as usize].write();
-                    s.label = Some(t_lab);
-                    s.current_key.insert(m.uid, key)
-                };
-                // The map slot can only have been emptied by a concurrent
-                // same-uid writer, which the concurrency contract already
-                // declares racy; whoever displaced a key deletes it.
-                if let Some(old) = old {
-                    if old != key {
-                        self.shards[tid as usize].read().btree.olc_delete(old);
-                    }
-                }
-                self.commit_op();
-                return Ok(());
-            }
-        }
         // Fast path: the object already lives in the target shard — a uid
         // is in at most one shard, so no other shard needs to be touched.
         {
@@ -610,8 +587,10 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// entries shard by shard, then merge each partition's new entries
     /// into its tree as one sorted run
     /// ([`peb_btree::BTree::merge_sorted`]). When the same uid appears
-    /// more than once in `updates`, the last occurrence wins. Returns the
-    /// number of distinct objects applied.
+    /// more than once in `updates`, the last occurrence wins. A report
+    /// [`ShardedMovingIndex::try_upsert`] would refuse (a uid the layout
+    /// does not admit, a non-finite position, velocity or `t_update`) is
+    /// dropped. Returns the number of distinct objects applied.
     ///
     /// Batches bound for different partitions can be applied from
     /// different threads concurrently — this is the parallel update path
@@ -655,6 +634,9 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         // Last write per uid wins, as if the batch were applied in order.
         let mut latest: HashMap<UserId, MovingPoint> = HashMap::with_capacity(updates.len());
         for m in updates {
+            if self.refusal(m).is_some() {
+                continue;
+            }
             debug_assert!(
                 m.speed() <= self.max_speed + 1e-9,
                 "object {} exceeds the declared max speed",
@@ -772,12 +754,6 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     }
 
     /// Remove an object entirely. Returns whether it was present.
-    ///
-    /// With OLC writes on the removal linearizes at the map update (a
-    /// racing [`ShardedMovingIndex::get`] answers `None` from there on)
-    /// and the leaf delete runs under the shard read lock, overlapping
-    /// readers; the entry may transiently remain visible to scans until
-    /// the delete lands (read-committed, as genuine deletes always were).
     pub fn remove(&self, uid: UserId) -> bool {
         self.try_remove(uid).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
     }
@@ -786,24 +762,8 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// media fault surfaces as [`IndexError::Io`] instead of panicking,
     /// and a failed call is not committed. On `Err` the uid's map entry
     /// is already vacated while the leaf entry may survive as an orphan
-    /// the next scan can still see. The OLC path runs the legacy
-    /// (infallible) tree calls, as in [`ShardedMovingIndex::try_upsert`].
+    /// the next scan can still see.
     pub fn try_remove(&self, uid: UserId) -> Result<bool, IndexError> {
-        if self.olc_writes() {
-            for shard in &self.shards {
-                if !shard.read().current_key.contains_key(&uid) {
-                    continue;
-                }
-                let old = shard.write().current_key.remove(&uid);
-                if let Some(old) = old {
-                    let removed = shard.read().btree.olc_delete(old).is_some();
-                    self.commit_op();
-                    return Ok(removed);
-                }
-            }
-            self.commit_op();
-            return Ok(false);
-        }
         for shard in &self.shards {
             if shard.read().current_key.contains_key(&uid) {
                 let mut s = shard.write();
@@ -1114,38 +1074,6 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
         }
     }
 
-    /// Switch every shard tree between the exclusive write path (off,
-    /// the default) and optimistic-lock-coupling writes (on): same-shard
-    /// refreshes and removals run their page I/O under the shard's
-    /// **read** lock through [`peb_btree::BTree::olc_insert`] /
-    /// [`peb_btree::BTree::olc_delete`] — per-page latches and version
-    /// validation instead of whole-shard exclusion — so they overlap
-    /// both optimistic readers and each other. The shard's exclusive
-    /// lock is retained only for O(1) in-memory bookkeeping (the
-    /// `current_key` map and label) and for the batch/migration paths
-    /// (`upsert_batch`, cross-partition migration, `rekey_where`,
-    /// `expire_stale`, recovery), which keep their existing locking.
-    ///
-    /// Two documented relaxations while the knob is on:
-    ///
-    /// * a same-shard re-key publishes the new entry before deleting the
-    ///   old one, so a concurrent scan may transiently see the object
-    ///   twice (read-committed, like the batch evict→merge gap).
-    ///
-    /// Requires exclusive access: flip it between measurement phases,
-    /// not mid-workload.
-    pub fn set_olc_writes(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            shard.write().btree.set_olc_writes(on);
-        }
-        self.commit_op();
-    }
-
-    /// Whether OLC writes are on (one knob for all shards).
-    pub fn olc_writes(&self) -> bool {
-        self.shards.first().is_some_and(|s| s.read().btree.olc_enabled())
-    }
-
     /// Deterministic write-path counters summed across all shard trees:
     /// leaf pages written (see [`peb_btree::WriteStats`]). The write-side
     /// companion of [`ShardedMovingIndex::scan_stats`].
@@ -1155,21 +1083,10 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             .fold(WriteStats::default(), |acc, s| acc.merged(&s.read().btree.write_stats()))
     }
 
-    /// OLC contention counters summed across all shard trees: optimistic
-    /// write/scan restarts and gate escalations (see
-    /// [`peb_btree::OlcStats`]). All zero while OLC writes are off.
+    /// Shim, always zero: the latched write path is gone. `e2e/src/adapter.rs`
+    /// is the only caller; the next `benchmark` PR deletes this with it.
     pub fn olc_stats(&self) -> OlcStats {
-        self.shards
-            .iter()
-            .fold(OlcStats::default(), |acc, s| acc.merged(&s.read().btree.olc_stats()))
-    }
-
-    /// Zero every shard tree's OLC contention counters (measurement
-    /// windows).
-    pub fn reset_olc_stats(&self) {
-        for shard in &self.shards {
-            shard.read().btree.reset_olc_stats();
-        }
+        OlcStats::default()
     }
 
     /// Re-key live objects in place: `f(uid, old_key)` returns the new
@@ -1241,18 +1158,16 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             if matches!(s.label, Some(l) if l < now) {
                 dropped += s.current_key.len();
                 s.current_key = HashMap::new();
-                // The replacement tree inherits the scan and write ledgers
-                // plus the OLC knob: expiry is structural maintenance, not
-                // a measurement reset (the same contract `merge_sorted`'s
+                // The replacement tree inherits the scan and write
+                // ledgers: expiry is structural maintenance, not a
+                // measurement reset (the same contract `merge_sorted`'s
                 // rebuild keeps).
                 let scans = s.btree.scan_stats();
                 let writes = s.btree.write_stats();
-                let olc = s.btree.olc_enabled();
                 let tree_id = s.btree.tree_id();
                 s.btree = BTree::new(Arc::clone(&self.pool));
                 s.btree.restore_scan_stats(scans);
                 s.btree.restore_write_stats(writes.merged(&s.btree.write_stats()));
-                s.btree.set_olc_writes(olc);
                 // The replacement tree is the same logical partition: keep
                 // its log identity so recovery reattaches the new root.
                 s.btree.set_tree_id(tree_id);
@@ -1826,141 +1741,5 @@ mod tests {
         assert_eq!(idx.shard_stats().len(), idx.num_shards());
         let per_shard: usize = idx.shard_stats().iter().map(|(_, t)| t.entries).sum();
         assert_eq!(per_shard, 100);
-    }
-
-    #[test]
-    fn olc_writes_match_exclusive_writes_sequentially() {
-        let mut olc = index(64);
-        olc.set_olc_writes(true);
-        assert!(olc.olc_writes());
-        let exclusive = index(64);
-        // First sightings (slow path), refreshes in place (OLC fast
-        // path), cross-partition migrations (slow path again), removals.
-        for i in 0..200u64 {
-            let m = still(i, (i % 40) as f64 * 25.0 + 2.0, (i / 40) as f64 * 190.0 + 2.0, 10.0);
-            olc.upsert(m);
-            exclusive.upsert(m);
-        }
-        for i in 0..200u64 {
-            let m = still(i, (i % 50) as f64 * 20.0 + 3.0, (i / 50) as f64 * 150.0 + 3.0, 15.0);
-            olc.upsert(m);
-            exclusive.upsert(m);
-        }
-        for i in (0..200u64).step_by(3) {
-            // Different label phase: a genuine cross-partition migration.
-            let m = still(i, 500.0, 500.0, 70.0);
-            olc.upsert(m);
-            exclusive.upsert(m);
-        }
-        for i in (0..200u64).step_by(7) {
-            assert_eq!(olc.remove(UserId(i)), exclusive.remove(UserId(i)), "remove({i})");
-        }
-        assert_eq!(olc.len(), exclusive.len());
-        assert_eq!(olc.live_partitions(), exclusive.live_partitions());
-        for i in 0..200u64 {
-            assert_eq!(olc.get(UserId(i)), exclusive.get(UserId(i)), "uid {i}");
-        }
-        let collect = |x: &ShardedMovingIndex<TestLayout>| {
-            let mut v = Vec::new();
-            x.scan_keys(0, u128::MAX, |k, r| {
-                v.push((k, r));
-                true
-            });
-            v
-        };
-        assert_eq!(collect(&olc), collect(&exclusive), "full scans must agree");
-    }
-
-    #[test]
-    fn olc_knob_survives_expiry() {
-        let mut idx = index(64);
-        idx.set_olc_writes(true);
-        for i in 0..50u64 {
-            idx.upsert(still(i, i as f64 * 18.0 + 2.0, 500.0, 10.0));
-        }
-        assert!(idx.expire_stale(200.0) > 0);
-        assert!(idx.olc_writes(), "the knob survives the shard swap");
-    }
-
-    #[test]
-    fn olc_concurrent_refreshes_overlap_and_converge() {
-        // 4 writer threads refresh disjoint uid ranges in place (the OLC
-        // fast path: all page I/O under the shard read lock) while 2
-        // scanner threads stream the whole index. Afterwards the state
-        // must equal a sequentially-built twin.
-        use std::sync::atomic::AtomicBool;
-        let mut idx = index(256);
-        // Seed every object first so refreshes stay on the fast path.
-        for i in 0..400u64 {
-            idx.upsert(still(i, (i % 40) as f64 * 25.0 + 2.0, (i / 40) as f64 * 95.0 + 2.0, 10.0));
-        }
-        idx.set_olc_writes(true);
-        let idx = Arc::new(idx);
-        let stop = Arc::new(AtomicBool::new(false));
-        let rounds = 30u64;
-        let writers: Vec<_> = (0..4u64)
-            .map(|w| {
-                let idx = Arc::clone(&idx);
-                std::thread::spawn(move || {
-                    for r in 0..rounds {
-                        for i in (w * 100)..(w * 100 + 100) {
-                            let x = ((i * 13 + r * 7) % 49) as f64 * 20.0 + 3.0;
-                            let y = ((i * 31 + r * 11) % 49) as f64 * 20.0 + 3.0;
-                            idx.upsert(still(i, x, y, 10.0));
-                        }
-                    }
-                })
-            })
-            .collect();
-        let scanners: Vec<_> = (0..2)
-            .map(|_| {
-                let idx = Arc::clone(&idx);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let mut seen = 0usize;
-                        idx.scan_keys(0, u128::MAX, |_, _| {
-                            seen += 1;
-                            true
-                        });
-                        // Transient duplicates are the documented
-                        // relaxation; vanishing objects are not.
-                        assert!(seen >= 400, "scan lost objects: {seen}");
-                        for i in (0..400u64).step_by(37) {
-                            assert!(idx.get(UserId(i)).is_some(), "uid {i} vanished");
-                        }
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        for s in scanners {
-            s.join().unwrap();
-        }
-        assert_eq!(idx.len(), 400);
-        let twin = index(256);
-        for w in 0..4u64 {
-            for i in (w * 100)..(w * 100 + 100) {
-                let r = rounds - 1;
-                let x = ((i * 13 + r * 7) % 49) as f64 * 20.0 + 3.0;
-                let y = ((i * 31 + r * 11) % 49) as f64 * 20.0 + 3.0;
-                twin.upsert(still(i, x, y, 10.0));
-            }
-        }
-        for i in 0..400u64 {
-            assert_eq!(idx.get(UserId(i)), twin.get(UserId(i)), "uid {i}");
-        }
-        let collect = |x: &ShardedMovingIndex<TestLayout>| {
-            let mut v = Vec::new();
-            x.scan_keys(0, u128::MAX, |k, r| {
-                v.push((k, r));
-                true
-            });
-            v
-        };
-        assert_eq!(collect(&idx), collect(&twin), "quiesced scans must agree");
     }
 }

@@ -116,11 +116,6 @@ impl SequenceValues {
     pub fn frac_bits(&self) -> u32 {
         self.frac_bits
     }
-
-    /// Largest code over all users (used to size key layouts).
-    pub fn max_code(&self) -> u64 {
-        (self.values.iter().copied().fold(0.0f64, f64::max).max(0.0) as u64 + 1) << self.frac_bits
-    }
 }
 
 #[cfg(test)]

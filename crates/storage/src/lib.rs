@@ -44,8 +44,8 @@ pub use disk::{
 };
 pub use page::{seal64, Page, PageId, ReadOutcome, PAGE_SIZE, PAGE_WORDS};
 pub use pool::{
-    default_shard_count, BufferPool, FaultStats, IoStats, LockStats, OptimisticRead, PageLatch,
-    PageSnapshot, TRANSIENT_RETRIES,
+    default_shard_count, BufferPool, FaultStats, IoStats, LockStats, OptimisticRead, PageSnapshot,
+    TRANSIENT_RETRIES,
 };
 pub use wal::{
     recover, CrashInjector, CrashPoint, Wal, WalRecord, WalRecovery, WalStats, CRASH_SENTINEL,

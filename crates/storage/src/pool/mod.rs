@@ -68,7 +68,6 @@
 //! remainder goes to the lowest-numbered shards). The shard count is
 //! clamped so every shard owns at least one frame.
 
-mod latch;
 mod mirror;
 mod shard;
 
@@ -83,8 +82,6 @@ use peb_common::clock::TickClock;
 use crate::disk::{DiskSim, FaultInjector, IoFault, LatencyInjector};
 use crate::page::{Page, PageId};
 use crate::wal::{CrashInjector, CrashPoint, Wal, WalRecord, WalStats};
-use latch::LatchTable;
-pub use latch::PageLatch;
 use mirror::{Mirror, TryRead};
 use shard::{Frame, PoolShard};
 
@@ -172,12 +169,10 @@ pub struct LockStats {
     /// [`BufferPool::write`], [`BufferPool::allocate`]); administrative
     /// sweeps (`stats`, `flush_all`, `clear`, …) are not counted.
     pub lock_acquisitions: u64,
-    /// Page-latch grants ([`BufferPool::latch`] / [`BufferPool::try_latch`]
-    /// successes) — the OLC write path's per-update footprint. A
-    /// non-structural latched upsert grants exactly one (the leaf).
+    /// Shim, always 0: the page latches are gone. `e2e/src/adapter.rs` is
+    /// the only reader; the next `benchmark` PR deletes this field.
     pub latch_acquisitions: u64,
-    /// Latch requests that found the slot held (blocking waits plus failed
-    /// tries) — how often writers actually collided on a page.
+    /// Shim, always 0, as above (deleted together with `pool.latch_waits`).
     pub latch_waits: u64,
 }
 
@@ -189,8 +184,7 @@ impl LockStats {
             optimistic_retries: self.optimistic_retries + other.optimistic_retries,
             locked_fallbacks: self.locked_fallbacks + other.locked_fallbacks,
             lock_acquisitions: self.lock_acquisitions + other.lock_acquisitions,
-            latch_acquisitions: self.latch_acquisitions + other.latch_acquisitions,
-            latch_waits: self.latch_waits + other.latch_waits,
+            ..LockStats::default()
         }
     }
 
@@ -393,10 +387,7 @@ impl ShardState {
             optimistic_retries: self.opt_conflicts.load(Ordering::Relaxed),
             locked_fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
             lock_acquisitions: self.lock_acqs.load(Ordering::Relaxed),
-            // Latches are pool-global (the table is shared by all shards);
-            // `BufferPool::lock_stats` folds them in after the shard sum.
-            latch_acquisitions: 0,
-            latch_waits: 0,
+            ..LockStats::default()
         }
     }
 }
@@ -432,10 +423,6 @@ pub struct BufferPool {
     /// be held when taking nothing — the log never touches shards or the
     /// data disk (it owns its own disk region).
     wal: Mutex<Option<Wal>>,
-    /// The per-page write-latch table (optimistic lock coupling's writer
-    /// half). Pool-global: latch protocols span pool shards, and the
-    /// table takes no part in I/O accounting.
-    latches: LatchTable,
     /// Crash-point injector counting every simulated disk-page write in
     /// durable mode (shared with the test harness via
     /// [`BufferPool::crash_injector`]).
@@ -519,7 +506,6 @@ impl BufferPool {
             disk: Mutex::new(disk),
             durable: AtomicBool::new(false),
             wal: Mutex::new(None),
-            latches: LatchTable::new(),
             injector: Arc::new(CrashInjector::new()),
             in_checkpoint: AtomicBool::new(false),
             faults: FaultCounters::default(),
@@ -767,44 +753,6 @@ impl BufferPool {
         self.shards[self.shard_of(pid)].mirror.version_of(pid)
     }
 
-    /// Exclusively latch `pid` for a structural write, **blocking** if the
-    /// latch is held. Only legal while holding *no* other page latch (see
-    /// `pool::latch`): writers block on their first latch — the leaf —
-    /// and must use [`BufferPool::try_latch`] for every further one.
-    ///
-    /// A latch serializes *writers* of the page (and of any page hashing
-    /// to the same slot); readers never latch — they validate versions.
-    ///
-    /// ```
-    /// use peb_storage::BufferPool;
-    ///
-    /// let pool = BufferPool::new(4);
-    /// let pid = pool.allocate();
-    /// let held = pool.latch(pid);
-    /// assert!(pool.try_latch(pid).is_none(), "latches are exclusive");
-    /// drop(held);
-    /// assert!(pool.try_latch(pid).is_some());
-    /// ```
-    pub fn latch(&self, pid: PageId) -> PageLatch<'_> {
-        self.latches.lock(pid)
-    }
-
-    /// Try to latch `pid` without blocking. `None` means a conflicting
-    /// hold exists — the caller must release everything and restart its
-    /// operation (the no-hold-and-wait rule that keeps latching
-    /// deadlock-free regardless of hash collisions).
-    pub fn try_latch(&self, pid: PageId) -> Option<PageLatch<'_>> {
-        self.latches.try_lock(pid)
-    }
-
-    /// The latch-table slot `pid` hashes to. Callers holding several
-    /// latches compare slots before acquiring another: a second acquire of
-    /// an already-held slot would self-deadlock, and is unnecessary — the
-    /// held slot already excludes every writer of every page mapping to it.
-    pub fn latch_slot(&self, pid: PageId) -> usize {
-        LatchTable::slot_of(pid)
-    }
-
     /// Fetch one page from the device, absorbing what the fault layer can:
     /// transient errors are retried up to [`TRANSIENT_RETRIES`] times with
     /// a deterministic exponential backoff ledger (simulated ticks, no
@@ -976,7 +924,6 @@ impl BufferPool {
         if !force && state.mirror.holds(pid) {
             return;
         }
-        peb_common::sched::probe(peb_common::sched::Site::Publish);
         let displaced = {
             // Invariant, not fault-reachable: every caller publishes a pid
             // it just inserted or touched under this same shard lock.
@@ -1443,11 +1390,7 @@ impl BufferPool {
     /// assert_eq!(pool.lock_stats().lock_acquisitions, 1);
     /// ```
     pub fn lock_stats(&self) -> LockStats {
-        let mut stats =
-            self.shards.iter().fold(LockStats::default(), |acc, s| acc.merged(&s.lock_stats()));
-        stats.latch_acquisitions = self.latches.acquisitions();
-        stats.latch_waits = self.latches.contended_waits();
-        stats
+        self.shards.iter().fold(LockStats::default(), |acc, s| acc.merged(&s.lock_stats()))
     }
 
     /// Each shard's locking counters, in shard order ([`BufferPool::lock_stats`]
@@ -1474,7 +1417,6 @@ impl BufferPool {
             state.opt_fallbacks.store(0, Ordering::Relaxed);
             state.lock_acqs.store(0, Ordering::Relaxed);
         }
-        self.latches.reset_stats();
     }
 
     /// Total frame budget across all shards.
@@ -1498,11 +1440,6 @@ impl BufferPool {
     /// [`BufferPool::capacity`].
     pub fn resident_pages(&self) -> usize {
         self.shards.iter().map(|s| s.shard.lock().table.len()).sum()
-    }
-
-    /// Pages allocated on the simulated disk.
-    pub fn num_disk_pages(&self) -> usize {
-        self.disk.lock().num_pages()
     }
 }
 
@@ -2054,21 +1991,5 @@ mod tests {
         }
         assert_eq!(pool.fault_stats(), FaultStats::default());
         assert!(pool.quarantined_pages().is_empty());
-    }
-
-    #[test]
-    fn latch_traffic_lands_on_the_lock_ledger() {
-        let pool = BufferPool::new(4);
-        let pid = pool.allocate();
-        pool.reset_stats();
-        let held = pool.latch(pid);
-        assert!(pool.try_latch(pid).is_none(), "latches are exclusive");
-        drop(held);
-        let s = pool.lock_stats();
-        assert_eq!(s.latch_acquisitions, 1);
-        assert_eq!(s.latch_waits, 1, "the failed try counts as a collision");
-        assert_eq!(s.lock_acquisitions, 0, "latching touches no pool shard mutex");
-        pool.reset_stats();
-        assert_eq!(pool.lock_stats().latch_acquisitions, 0);
     }
 }

@@ -333,11 +333,6 @@ impl CrashInjector {
         self.trace.lock().clear();
     }
 
-    /// Ops counted since the last [`CrashInjector::reset`].
-    pub fn ops_seen(&self) -> u64 {
-        self.counter.load(Ordering::SeqCst)
-    }
-
     /// Take the probe-mode label trace (op index -> label).
     pub fn take_trace(&self) -> Vec<CrashPoint> {
         std::mem::take(&mut self.trace.lock())
