@@ -231,6 +231,10 @@ mod tests {
         assert!(r.wal_page_writes > 0 && r.data_page_writes > 0);
         assert!(r.log_write_amplification() > 0.0);
         assert!(r.replay_scanned >= r.replay_records);
+        // A committed upsert logs its tree operations and a commit, not
+        // page images: well under one 4 KB page per op, checkpoint and
+        // undo images included.
+        assert!(r.log_bytes_per_op() < 512.0, "{} log bytes per op", r.log_bytes_per_op());
     }
 
     #[test]

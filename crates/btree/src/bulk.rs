@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use peb_storage::{BufferPool, PageId};
+use peb_storage::{BufferPool, PageId, TreeOpKind, WalRecord};
 
 use crate::node::{self, branch_capacity, leaf_capacity};
 use crate::tree::BTree;
@@ -215,12 +215,36 @@ impl<V: RecordValue> BTree<V> {
     ///   leaves the tree densely packed. The old pages leak on the
     ///   simulated disk (it has no free list); leaked pages cost no I/O.
     ///
+    /// On a registered tree of a durable pool the batch is logged as one
+    /// run — a [`TreeOpKind::Merge`] record followed by one
+    /// [`TreeOpKind::MergeEntry`] per entry — and recovery merges it as one
+    /// run again: inserting the entries one by one would build a
+    /// different tree.
+    ///
     /// # Panics
-    /// Panics if the batch keys are not strictly increasing.
+    /// Panics if the batch keys are not strictly increasing, or on an
+    /// unresolvable media fault.
     pub fn merge_sorted(&mut self, entries: Vec<(u128, V)>) -> usize {
         if entries.is_empty() {
             return 0;
         }
+        let scope = self.redo_scope();
+        let mut records: Vec<WalRecord> = Vec::new();
+        if scope.is_some() {
+            records.push(self.op_record(TreeOpKind::Merge, entries.len() as u128, None));
+            for (k, v) in &entries {
+                records.push(self.op_record(TreeOpKind::MergeEntry, *k, Some(v)));
+            }
+        }
+        let added = self.merge_core(entries);
+        if let Some(scope) = scope {
+            records.iter().for_each(|rec| scope.log(rec));
+        }
+        added
+    }
+
+    /// [`BTree::merge_sorted`] without the log records.
+    pub(crate) fn merge_core(&mut self, entries: Vec<(u128, V)>) -> usize {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "merge_sorted requires strictly increasing keys"
@@ -229,7 +253,9 @@ impl<V: RecordValue> BTree<V> {
         if entries.len() * MERGE_REBUILD_RATIO < self.len() {
             let mut added = 0usize;
             for (k, v) in entries {
-                if self.insert(k, v).is_none() {
+                let old =
+                    self.insert_core(k, &v).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"));
+                if old.is_none() {
                     added += 1;
                 }
             }
@@ -267,12 +293,10 @@ impl<V: RecordValue> BTree<V> {
         // The rebuild replaced `self` wholesale; the scan and write
         // ledgers outlive structural maintenance like every other counter
         // does (the rebuild's own leaf writes are part of this merge's
-        // cost), and the WAL identity carries over (with the moved root
-        // logged for recovery).
+        // cost), and the WAL identity carries over.
         self.restore_scan_stats(scans);
         self.restore_write_stats(writes.merged(&self.write_stats()));
         self.tree_id = tree_id;
-        self.log_meta();
         added
     }
 }

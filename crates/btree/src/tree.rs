@@ -26,7 +26,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use peb_common::Deadline;
-use peb_storage::{BufferPool, IoFault, OptimisticRead, Page, PageId, PageSnapshot};
+use peb_storage::{
+    BufferPool, IoFault, OptimisticRead, Page, PageId, PageSnapshot, RedoScope, TreeOpKind,
+    TreeRedo, WalRecord, TREE_OP_VALUE_BYTES,
+};
 
 use crate::multiscan::{ScanCounters, ScanPlan, ScanStats, ScanTermination, Visit};
 use crate::node::{self, branch_capacity, leaf_capacity, HEADER};
@@ -70,9 +73,9 @@ pub struct BTree<V: RecordValue> {
     /// Deterministic write-path counter (leaf pages written).
     pub(crate) writes: WriteCounters,
     /// Identity of this tree in the write-ahead log (`u32::MAX` =
-    /// unregistered: root changes are not logged). Set by the index layer
-    /// when durability is on; survives wholesale rebuilds
-    /// ([`BTree::bulk_load`]-based merges) via [`BTree::set_tree_id`].
+    /// unregistered: on a durable pool its writes log physical page
+    /// images). Set by the index layer when durability is on; survives
+    /// wholesale rebuilds (merges, resets).
     pub(crate) tree_id: u32,
     _values: PhantomData<V>,
 }
@@ -113,6 +116,11 @@ impl<V: RecordValue> BTree<V> {
     fn set_top(&self, root: PageId, height: u32) {
         self.top.store(Self::pack_top(root, height), Ordering::Release);
     }
+
+    /// Every value of a registered tree must fit one log record
+    /// (checked when the logging code is instantiated for `V`).
+    const LOGGABLE: () =
+        assert!(V::SIZE <= TREE_OP_VALUE_BYTES, "record value too wide for the log");
 
     const fn vsize() -> usize {
         V::SIZE
@@ -193,36 +201,73 @@ impl<V: RecordValue> BTree<V> {
         self.top().0
     }
 
-    /// This tree's identity in the write-ahead log (`u32::MAX` =
-    /// unregistered).
-    pub fn tree_id(&self) -> u32 {
-        self.tree_id
-    }
-
     /// Register this tree under `id` in the write-ahead log and log its
     /// current root and height, so recovery can locate it. Called by the
-    /// index layer when durability is enabled and re-called after every
-    /// wholesale tree replacement (merge rebuilds, shard expiry swaps) —
-    /// the replacement tree is a *new* `BTree` value that must keep the
-    /// old identity.
+    /// index layer when durability is enabled. From then on, on a durable
+    /// pool, every successful mutation logs one logical record —
+    /// [`peb_storage::WalRecord::TreeOp`] or
+    /// [`peb_storage::WalRecord::Rekey`] — instead of the pages it wrote,
+    /// and recovery re-executes it ([`BTree::try_replay`]).
     pub fn set_tree_id(&mut self, id: u32) {
         self.tree_id = id;
-        self.log_meta();
-    }
-
-    /// Log this tree's (root, height) to the write-ahead log — a no-op
-    /// unless the pool is durable and the tree is registered.
-    pub(crate) fn log_meta(&self) {
         let (root, height) = self.top();
         self.pool.wal_tree_meta(self.tree_id, root, height);
     }
 
+    /// The redo scope one mutation runs in: `None` unless the pool is
+    /// durable and this tree is registered, in which case its page writes
+    /// log no post-images — the mutation's own record describes them.
+    pub(crate) fn redo_scope(&self) -> Option<RedoScope> {
+        if self.tree_id == u32::MAX {
+            return None;
+        }
+        self.pool.redo_scope()
+    }
+
+    /// The logical record of one mutation of this tree: `value`, if any,
+    /// is stored zero-padded.
+    pub(crate) fn op_record(&self, op: TreeOpKind, key: u128, value: Option<&V>) -> WalRecord {
+        let () = Self::LOGGABLE;
+        let mut bytes = [0u8; TREE_OP_VALUE_BYTES];
+        if let Some(v) = value {
+            v.write(&mut bytes[..V::SIZE]);
+        }
+        WalRecord::TreeOp { tree: self.tree_id, op, key, value: bytes }
+    }
+
+    /// Re-execute one logged mutation through the code its entry point
+    /// ran — recovery's redo step. The record is already in the log, so
+    /// the page writes run in a redo scope and log nothing new. The
+    /// result is the tree the original call left, page for page, given
+    /// the tree it started from.
+    pub fn try_replay(&mut self, op: &TreeRedo) -> Result<(), IoFault> {
+        let () = Self::LOGGABLE;
+        let _scope = self.redo_scope();
+        let value = |bytes: &[u8; TREE_OP_VALUE_BYTES]| V::read(&bytes[..V::SIZE]);
+        match op {
+            TreeRedo::Insert { key, value: v } => {
+                self.insert_core(*key, &value(v))?;
+            }
+            TreeRedo::Delete { key } => {
+                self.delete_core(*key)?;
+            }
+            TreeRedo::Rekey { old, new } => {
+                self.rekey_core(*old, *new)?;
+            }
+            TreeRedo::Merge { entries } => {
+                self.merge_core(entries.iter().map(|(k, v)| (*k, value(v))).collect());
+            }
+            TreeRedo::Reset => self.reset_core(),
+        }
+        Ok(())
+    }
+
     /// Reconstruct a tree from its recovered on-disk pages: `root` and
-    /// `height` come from the newest durable `TreeMeta` record of
-    /// `tree_id`. One breadth-first structural walk rebuilds the
-    /// in-memory bookkeeping the crash destroyed — entry count and page
-    /// counts — after which the tree answers exactly like one that never
-    /// crashed.
+    /// `height` come from the `TreeMeta` record the last complete
+    /// checkpoint logged for `tree_id`. One breadth-first structural walk
+    /// rebuilds the in-memory bookkeeping the crash destroyed — entry
+    /// count and page counts — after which the tree answers exactly like
+    /// one that never crashed, as of that checkpoint.
     pub fn reattach(pool: Arc<BufferPool>, tree_id: u32, root: PageId, height: u32) -> Self {
         let mut t: BTree<V> = BTree::from_raw(pool, root, height, 0, 0, 0);
         t.tree_id = tree_id;
@@ -456,10 +501,20 @@ impl<V: RecordValue> BTree<V> {
     /// faulting a path page in surfaces as a typed [`IoFault`] instead of
     /// a panic. A fault mid-split can leave structural work half-applied
     /// (like a panic would); durable pools repair and recover, non-durable
-    /// pools should treat the tree as suspect after an error.
+    /// pools should treat the tree as suspect after an error. On a
+    /// registered tree of a durable pool a call that returns `Ok` logs one
+    /// [`TreeOpKind::Insert`] record; a failed call logs nothing.
     pub fn try_insert(&mut self, key: u128, value: V) -> Result<Option<V>, IoFault> {
+        let Some(scope) = self.redo_scope() else { return self.insert_core(key, &value) };
+        let old = self.insert_core(key, &value)?;
+        scope.log(&self.op_record(TreeOpKind::Insert, key, Some(&value)));
+        Ok(old)
+    }
+
+    /// [`BTree::try_insert`] without the log record.
+    pub(crate) fn insert_core(&mut self, key: u128, value: &V) -> Result<Option<V>, IoFault> {
         let (root, height) = self.top();
-        Ok(match self.insert_rec(root, height - 1, key, &value)? {
+        Ok(match self.insert_rec(root, height - 1, key, value)? {
             InsertOutcome::Replaced(old) => Some(old),
             InsertOutcome::Done => {
                 self.len += 1;
@@ -475,7 +530,6 @@ impl<V: RecordValue> BTree<V> {
                 })?;
                 self.set_top(new_root, height + 1);
                 self.len += 1;
-                self.log_meta();
                 None
             }
         })
@@ -635,8 +689,16 @@ impl<V: RecordValue> BTree<V> {
     /// Fallible [`BTree::delete`]: an unresolvable media fault surfaces as
     /// a typed [`IoFault`] instead of a panic. A fault mid-rebalance can
     /// leave structural work half-applied, exactly like a panic would —
-    /// see [`BTree::try_insert`].
+    /// see [`BTree::try_insert`], also for what is logged.
     pub fn try_delete(&mut self, key: u128) -> Result<Option<V>, IoFault> {
+        let Some(scope) = self.redo_scope() else { return self.delete_core(key) };
+        let removed = self.delete_core(key)?;
+        scope.log(&self.op_record(TreeOpKind::Delete, key, None));
+        Ok(removed)
+    }
+
+    /// [`BTree::try_delete`] without the log record.
+    fn delete_core(&mut self, key: u128) -> Result<Option<V>, IoFault> {
         let (root, height) = self.top();
         let removed = self.delete_rec(root, height - 1, key)?;
         if removed.is_some() {
@@ -648,11 +710,52 @@ impl<V: RecordValue> BTree<V> {
                 if n == 0 {
                     self.set_top(first_child, height - 1);
                     self.total_pages -= 1;
-                    self.log_meta();
                 }
             }
         }
         Ok(removed)
+    }
+
+    /// Move the record stored under `old` to key `new` (the record itself
+    /// is unchanged); returns whether `old` was present. One exact delete
+    /// plus one insert, logged as one [`peb_storage::WalRecord::Rekey`]
+    /// record when the call returns `Ok` (see [`BTree::try_insert`]).
+    pub fn try_rekey(&mut self, old: u128, new: u128) -> Result<bool, IoFault> {
+        let Some(scope) = self.redo_scope() else { return self.rekey_core(old, new) };
+        let moved = self.rekey_core(old, new)?;
+        scope.log(&WalRecord::Rekey { tree: self.tree_id, old, new });
+        Ok(moved)
+    }
+
+    /// [`BTree::try_rekey`] without the log record.
+    fn rekey_core(&mut self, old: u128, new: u128) -> Result<bool, IoFault> {
+        let Some(rec) = self.try_get(old)? else { return Ok(false) };
+        self.delete_core(old)?;
+        self.insert_core(new, &rec)?;
+        Ok(true)
+    }
+
+    /// Replace the tree with an empty one — a fresh root leaf; the old
+    /// pages leak on the simulated disk, which has no free list — in O(1).
+    /// The replacement keeps this tree's log identity and its scan and
+    /// write ledgers (structural maintenance is not a measurement reset),
+    /// and a registered tree of a durable pool logs one
+    /// [`TreeOpKind::Reset`] record.
+    pub fn reset(&mut self) {
+        let scope = self.redo_scope();
+        self.reset_core();
+        if let Some(scope) = scope {
+            scope.log(&self.op_record(TreeOpKind::Reset, 0, None));
+        }
+    }
+
+    /// [`BTree::reset`] without the log record.
+    fn reset_core(&mut self) {
+        let (scans, writes, tree_id) = (self.scan_stats(), self.write_stats(), self.tree_id);
+        *self = BTree::new(Arc::clone(&self.pool));
+        self.restore_scan_stats(scans);
+        self.restore_write_stats(writes.merged(&self.write_stats()));
+        self.tree_id = tree_id;
     }
 
     fn delete_rec(&mut self, pid: PageId, level: u32, key: u128) -> Result<Option<V>, IoFault> {

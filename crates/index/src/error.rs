@@ -7,7 +7,7 @@ use peb_storage::IoFault;
 /// Today the only source is the storage layer: an unresolvable media
 /// fault ([`IoFault`]) that the buffer pool's retry/read-repair machinery
 /// could not hide — transient retries exhausted, a permanently bad
-/// sector, or detected corruption with no WAL post-image to repair from
+/// sector, or detected corruption with no WAL image to repair from
 /// (non-durable pools cannot repair at all). The enum leaves room for
 /// future non-I/O failure classes without breaking callers.
 ///

@@ -374,15 +374,23 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
 
     /// Rebuild an index from a recovered pool: the inverse of a crash.
     ///
-    /// `recovery` is what [`peb_storage::recover`] returned after
-    /// replaying the log against the data disk, and `pool` a
+    /// `recovery` is what [`peb_storage::recover`] returned after rolling
+    /// the data disk back to the last complete checkpoint, and `pool` a
     /// [`BufferPool::from_recovered`] over that disk and the resumed log.
-    /// Each shard tree is reattached to its newest committed `(root,
-    /// height)` from the log's tree-meta records — walking the restored
-    /// pages to recount entries — and the in-memory `current_key` maps and
-    /// partition labels are rebuilt from one full scan per shard. The
-    /// result answers every read exactly as the pre-crash index did as
-    /// of its last durable commit.
+    /// Each shard tree is reattached at the `(root, height)` that
+    /// checkpoint logged — walking the restored pages to recount entries —
+    /// and the committed tree operations after it
+    /// ([`WalRecovery::tree_ops`]) are re-executed in log order through
+    /// the ordinary tree code ([`BTree::try_replay`]): the keys are in the
+    /// log, so replay needs no layout, no placement and no privacy
+    /// context. The in-memory `current_key` maps and partition labels are
+    /// then rebuilt from one full scan per shard, and a checkpoint makes
+    /// the recovered state the next recovery's starting point. The result
+    /// answers every read exactly as the pre-crash index did as of its
+    /// last durable commit, and its pages are the pages that index wrote.
+    ///
+    /// # Panics
+    /// Panics on a media fault the pool cannot absorb while replaying.
     pub fn recover(
         pool: Arc<BufferPool>,
         recovery: &WalRecovery,
@@ -423,6 +431,21 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             max_speed,
             pool,
         };
+        debug_assert_eq!(
+            recovery.physical_after_ops, 0,
+            "a physical redo image follows a tree operation within one checkpoint interval"
+        );
+        for (tree, op) in &recovery.tree_ops {
+            let Some(shard) = idx.shards.get(*tree as usize) else {
+                debug_assert!(false, "the log names tree {tree}, which this index does not have");
+                continue;
+            };
+            shard
+                .write()
+                .btree
+                .try_replay(op)
+                .unwrap_or_else(|e| panic!("unresolved I/O fault replaying the log: {e}"));
+        }
         // Rebuild the volatile maps from the durable state: one scan per
         // shard. The label is the
         // newest record's label timestamp — exactly what the sequence of
@@ -441,6 +464,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                 s.label = Some(s.label.map_or(lab, |l: Timestamp| l.max(lab)));
             }
         }
+        idx.checkpoint();
         idx
     }
 
@@ -510,6 +534,14 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// absent until a retried upsert succeeds. The migration epoch is
     /// always rebalanced on the error path, so concurrent scans cannot
     /// be wedged by a failed migration.
+    ///
+    /// What the log holds of a failed call: a tree operation is logged if
+    /// and only if it returned `Ok`, and the call is not committed. Once a
+    /// later call commits, recovery re-executes exactly the logged
+    /// operations — the delete that landed, not the insert that faulted —
+    /// so the recovered index reads the uid as absent, as the live one
+    /// does. (Structural work a fault interrupts mid-split is in the live
+    /// tree but in no record; recovery rebuilds the tree without it.)
     pub fn try_upsert(&self, m: MovingPoint) -> Result<(), IndexError> {
         if let Some(refusal) = self.refusal(&m) {
             return Err(refusal);
@@ -762,7 +794,10 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     /// media fault surfaces as [`IndexError::Io`] instead of panicking,
     /// and a failed call is not committed. On `Err` the uid's map entry
     /// is already vacated while the leaf entry may survive as an orphan
-    /// the next scan can still see.
+    /// the next scan can still see. The delete that faulted is in no log
+    /// record (a tree operation is logged if and only if it returned `Ok`;
+    /// see [`ShardedMovingIndex::try_upsert`]), so recovery, which maps
+    /// every leaf entry it finds, maps the uid to that entry again.
     pub fn try_remove(&self, uid: UserId) -> Result<bool, IndexError> {
         for shard in &self.shards {
             if shard.read().current_key.contains_key(&uid) {
@@ -1121,12 +1156,13 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
                     (plo..=phi).contains(&new),
                     "rekey_where must not move object {uid} out of partition {tid}"
                 );
-                let Some(rec) = s.btree.get(old) else { continue };
-                s.btree.delete(old);
-                s.btree.insert(new, rec);
-                // Annotate the log (recovery replays the page images; the
-                // record lets the harness audit what moved and why).
-                self.pool.wal_rekey(s.btree.tree_id(), old, new);
+                let present = s
+                    .btree
+                    .try_rekey(old, new)
+                    .unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"));
+                if !present {
+                    continue;
+                }
                 s.current_key.insert(uid, new);
                 moved += 1;
             }
@@ -1158,19 +1194,7 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
             if matches!(s.label, Some(l) if l < now) {
                 dropped += s.current_key.len();
                 s.current_key = HashMap::new();
-                // The replacement tree inherits the scan and write
-                // ledgers: expiry is structural maintenance, not a
-                // measurement reset (the same contract `merge_sorted`'s
-                // rebuild keeps).
-                let scans = s.btree.scan_stats();
-                let writes = s.btree.write_stats();
-                let tree_id = s.btree.tree_id();
-                s.btree = BTree::new(Arc::clone(&self.pool));
-                s.btree.restore_scan_stats(scans);
-                s.btree.restore_write_stats(writes.merged(&s.btree.write_stats()));
-                // The replacement tree is the same logical partition: keep
-                // its log identity so recovery reattaches the new root.
-                s.btree.set_tree_id(tree_id);
+                s.btree.reset();
                 s.label = None;
             }
         }

@@ -27,7 +27,9 @@ use std::sync::Arc;
 
 use peb_common::{MovingPoint, Point, SpaceConfig, UserId, Vec2};
 use peb_index::{KeyLayout, ShardedMovingIndex, TimePartitioning};
-use peb_storage::{BufferPool, CrashPoint, IoStats, Wal, CRASH_SENTINEL, PAGE_SIZE};
+use peb_storage::{
+    BufferPool, CrashPoint, DiskSim, IoStats, Wal, WalRecovery, CRASH_SENTINEL, PAGE_SIZE,
+};
 
 /// Same minimal layout as the unit tests: `[TID]₂ ⊕ [ZV]₂ ⊕ [UID]₂`.
 #[derive(Debug, Clone, Copy)]
@@ -285,10 +287,13 @@ fn assert_matches_twin(
 
 /// Crash at disk-op `n`, harvest, recover, and return the rebuilt index
 /// plus the committed-op count the log proved durable.
-fn crash_and_recover(
-    acts: &[Action],
-    n: u64,
-) -> (ShardedMovingIndex<TestLayout>, peb_storage::WalRecovery) {
+fn crash_and_recover(acts: &[Action], n: u64) -> (ShardedMovingIndex<TestLayout>, WalRecovery) {
+    recover_platters(&crash_at(acts, n))
+}
+
+/// Run the workload with the injector armed at disk op `n`; returns the
+/// pool the crash left behind.
+fn crash_at(acts: &[Action], n: u64) -> Arc<BufferPool> {
     let pool = Arc::new(BufferPool::new(POOL_FRAMES));
     let inj = Arc::clone(pool.crash_injector());
     inj.arm(n);
@@ -297,28 +302,103 @@ fn crash_and_recover(
         idx.set_durable(true);
         run_workload(&idx, acts);
     }));
-    let payload = outcome.expect_err("armed run must crash");
-    let msg = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("");
-    assert!(msg.contains(CRASH_SENTINEL), "kill {n} raised a real panic: {msg}");
+    assert_injected(outcome.expect_err("armed run must crash"), &format!("kill {n}"));
     inj.disarm();
+    pool
+}
 
-    let (mut data, log) = pool.harvest_crash_state();
+/// The storage half of a restart from two platters: recover the data
+/// disk, resume the log, and open a pool of `frames` over both.
+fn recovered_pool(
+    mut data: DiskSim,
+    log: DiskSim,
+    frames: usize,
+) -> (Arc<BufferPool>, WalRecovery) {
     let rec = peb_storage::recover(&mut data, &log);
     let wal = Wal::resume(log, &rec);
-    let recovered_pool = Arc::new(BufferPool::from_recovered(POOL_FRAMES, 1, data, wal));
-    let idx = ShardedMovingIndex::recover(
-        recovered_pool,
-        &rec,
+    (Arc::new(BufferPool::from_recovered(frames, 1, data, wal)), rec)
+}
+
+/// The index layer's half of a restart: reattach, replay, checkpoint.
+fn restart(pool: Arc<BufferPool>, rec: &WalRecovery) -> ShardedMovingIndex<TestLayout> {
+    ShardedMovingIndex::recover(
+        pool,
+        rec,
         TestLayout,
         SpaceConfig::new(1000.0, 10, 1440.0),
         TimePartitioning::new(120.0, 2),
         3.0,
-    );
-    (idx, rec)
+    )
+}
+
+/// Recover the platters a crash left, as a fresh process would.
+fn recover_platters(pool: &BufferPool) -> (ShardedMovingIndex<TestLayout>, WalRecovery) {
+    let (data, log) = pool.harvest_crash_state();
+    let (pool, rec) = recovered_pool(data, log, POOL_FRAMES);
+    (restart(pool, &rec), rec)
+}
+
+/// Run the workload on from its `done`-th committed mutation call until
+/// `more` further calls committed (or the workload ran out), with the
+/// checkpoints and flushes in between; returns how many committed.
+fn continue_workload(
+    idx: &ShardedMovingIndex<TestLayout>,
+    acts: &[Action],
+    done: u64,
+    more: u64,
+) -> u64 {
+    let mut seen = 0u64;
+    let mut applied = 0u64;
+    for a in acts {
+        if applied == more {
+            break;
+        }
+        match a {
+            Action::Mut(op) => {
+                seen += 1;
+                if seen > done {
+                    apply_mut(idx, op);
+                    applied += 1;
+                }
+            }
+            Action::Checkpoint if seen >= done => {
+                idx.checkpoint();
+            }
+            Action::FlushAll if seen >= done => {
+                idx.pool().flush_all();
+            }
+            _ => {}
+        }
+    }
+    applied
+}
+
+/// The message a caught panic carried.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("")
+}
+
+/// A caught panic must be an injected crash.
+fn assert_injected(payload: Box<dyn std::any::Any + Send>, what: &str) {
+    let msg = panic_message(payload.as_ref());
+    assert!(msg.contains(CRASH_SENTINEL), "{what} raised a real panic: {msg}");
+}
+
+/// Run `f` with the default panic hook silenced (injected crashes are
+/// expected by the dozen), restoring it — and reporting what failed —
+/// when an assertion fails.
+fn quietly(f: impl FnOnce()) {
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    std::panic::set_hook(prev_hook);
+    if let Err(e) = result {
+        panic!("{}", panic_message(e.as_ref()));
+    }
 }
 
 /// The three crash-point classes the matrix stratifies over.
@@ -409,4 +489,94 @@ fn crash_matrix_recovers_at_every_kill_point() {
     if let Err(e) = result {
         std::panic::resume_unwind(e);
     }
+}
+
+/// Committed calls a recovered index makes before it crashes again.
+const MORE_CALLS: u64 = 20;
+
+/// Crash, recover, commit [`MORE_CALLS`] more calls on the recovered
+/// index, crash again, recover again: the result is the never-crashed twin
+/// of the whole committed prefix. The second recovery starts from the
+/// checkpoint the first one ended with (or a later one), so this is what
+/// catches a first recovery that left the log describing anything but the
+/// state it handed back.
+#[test]
+fn a_second_crash_after_recovery_recovers_the_whole_committed_prefix() {
+    let acts = workload();
+    let points = sample_kill_points(&probe_trace(&acts));
+    quietly(|| {
+        let mut replayed = 0usize;
+        for &n in points.iter().step_by(4) {
+            let (back, rec) = crash_and_recover(&acts, n);
+            if rec.commits == 0 {
+                continue;
+            }
+            replayed += rec.tree_ops.len();
+            let more = continue_workload(&back, &acts, rec.commits, MORE_CALLS);
+            assert_eq!(back.committed_ops(), rec.commits + more, "ops counter @ kill {n}");
+            let (again, rec2) = recover_platters(back.pool());
+            assert_eq!(rec2.commits, rec.commits + more, "second recovery's commits @ kill {n}");
+            assert_matches_twin(&again, &build_twin(&acts, rec2.commits), n);
+        }
+        assert!(replayed > 0, "no sampled kill point replayed a tree operation");
+    });
+}
+
+/// Frames of the pool a killed recovery replays into: few enough that
+/// replay evicts, so its write-backs are kill points too.
+const REPLAY_FRAMES: usize = 4;
+
+/// Up to `per_side` evenly spaced indices of `trace` inside a checkpoint
+/// and as many outside one.
+fn stratified(trace: &[CrashPoint], per_side: usize) -> Vec<usize> {
+    let mut picked = Vec::new();
+    for in_checkpoint in [false, true] {
+        let idxs: Vec<usize> = (0..trace.len())
+            .filter(|&i| (trace[i] == CrashPoint::Checkpoint) == in_checkpoint)
+            .collect();
+        let take = idxs.len().min(per_side);
+        picked.extend((0..take).map(|j| idxs[j * idxs.len() / take]));
+    }
+    picked
+}
+
+/// Kill a recovery inside its own replay and inside its closing
+/// checkpoint, then recover the platters that second crash left: the
+/// result is the twin of the first recovery's committed prefix — nothing
+/// recovery itself logs is committed, and undo still reaches the
+/// checkpoint through each page's first pre-image.
+#[test]
+fn a_crash_inside_recovery_recovers_again_to_the_same_state() {
+    let acts = workload();
+    let points: Vec<u64> = sample_kill_points(&probe_trace(&acts)).into_iter().step_by(5).collect();
+    quietly(|| {
+        let mut killed_in_checkpoint = BTreeSet::new();
+        for &n in &points {
+            let (data, log) = crash_at(&acts, n).harvest_crash_state();
+            let committed = peb_storage::recover(&mut data.clone(), &log).commits;
+            if committed == 0 {
+                continue;
+            }
+            let twin = build_twin(&acts, committed);
+            // Every disk write recovery itself makes, labelled.
+            let trace = {
+                let (pool, rec) = recovered_pool(data.clone(), log.clone(), REPLAY_FRAMES);
+                pool.crash_injector().set_probing(true);
+                restart(Arc::clone(&pool), &rec);
+                pool.crash_injector().take_trace()
+            };
+            for m in stratified(&trace, 3) {
+                killed_in_checkpoint.insert(trace[m] == CrashPoint::Checkpoint);
+                let (pool, rec) = recovered_pool(data.clone(), log.clone(), REPLAY_FRAMES);
+                pool.crash_injector().arm(m as u64);
+                let killed = catch_unwind(AssertUnwindSafe(|| restart(Arc::clone(&pool), &rec)));
+                assert_injected(killed.err().expect("armed recovery must crash"), "recovery");
+                let (back, rec2) = recover_platters(&pool);
+                assert_eq!(rec2.commits, committed, "recovery committed an op @ {n}/{m}");
+                assert_matches_twin(&back, &twin, n);
+            }
+        }
+        assert!(killed_in_checkpoint.contains(&false), "no kill point inside recovery's replay");
+        assert!(killed_in_checkpoint.contains(&true), "no kill point inside its checkpoint");
+    });
 }

@@ -612,6 +612,17 @@ impl DiskSim {
         self.pages.len()
     }
 
+    /// The allocator floor: forget every page at or above `pages`, so the
+    /// next [`DiskSim::allocate`] returns `PageId(pages)` again, zeroed.
+    /// Recovery resets the data disk to the page count its checkpoint
+    /// logged, so re-executed operations allocate the very page ids they
+    /// did before the crash. A disk already at or below `pages` is left
+    /// alone.
+    pub fn truncate(&mut self, pages: usize) {
+        self.pages.truncate(pages);
+        self.seals.truncate(pages);
+    }
+
     /// Borrow a page image without counting an access (and without fault
     /// injection — this is the harness's view of the platter, not a
     /// device command). Recovery uses it to scan the log region and to

@@ -26,7 +26,7 @@
 //! verifies it, and [`disk::FaultInjector`] replays deterministic media-
 //! fault schedules (transient errors, bad sectors, bit flips, torn and
 //! dropped writes). The pool's fetch path retries transients, read-
-//! repairs detected corruption from the WAL's post-images in durable
+//! repairs detected corruption from the WAL's page images in durable
 //! mode, quarantines sectors that refuse repair, and otherwise surfaces
 //! a typed [`disk::IoFault`] — never silent corruption, never a panic on
 //! the fallible (`try_*`) entry points. The [`pool::FaultStats`] ledger
@@ -45,8 +45,9 @@ pub use disk::{
 pub use page::{seal64, Page, PageId, ReadOutcome, PAGE_SIZE, PAGE_WORDS};
 pub use pool::{
     default_shard_count, BufferPool, FaultStats, IoStats, LockStats, OptimisticRead, PageSnapshot,
-    TRANSIENT_RETRIES,
+    RedoScope, TRANSIENT_RETRIES,
 };
 pub use wal::{
-    recover, CrashInjector, CrashPoint, Wal, WalRecord, WalRecovery, WalStats, CRASH_SENTINEL,
+    recover, CrashInjector, CrashPoint, TreeOpKind, TreeRedo, Wal, WalRecord, WalRecovery,
+    WalStats, CRASH_SENTINEL, TREE_OP_VALUE_BYTES,
 };

@@ -226,7 +226,7 @@ pub struct FaultStats {
     pub checksum_mismatches: u64,
     /// Physical reads that hit a permanently unreadable sector.
     pub bad_sector_reads: u64,
-    /// Read-repairs attempted (a WAL post-image was available).
+    /// Read-repairs attempted (the WAL held an image of the page).
     pub repairs_attempted: u64,
     /// Read-repairs whose rewrite re-verified against the image's seal.
     pub repairs_succeeded: u64,
@@ -343,6 +343,33 @@ impl Default for PageSnapshot {
     }
 }
 
+/// An open logical-redo scope of a durable [`BufferPool`]
+/// ([`BufferPool::redo_scope`]): the page writes made while it lives are
+/// re-executed at recovery from the records logged through it, so they
+/// log no post-image of their own.
+pub struct RedoScope {
+    pool: Arc<BufferPool>,
+    /// Whether an enclosing scope was open already (it stays open when
+    /// this one closes).
+    outer: bool,
+}
+
+impl RedoScope {
+    /// Append `rec` — a logical record describing this scope's writes —
+    /// to the log, unforced (the caller's commit forces it).
+    pub fn log(&self, rec: &WalRecord) {
+        if let Some(wal) = self.pool.wal.lock().as_mut() {
+            wal.append(rec);
+        }
+    }
+}
+
+impl Drop for RedoScope {
+    fn drop(&mut self) {
+        self.pool.in_redo.store(self.outer, Ordering::Relaxed);
+    }
+}
+
 /// One lock shard: the mutex-protected half plus the lock-free half.
 struct ShardState {
     /// Frame table and locked-path I/O counters.
@@ -432,6 +459,10 @@ pub struct BufferPool {
     /// (not thread-local) because the durable write path is specified
     /// single-threaded — see [`BufferPool::set_durable`].
     in_checkpoint: AtomicBool,
+    /// Whether a [`RedoScope`] is open: the page writes in progress are
+    /// described by a logical record their caller logs, so they log no
+    /// post-image. Plain atomic for the same single-writer reason.
+    in_redo: AtomicBool,
     /// The retry / read-repair / quarantine ledger ([`FaultStats`]).
     faults: FaultCounters,
     /// The virtual clock: one tick per logical page access, plus
@@ -508,6 +539,7 @@ impl BufferPool {
             wal: Mutex::new(None),
             injector: Arc::new(CrashInjector::new()),
             in_checkpoint: AtomicBool::new(false),
+            in_redo: AtomicBool::new(false),
             faults: FaultCounters::default(),
             clock,
         }
@@ -543,14 +575,19 @@ impl BufferPool {
         // Disk lock first for the id, *released* before the shard lock —
         // the ordering shard → disk must never be inverted.
         let pid = self.disk.lock().allocate();
+        let mut imaged = false;
         if self.durable.load(Ordering::Relaxed) {
-            // Log the allocation (no other lock held). A fresh page has no
-            // committed content to roll back, so it never needs a
-            // pre-image this checkpoint interval: an uncommitted alloc is
-            // unreferenced garbage, a committed one is covered by redo.
+            // A fresh page has no committed content to roll back, so it
+            // never needs a pre-image this checkpoint interval: an
+            // uncommitted alloc is unreferenced garbage, a committed one is
+            // covered by redo — the logical record that re-executes it, or
+            // else this allocation record (no other lock held).
             let mut wal = self.wal.lock();
             if let Some(wal) = wal.as_mut() {
-                wal.append(&WalRecord::Alloc { pid });
+                if !self.in_redo.load(Ordering::Relaxed) {
+                    wal.append(&WalRecord::Alloc { pid });
+                    imaged = true;
+                }
                 wal.mark_preimaged(pid);
             }
         }
@@ -563,7 +600,14 @@ impl BufferPool {
         let tick = state.tick.fetch_add(1, Ordering::Relaxed) + 1;
         s.table.insert(
             pid,
-            Frame { page: Page::new(), dirty: true, last_used: tick, lsn: 0, pinned: false },
+            Frame {
+                page: Page::new(),
+                dirty: true,
+                last_used: tick,
+                lsn: 0,
+                imaged,
+                pinned: false,
+            },
         );
         if self.optimistic_reads {
             Self::publish_locked(state, s, pid, true, tick);
@@ -787,8 +831,9 @@ impl BufferPool {
     }
 
     /// Handle a non-transient fetch failure: in durable mode, read-repair
-    /// the page from the WAL's newest post-image (rewrite, re-read,
-    /// re-verify, twice); if both rounds fail, quarantine the sector and
+    /// the page from the WAL's image of what was last written to it
+    /// ([`Wal::latest_image`]: rewrite, re-read, re-verify, twice); if
+    /// both rounds fail, quarantine the sector and
     /// serve the WAL image from a pinned frame. Outside durable mode —
     /// or when the page was never logged — the fault surfaces typed.
     ///
@@ -844,8 +889,10 @@ impl BufferPool {
     /// Fetch `pid` into its shard (counting a hit or a miss), bump LRU
     /// recency, and run `f` on the frame under the shard lock. In durable
     /// mode a dirtying access logs the page's pre-image (first write since
-    /// the last checkpoint only) before `f` and its full post-image after,
-    /// stamping the frame — and the mirror — with the record's LSN.
+    /// the last checkpoint only) before `f` and, unless a
+    /// [`RedoScope`] is open, its full post-image after, stamping the
+    /// frame — and the mirror — with the LSN the log must reach before the
+    /// frame may be written back.
     ///
     /// A miss goes through [`BufferPool::fetch_verified`]; an
     /// unresolvable media fault aborts before any frame state changes
@@ -872,7 +919,10 @@ impl BufferPool {
             // One physical read on the pool ledger regardless of how many
             // device attempts the fault layer needed — see [`FaultStats`].
             s.stats.physical_reads += 1;
-            s.table.insert(pid, Frame { page, dirty: false, last_used: 0, lsn: 0, pinned });
+            s.table.insert(
+                pid,
+                Frame { page, dirty: false, last_used: 0, lsn: 0, imaged: false, pinned },
+            );
             content_changed = true;
         }
         let frame = s
@@ -884,27 +934,34 @@ impl BufferPool {
             frame.dirty = true;
         }
         let durable = mark_dirty && self.durable.load(Ordering::Relaxed);
-        let (r, lsn) = if durable {
+        let r = if durable {
             // Shard lock is held; the wal lock nests under it (see the
-            // field docs). Log-before-page: both images are in the log
-            // stream before the frame can ever be flushed at this LSN.
+            // field docs). Log-before-page: the pre-image (and a physical
+            // post-image) are in the log stream before the frame can ever
+            // be flushed at this LSN.
             let mut wal = self.wal.lock();
             // Invariant, not fault-reachable: `set_durable(true)` creates
             // the wal before the flag is ever observable as set.
             let wal = wal.as_mut().expect("durable pool always has a wal");
             if !wal.is_preimaged(pid) {
-                wal.append(&WalRecord::PreImage { pid, image: Box::new(frame.page.clone()) });
+                let image = Box::new(frame.page.clone());
+                frame.lsn = wal.append(&WalRecord::PreImage { pid, image });
                 wal.mark_preimaged(pid);
             }
             let r = f(&mut frame.page);
-            let image = Box::new(frame.page.clone());
-            let lsn = wal.append(&WalRecord::PageWrite { pid, image });
-            frame.lsn = lsn;
-            (r, lsn)
+            // A write inside a redo scope is re-executed from its caller's
+            // logical record; any other logs its full post-image.
+            frame.imaged = !self.in_redo.load(Ordering::Relaxed);
+            if frame.imaged {
+                let image = Box::new(frame.page.clone());
+                frame.lsn = wal.append(&WalRecord::PageWrite { pid, image });
+            }
+            r
         } else {
-            (f(&mut frame.page), 0)
+            f(&mut frame.page)
         };
         if self.optimistic_reads {
+            let lsn = frame.lsn;
             Self::publish_locked(state, s, pid, content_changed, tick);
             if durable {
                 state.mirror.set_lsn(pid, lsn);
@@ -939,13 +996,12 @@ impl BufferPool {
 
     /// Evict the shard's LRU frame, writing it back (counted) if dirty.
     /// Caller holds the shard lock; the wal and disk locks are taken
-    /// below it (log-before-page: the log is forced durable up to the
-    /// frame's LSN before the data write). Victim selection folds in
+    /// below it ([`BufferPool::write_back`]). Victim selection folds in
     /// optimistic-touch recency from the mirror so lock-free hits protect
     /// hot pages exactly like locked hits.
     fn evict_one(&self, state: &ShardState, s: &mut PoolShard) {
         let mirror = &state.mirror;
-        let Some((vpid, frame)) =
+        let Some((vpid, mut frame)) =
             s.table.take_victim_by(|pid, f| f.last_used.max(mirror.recency_of(pid).unwrap_or(0)))
         else {
             // Reachable under faults: every resident frame is pinned
@@ -956,11 +1012,33 @@ impl BufferPool {
         };
         mirror.invalidate(vpid);
         if frame.dirty {
-            self.wal_before_data_write(frame.lsn);
-            self.data_write_hit();
-            s.stats.physical_writes += 1;
-            self.disk.lock().write(vpid, &frame.page);
+            self.write_back(&mut s.stats, vpid, &mut frame);
         }
+    }
+
+    /// Write a dirty frame back to the data disk (counted on `stats`).
+    /// In durable mode, log-before-page first: the image of the bytes
+    /// about to be written is logged unless the log already holds them
+    /// (the read-repair source), and the log is forced durable up to the
+    /// frame's LSN, so its pre-image is durable before the page can be
+    /// overwritten. Each log page written on the way is a crash-injection
+    /// point, and so is the data write.
+    fn write_back(&self, stats: &mut IoStats, pid: PageId, frame: &mut Frame) {
+        if self.durable.load(Ordering::Relaxed) {
+            let label = self.scope_label(CrashPoint::WalWrite);
+            if let Some(wal) = self.wal.lock().as_mut() {
+                if !frame.imaged {
+                    let image = Box::new(frame.page.clone());
+                    wal.append(&WalRecord::WriteBack { pid, image });
+                    frame.imaged = true;
+                }
+                wal.flush_up_to(frame.lsn, &mut || self.injector.hit(label));
+            }
+            self.injector.hit(self.scope_label(CrashPoint::PageFlush));
+        }
+        stats.physical_writes += 1;
+        self.disk.lock().write(pid, &frame.page);
+        frame.dirty = false;
     }
 
     /// Write every dirty frame back to disk (counted), keeping residency;
@@ -989,25 +1067,15 @@ impl BufferPool {
         for state in self.shards.iter() {
             let s = &mut *state.shard.lock();
             for pid in s.table.sorted_pids() {
-                let (dirty, lsn, pinned) = {
-                    // Invariant, not fault-reachable: sorted_pids listed
-                    // this pid under the same shard lock we still hold.
-                    let f = s.table.get(pid).expect("listed frame resident");
-                    (f.dirty, f.lsn, f.pinned)
-                };
+                // Invariant, not fault-reachable: sorted_pids listed this
+                // pid under the same shard lock we still hold.
+                let frame = s.table.get_mut(pid).expect("listed frame resident");
                 // A pinned frame's sector is quarantined: writing it back
-                // would be lost (and in durable mode its content is fully
-                // covered by WAL post-images, which is also what read-
-                // repair will serve after any restart).
-                if !dirty || pinned {
+                // would be lost. (A checkpoint logs its image instead.)
+                if !frame.dirty || frame.pinned {
                     continue;
                 }
-                self.wal_before_data_write(lsn);
-                self.data_write_hit();
-                s.stats.physical_writes += 1;
-                let frame = s.table.get_mut(pid).expect("listed frame resident");
-                self.disk.lock().write(pid, &frame.page);
-                frame.dirty = false;
+                self.write_back(&mut s.stats, pid, frame);
                 flushed += 1;
             }
         }
@@ -1034,12 +1102,9 @@ impl BufferPool {
             state.mirror.reset();
             let mut frames = s.table.drain_evictable();
             frames.sort_unstable_by_key(|(pid, _)| *pid);
-            for (pid, frame) in frames {
+            for (pid, mut frame) in frames {
                 if frame.dirty {
-                    self.wal_before_data_write(frame.lsn);
-                    self.data_write_hit();
-                    s.stats.physical_writes += 1;
-                    self.disk.lock().write(pid, &frame.page);
+                    self.write_back(&mut s.stats, pid, &mut frame);
                 }
             }
         }
@@ -1052,29 +1117,6 @@ impl BufferPool {
             CrashPoint::Checkpoint
         } else {
             base
-        }
-    }
-
-    /// Enforce the log-before-page rule: in durable mode, force the log
-    /// durable up to `lsn` before the caller writes a data page. Each log
-    /// page written on the way is a crash-injection point. No-op (one
-    /// relaxed load) with durability off.
-    fn wal_before_data_write(&self, lsn: u64) {
-        if !self.durable.load(Ordering::Relaxed) {
-            return;
-        }
-        let label = self.scope_label(CrashPoint::WalWrite);
-        let mut wal = self.wal.lock();
-        if let Some(wal) = wal.as_mut() {
-            wal.flush_up_to(lsn, &mut || self.injector.hit(label));
-        }
-    }
-
-    /// Crash-injection point for a data-page write (the moment *before*
-    /// the page hits the simulated disk). No-op with durability off.
-    fn data_write_hit(&self) {
-        if self.durable.load(Ordering::Relaxed) {
-            self.injector.hit(self.scope_label(CrashPoint::PageFlush));
         }
     }
 
@@ -1125,11 +1167,28 @@ impl BufferPool {
                         lsn
                     };
                     frame.lsn = lsn;
+                    frame.imaged = true;
                     state.mirror.set_lsn(pid, lsn);
                 }
             }
         }
         self.durable.store(on, Ordering::Relaxed);
+    }
+
+    /// Open a redo scope, or `None` with durability off (one relaxed
+    /// load). While the returned guard lives, durable page writes — and
+    /// allocations — log no image: the caller describes them with the
+    /// logical record it appends through [`RedoScope::log`] once its
+    /// operation succeeded, and recovery re-executes that record instead.
+    /// A caller whose operation failed drops the scope unlogged: what it
+    /// changed is then described by nothing but the write-back images
+    /// read-repair needs. Scopes nest (the outer one stays open).
+    pub fn redo_scope(self: &Arc<Self>) -> Option<RedoScope> {
+        if !self.durable.load(Ordering::Relaxed) {
+            return None;
+        }
+        let outer = self.in_redo.swap(true, Ordering::Relaxed);
+        Some(RedoScope { pool: Arc::clone(self), outer })
     }
 
     /// Whether the write-ahead-log protocol is currently active.
@@ -1182,18 +1241,22 @@ impl BufferPool {
     }
 
     /// The page LSN published for `pid` in its shard mirror, if any —
-    /// lock-free, exact when quiesced. `Some(0)` means the page is
-    /// published but was never written under durability.
+    /// lock-free, exact when quiesced: how far the log must be durable
+    /// before the page may be written back. `Some(0)` means the page is
+    /// published and nothing in the log has to precede its write-back.
     pub fn page_lsn(&self, pid: PageId) -> Option<u64> {
         self.shards[self.shard_of(pid)].mirror.lsn_of(pid)
     }
 
-    /// Take a fuzzy checkpoint: log `CkptBegin` and one `TreeMeta` per
-    /// entry of `trees` (tree id, root, height), flush every dirty frame
-    /// (log-before-page per frame), then log `CkptEnd` and force the whole
-    /// log durable. Afterwards the pre-image ledger restarts: the next
-    /// write to any page logs a fresh pre-image. Returns the number of
-    /// pages flushed. No-op (returning 0) with durability off.
+    /// Take a fuzzy checkpoint: log `CkptBegin`, one `TreeMeta` per entry
+    /// of `trees` (tree id, root, height) and the data disk's page count
+    /// (`DiskPages`, the allocator floor recovery resets to), flush every
+    /// dirty frame (log-before-page per frame), log the image of every
+    /// quarantined dirty frame the flush must skip (recovery restores it
+    /// as part of the checkpoint state), then log `CkptEnd` and force the
+    /// whole log durable. Afterwards the pre-image ledger restarts: the
+    /// next write to any page logs a fresh pre-image. Returns the number
+    /// of pages flushed. No-op (returning 0) with durability off.
     ///
     /// Recovery honors a checkpoint only once its `CkptEnd` is durable, so
     /// a crash anywhere inside falls back to the previous checkpoint —
@@ -1213,6 +1276,7 @@ impl BufferPool {
         }
         self.in_checkpoint.store(true, Ordering::Relaxed);
         let _clear = Clear(&self.in_checkpoint);
+        let pages = self.disk.lock().num_pages() as u32;
         let begin_seq = {
             let mut wal = self.wal.lock();
             let wal = wal.as_mut().expect("durable pool always has a wal");
@@ -1221,9 +1285,23 @@ impl BufferPool {
             for &(tree, root, height) in trees {
                 wal.append(&WalRecord::TreeMeta { tree, root, height });
             }
+            wal.append(&WalRecord::DiskPages { pages });
             begin_seq
         };
         let flushed = self.flush_all();
+        for state in self.shards.iter() {
+            let s = &mut *state.shard.lock();
+            for pid in s.table.pinned_pids() {
+                let frame = s.table.get_mut(pid).expect("listed frame resident");
+                if frame.dirty {
+                    let image = Box::new(frame.page.clone());
+                    let mut wal = self.wal.lock();
+                    let wal = wal.as_mut().expect("durable pool always has a wal");
+                    frame.lsn = wal.append(&WalRecord::PageWrite { pid, image });
+                    frame.imaged = true;
+                }
+            }
+        }
         let mut wal = self.wal.lock();
         let wal = wal.as_mut().expect("durable pool always has a wal");
         wal.append(&WalRecord::CkptEnd { begin_seq });
@@ -1267,9 +1345,10 @@ impl BufferPool {
     }
 
     /// Log a tree-metadata record (root page and height of tree `tree`)
-    /// without forcing the log. Called by the B+-tree on every root change
-    /// so recovery knows each tree's root without scanning for it. Ignored
-    /// with durability off or for an unregistered tree (`u32::MAX`).
+    /// without forcing the log. Called when a tree registers, so that a
+    /// crash before the first checkpoint still finds its root (every
+    /// checkpoint logs all of them again). Ignored with durability off or
+    /// for an unregistered tree (`u32::MAX`).
     pub fn wal_tree_meta(&self, tree: u32, root: PageId, height: u32) {
         if tree == u32::MAX || !self.durable.load(Ordering::Relaxed) {
             return;
@@ -1277,20 +1356,6 @@ impl BufferPool {
         let mut wal = self.wal.lock();
         if let Some(wal) = wal.as_mut() {
             wal.append(&WalRecord::TreeMeta { tree, root, height });
-        }
-    }
-
-    /// Log a re-key record (logical key move inside tree `tree`) without
-    /// forcing the log. Purely informational for recovery statistics —
-    /// the page images carry the actual state. Ignored with durability
-    /// off.
-    pub fn wal_rekey(&self, tree: u32, old: u128, new: u128) {
-        if tree == u32::MAX || !self.durable.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut wal = self.wal.lock();
-        if let Some(wal) = wal.as_mut() {
-            wal.append(&WalRecord::Rekey { tree, old, new });
         }
     }
 

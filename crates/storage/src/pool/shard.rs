@@ -29,14 +29,19 @@ pub(super) struct Frame {
     /// Shard clock value of the frame's most recent *locked* touch (see
     /// the module docs for where optimistic touches live).
     pub(super) last_used: u64,
-    /// LSN of the newest log record covering this frame's content (0 when
-    /// the frame was never written under durability). The pool forces the
-    /// log durable up to this LSN before the frame may reach the data
-    /// disk — the log-before-page rule.
+    /// LSN the log must be durable up to before the frame may reach the
+    /// data disk — the log-before-page rule: its pre-image, or its
+    /// post-image when the write was logged physically (0 when the frame
+    /// was never written under durability).
     pub(super) lsn: u64,
+    /// Whether the log already holds this exact content as a full image
+    /// (a physical post-image or the allocation record), so a write-back
+    /// needs no image of its own. A write a logical record describes
+    /// clears it.
+    pub(super) imaged: bool,
     /// Whether the frame is pinned resident: its disk sector is
     /// quarantined (read-repair failed twice), so the frame — backed by
-    /// the WAL's post-image — is the page's only trustworthy copy and must
+    /// the WAL's image of it — is the page's only trustworthy copy and must
     /// never be evicted or flushed back to the bad sector.
     pub(super) pinned: bool,
 }

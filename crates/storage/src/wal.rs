@@ -15,30 +15,44 @@
 //!
 //! ## The protocol
 //!
-//! * **Log-before-page.** Every mutation of a data page appends a
-//!   full-image [`WalRecord::PageWrite`] *before* the page can reach the
-//!   data disk; the buffer pool calls [`Wal::flush_up_to`] with the
-//!   frame's LSN before every physical data write. An LSN is the byte
-//!   end-offset of a record in the log stream, so "flushed up to LSN"
-//!   has the usual meaning of a durable log prefix.
+//! * **Logical redo.** Every committed B+-tree mutation appends one small
+//!   record naming the entry point and its arguments —
+//!   [`WalRecord::TreeOp`] or [`WalRecord::Rekey`] — not the pages it
+//!   wrote. Recovery re-executes those operations through the ordinary
+//!   tree entry points. A page write that no such record describes
+//!   (enrollment adoption, a direct pool client) logs its full
+//!   [`WalRecord::PageWrite`] post-image instead: physical redo.
 //! * **First-write pre-images.** The first time a page is dirtied after
 //!   a checkpoint, its *current* content is logged as a
-//!   [`WalRecord::PreImage`] so recovery can roll uncommitted writes
-//!   back (the pool evicts dirty pages freely — a steal policy — so the
-//!   data disk may hold uncommitted content at a crash).
+//!   [`WalRecord::PreImage`] so recovery can roll it back to the
+//!   checkpoint (the pool evicts dirty pages freely — a steal policy — so
+//!   the data disk may hold later content at a crash).
+//! * **Log-before-page.** Every data-page write is preceded by a logged
+//!   image of the bytes it writes — a [`WalRecord::WriteBack`], unless a
+//!   `PageWrite` already holds them — which is the read-repair source
+//!   ([`Wal::latest_image`]), and by forcing the log up to the frame's
+//!   LSN ([`Wal::flush_up_to`]), so a page's pre-image is durable before
+//!   the page can be overwritten. An LSN is the byte end-offset of a
+//!   record in the log stream, so "flushed up to LSN" has the usual
+//!   meaning of a durable log prefix.
 //! * **Commit.** Each index-level mutation ends with a
-//!   [`WalRecord::Commit`] followed by a full log flush. Recovery
-//!   replays exactly the committed prefix: undo all pre-images newer
-//!   than the last complete checkpoint, then redo all page images up to
-//!   the last durable commit, in log order. Both passes write full page
-//!   images, so replaying the tail twice is identical to replaying it
-//!   once (idempotence).
+//!   [`WalRecord::Commit`] followed by a full log flush.
 //! * **Fuzzy checkpoints.** A checkpoint (always taken at a committed
-//!   op boundary) logs [`WalRecord::CkptBegin`], the root/height of
-//!   every tree ([`WalRecord::TreeMeta`]), flushes every dirty frame
-//!   (log-before-page per frame), then logs [`WalRecord::CkptEnd`] and
-//!   flushes the log. A `CkptEnd` is only honored by recovery if it is
-//!   durable, which bounds replay at the last *complete* checkpoint.
+//!   op boundary) logs [`WalRecord::CkptBegin`], the root/height of every
+//!   tree ([`WalRecord::TreeMeta`]) and the data disk's page count
+//!   ([`WalRecord::DiskPages`]), flushes every dirty frame, logs the image
+//!   of every quarantined dirty frame it cannot flush, then logs
+//!   [`WalRecord::CkptEnd`] and flushes the log. A `CkptEnd` is only
+//!   honored by recovery if it is durable, which bounds replay at the last
+//!   *complete* checkpoint.
+//! * **Recovery** ([`recover`]) puts the data disk back in the state of
+//!   the last complete checkpoint — the *first* pre-image of each page
+//!   logged after it, the images logged inside it, and the allocator reset
+//!   to its page count — redoes the committed physical images, and hands
+//!   the committed tree operations after the checkpoint back to the index
+//!   ([`WalRecovery::tree_ops`]), which re-executes them on the trees as
+//!   the checkpoint left them. Every recovery starts from that same
+//!   state, so recovering twice is recovering once.
 //!
 //! ## Crash points
 //!
@@ -62,6 +76,11 @@ use crate::page::{seal64, Page, PageId, PAGE_SIZE};
 /// First byte of every log record; a zeroed tail never looks like one.
 pub const WAL_MAGIC: u8 = 0xA5;
 
+/// Value bytes a [`WalRecord::TreeOp`] carries: enough for every record
+/// value a logged tree stores (the moving-object record is 28 bytes);
+/// shorter values are zero-padded.
+pub const TREE_OP_VALUE_BYTES: usize = 32;
+
 const TAG_ALLOC: u8 = 1;
 const TAG_PAGE_WRITE: u8 = 2;
 // Tag 3 is retired (it carried message-chain page images); it decodes as
@@ -72,6 +91,9 @@ const TAG_REKEY: u8 = 6;
 const TAG_COMMIT: u8 = 7;
 const TAG_CKPT_BEGIN: u8 = 8;
 const TAG_CKPT_END: u8 = 9;
+const TAG_WRITE_BACK: u8 = 10;
+const TAG_TREE_OP: u8 = 11;
+const TAG_DISK_PAGES: u8 = 12;
 
 /// `[magic][tag]` prefix in front of every record's payload.
 const HEADER: usize = 2;
@@ -80,28 +102,68 @@ const TRAILER: usize = 16;
 
 const fn stride_of(tag: u8) -> Option<usize> {
     match tag {
-        TAG_ALLOC => Some(HEADER + 4 + TRAILER),
-        TAG_PAGE_WRITE | TAG_PRE_IMAGE => Some(HEADER + 4 + PAGE_SIZE + TRAILER),
+        TAG_ALLOC | TAG_DISK_PAGES => Some(HEADER + 4 + TRAILER),
+        TAG_PAGE_WRITE | TAG_PRE_IMAGE | TAG_WRITE_BACK => Some(IMAGE_STRIDE),
         TAG_TREE_META => Some(HEADER + 12 + TRAILER),
         TAG_REKEY => Some(HEADER + 36 + TRAILER),
         TAG_COMMIT => Some(HEADER + 8 + TRAILER),
         TAG_CKPT_BEGIN => Some(HEADER + TRAILER),
         TAG_CKPT_END => Some(HEADER + 8 + TRAILER),
+        TAG_TREE_OP => Some(HEADER + 4 + 1 + 16 + TREE_OP_VALUE_BYTES + TRAILER),
         _ => None,
+    }
+}
+
+/// Stride of a full-image record ([`WalRecord::PageWrite`],
+/// [`WalRecord::PreImage`], [`WalRecord::WriteBack`]).
+const IMAGE_STRIDE: usize = HEADER + 4 + PAGE_SIZE + TRAILER;
+
+/// Which B+-tree entry point a [`WalRecord::TreeOp`] re-executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeOpKind {
+    /// Insert or replace `key` with `value`.
+    Insert = 1,
+    /// Delete `key`.
+    Delete = 2,
+    /// Replace the tree with an empty one (partition expiry).
+    Reset = 3,
+    /// Open one sorted-merge run: `key` is the number of
+    /// [`TreeOpKind::MergeEntry`] records that follow, which recovery
+    /// merges as one run (re-inserting them one by one would build a
+    /// different tree).
+    Merge = 4,
+    /// One `(key, value)` entry of the run the preceding `Merge` opened.
+    MergeEntry = 5,
+}
+
+impl TreeOpKind {
+    fn from_byte(b: u8) -> Option<Self> {
+        Some(match b {
+            1 => TreeOpKind::Insert,
+            2 => TreeOpKind::Delete,
+            3 => TreeOpKind::Reset,
+            4 => TreeOpKind::Merge,
+            5 => TreeOpKind::MergeEntry,
+            _ => return None,
+        })
     }
 }
 
 /// One log record. Every variant encodes to a fixed stride for its tag:
 /// `[magic][tag][payload][seq: u64][crc: u64]`, checksum over everything
 /// before the crc, all integers little-endian.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub enum WalRecord {
-    /// A fresh page was allocated on the data disk.
+    /// A fresh page was allocated on the data disk by a write no logical
+    /// record describes (a tree operation's allocations are re-executed
+    /// with it).
     Alloc {
         /// The allocated page.
         pid: PageId,
     },
-    /// Full post-image of a B+-tree node page write.
+    /// Full post-image of a page write that no logical record describes —
+    /// enrollment adoption, a direct pool client, or a quarantined frame
+    /// a checkpoint could not flush: physical redo.
     PageWrite {
         /// The written page.
         pid: PageId,
@@ -116,9 +178,9 @@ pub enum WalRecord {
         /// Its content as of the last checkpoint.
         image: Box<Page>,
     },
-    /// Root pointer and height of one tree (logged on root change and at
-    /// every checkpoint); recovery reattaches trees from the newest
-    /// committed one per tree id.
+    /// Root pointer and height of one tree, logged when a tree registers
+    /// and at every checkpoint; recovery reattaches each tree at its
+    /// checkpoint record.
     TreeMeta {
         /// Index-assigned tree (shard) id.
         tree: u32,
@@ -127,8 +189,8 @@ pub enum WalRecord {
         /// Height of the tree (1 = root is a leaf).
         height: u32,
     },
-    /// Logical annotation of a key change (the physical page images
-    /// already carry the data; recovery tallies these for diagnostics).
+    /// One committed re-key inside tree `tree` (the record under `old`
+    /// moves to `new`) — logical redo.
     Rekey {
         /// Tree the re-key happened in.
         tree: u32,
@@ -150,6 +212,33 @@ pub enum WalRecord {
         /// Sequence number of the matching [`WalRecord::CkptBegin`].
         begin_seq: u64,
     },
+    /// The bytes a data-page write is about to put on the platter, logged
+    /// just before it — the read-repair source. Recovery never replays it.
+    WriteBack {
+        /// The page being written back.
+        pid: PageId,
+        /// The content written.
+        image: Box<Page>,
+    },
+    /// One committed B+-tree mutation — logical redo: which entry point
+    /// ran on tree `tree`, with which key and value.
+    TreeOp {
+        /// Index-assigned tree (shard) id.
+        tree: u32,
+        /// The entry point.
+        op: TreeOpKind,
+        /// Its key (the run length for [`TreeOpKind::Merge`]).
+        key: u128,
+        /// Its value, zero-padded (all zeros where the entry point takes
+        /// none).
+        value: [u8; TREE_OP_VALUE_BYTES],
+    },
+    /// Pages on the data disk when a checkpoint started — the allocator
+    /// floor recovery resets to.
+    DiskPages {
+        /// Allocated data pages.
+        pages: u32,
+    },
 }
 
 impl std::fmt::Debug for WalRecord {
@@ -167,6 +256,11 @@ impl std::fmt::Debug for WalRecord {
             WalRecord::Commit { ops } => write!(f, "Commit({ops})"),
             WalRecord::CkptBegin => write!(f, "CkptBegin"),
             WalRecord::CkptEnd { begin_seq } => write!(f, "CkptEnd(begin={begin_seq})"),
+            WalRecord::WriteBack { pid, .. } => write!(f, "WriteBack({})", pid.0),
+            WalRecord::TreeOp { tree, op, key, .. } => {
+                write!(f, "TreeOp(tree={tree}, {op:?}, {key:#x})")
+            }
+            WalRecord::DiskPages { pages } => write!(f, "DiskPages({pages})"),
         }
     }
 }
@@ -182,6 +276,9 @@ impl WalRecord {
             WalRecord::Commit { .. } => TAG_COMMIT,
             WalRecord::CkptBegin => TAG_CKPT_BEGIN,
             WalRecord::CkptEnd { .. } => TAG_CKPT_END,
+            WalRecord::WriteBack { .. } => TAG_WRITE_BACK,
+            WalRecord::TreeOp { .. } => TAG_TREE_OP,
+            WalRecord::DiskPages { .. } => TAG_DISK_PAGES,
         }
     }
 
@@ -193,7 +290,9 @@ impl WalRecord {
         out.push(self.tag());
         match self {
             WalRecord::Alloc { pid } => out.extend_from_slice(&pid.0.to_le_bytes()),
-            WalRecord::PageWrite { pid, image } | WalRecord::PreImage { pid, image } => {
+            WalRecord::PageWrite { pid, image }
+            | WalRecord::PreImage { pid, image }
+            | WalRecord::WriteBack { pid, image } => {
                 out.extend_from_slice(&pid.0.to_le_bytes());
                 out.extend_from_slice(image.bytes(0, PAGE_SIZE));
             }
@@ -210,6 +309,13 @@ impl WalRecord {
             WalRecord::Commit { ops } => out.extend_from_slice(&ops.to_le_bytes()),
             WalRecord::CkptBegin => {}
             WalRecord::CkptEnd { begin_seq } => out.extend_from_slice(&begin_seq.to_le_bytes()),
+            WalRecord::TreeOp { tree, op, key, value } => {
+                out.extend_from_slice(&tree.to_le_bytes());
+                out.push(*op as u8);
+                out.extend_from_slice(&key.to_le_bytes());
+                out.extend_from_slice(value);
+            }
+            WalRecord::DiskPages { pages } => out.extend_from_slice(&pages.to_le_bytes()),
         }
         out.extend_from_slice(&seq.to_le_bytes());
         let crc = seal64(&out[start..]);
@@ -228,7 +334,7 @@ impl WalRecord {
     /// Parse the record at the front of `buf`. Returns the record, its
     /// sequence number, and its stride — or `None` if the bytes do not
     /// form a complete record with a valid checksum (wrong magic,
-    /// unknown tag, short buffer, or crc mismatch).
+    /// unknown tag or tree-op kind, short buffer, or crc mismatch).
     pub fn decode(buf: &[u8]) -> Option<(WalRecord, u64, usize)> {
         if buf.len() < HEADER || buf[0] != WAL_MAGIC {
             return None;
@@ -255,6 +361,7 @@ impl WalRecord {
             TAG_ALLOC => WalRecord::Alloc { pid: PageId(u32_at(2)) },
             TAG_PAGE_WRITE => WalRecord::PageWrite { pid: PageId(u32_at(2)), image: image_at(6) },
             TAG_PRE_IMAGE => WalRecord::PreImage { pid: PageId(u32_at(2)), image: image_at(6) },
+            TAG_WRITE_BACK => WalRecord::WriteBack { pid: PageId(u32_at(2)), image: image_at(6) },
             TAG_TREE_META => {
                 WalRecord::TreeMeta { tree: u32_at(2), root: PageId(u32_at(6)), height: u32_at(10) }
             }
@@ -262,6 +369,13 @@ impl WalRecord {
             TAG_COMMIT => WalRecord::Commit { ops: u64_at(2) },
             TAG_CKPT_BEGIN => WalRecord::CkptBegin,
             TAG_CKPT_END => WalRecord::CkptEnd { begin_seq: u64_at(2) },
+            TAG_TREE_OP => WalRecord::TreeOp {
+                tree: u32_at(2),
+                op: TreeOpKind::from_byte(buf[6])?,
+                key: u128_at(7),
+                value: buf[23..23 + TREE_OP_VALUE_BYTES].try_into().unwrap(),
+            },
+            TAG_DISK_PAGES => WalRecord::DiskPages { pages: u32_at(2) },
             _ => unreachable!("stride_of filtered unknown tags"),
         };
         Some((rec, seq, stride))
@@ -374,9 +488,6 @@ pub struct WalStats {
 /// rewritten: the image is a zeroed page".
 const IMAGE_ZEROED: usize = usize::MAX;
 
-/// Stride of a full-image record ([`WalRecord::PageWrite`]).
-const IMAGE_STRIDE: usize = HEADER + 4 + PAGE_SIZE + TRAILER;
-
 /// The append-only write-ahead log: the [`DiskSim`] log region holding
 /// the durable prefix of the record stream, plus the in-memory tail that
 /// has not been forced yet. A full, forced page lives on the log region
@@ -398,11 +509,12 @@ pub struct Wal {
     next_seq: u64,
     /// Pages whose pre-image is already logged this checkpoint interval.
     preimaged: HashSet<u32>,
-    /// Stream offset of the newest full post-image record per page —
-    /// the read-repair index. [`IMAGE_ZEROED`] marks a page whose newest
-    /// state-defining record is its allocation (content = zeroed page).
-    /// Pre-images never feed this index: they are *older* content by
-    /// definition.
+    /// Stream offset of the record holding each page's repair image: the
+    /// newest image of the bytes written to the data disk. [`IMAGE_ZEROED`]
+    /// marks a page whose newest state-defining record is its allocation
+    /// (content = zeroed page). On a live log pre-images never feed this
+    /// index — they are *older* content by definition; after a resume, a
+    /// page recovery rolled back points at the pre-image it applied.
     images: HashMap<u32, usize>,
     stats: WalStats,
 }
@@ -440,7 +552,7 @@ impl Wal {
             WalRecord::Alloc { pid } => {
                 self.images.insert(pid.0, IMAGE_ZEROED);
             }
-            WalRecord::PageWrite { pid, .. } => {
+            WalRecord::PageWrite { pid, .. } | WalRecord::WriteBack { pid, .. } => {
                 self.images.insert(pid.0, start);
             }
             _ => {}
@@ -477,21 +589,30 @@ impl Wal {
         out
     }
 
-    /// The newest logged full content of `pid` — the read-repair source.
+    /// The logged content of `pid` the data disk is supposed to hold —
+    /// the read-repair source.
     ///
-    /// Every durable-mode page write logs its complete post-image before
-    /// the page can reach the data disk, so for any page that is **not**
-    /// dirty in the pool, the newest [`WalRecord::PageWrite`] (or a
-    /// zeroed page, if the newest record is the allocation) is exactly
-    /// what the data disk is supposed to hold. `None` means the page was never logged — enrolled into
-    /// durability but not written since — and cannot be repaired from
-    /// this log.
+    /// Every durable-mode data-page write is preceded by a logged image
+    /// of the bytes it writes (a [`WalRecord::WriteBack`], or the
+    /// [`WalRecord::PageWrite`] that already holds them), so for any page
+    /// that is **not** dirty in the pool the newest such image (or a
+    /// zeroed page, if the newest record is the allocation) is exactly what
+    /// the data disk holds. After [`Wal::resume`], a page recovery rolled
+    /// back serves the pre-image it was rolled back to. `None` means the
+    /// page was never logged — enrolled into durability but not written
+    /// since — and cannot be repaired from this log.
     pub fn latest_image(&self, pid: PageId) -> Option<Page> {
         match *self.images.get(&pid.0)? {
             IMAGE_ZEROED => Some(Page::new()),
             off => match WalRecord::decode(&self.stream_bytes(off, IMAGE_STRIDE)) {
-                Some((WalRecord::PageWrite { image, .. }, _, _)) => Some(*image),
-                _ => unreachable!("image index points at a post-image record"),
+                Some((
+                    WalRecord::PageWrite { image, .. }
+                    | WalRecord::WriteBack { image, .. }
+                    | WalRecord::PreImage { image, .. },
+                    _,
+                    _,
+                )) => Some(*image),
+                _ => unreachable!("image index points at an image record"),
             },
         }
     }
@@ -576,30 +697,58 @@ impl Wal {
 
     /// Rebuild a live log over a recovered log region: the valid prefix
     /// identified by `rec` is kept (and the torn tail, if any, zeroed so
-    /// it can never resurface), sequence numbers continue after the last
-    /// valid record, and no page is considered pre-imaged (recovery is
-    /// followed by a fresh checkpoint).
+    /// it can never resurface), and sequence numbers continue after the
+    /// last valid record.
+    ///
+    /// The resumed log continues the checkpoint interval [`recover`]
+    /// rolled back to: every page with a pre-image or an allocation after
+    /// that checkpoint stays pre-imaged (its first pre-image is the one
+    /// undo uses, however many recoveries run before the next checkpoint),
+    /// and the read-repair index names the image of what recovery left on
+    /// the data disk — the undo pre-image or the redone image of a page
+    /// recovery rewrote, the newest written-back image of every other.
     pub fn resume(log: DiskSim, rec: &WalRecovery) -> Wal {
         let mut buf = read_stream(&log);
         buf.truncate(rec.valid_bytes as usize);
-        // Rebuild the read-repair image index from the valid prefix.
+        let heads = headers(&buf);
+        let pid_at = |off: usize| u32::from_le_bytes(buf[off + 2..off + 6].try_into().unwrap());
+        let committed = rec.last_commit_seq.max(rec.checkpoint_seq);
+        let begin = heads
+            .iter()
+            .find(|&&(tag, seq, _)| tag == TAG_CKPT_END && seq == rec.checkpoint_seq)
+            .map_or(0, |&(_, _, off)| {
+                u64::from_le_bytes(buf[off + 2..off + 10].try_into().unwrap())
+            });
         let mut images = HashMap::new();
-        let mut off = 0usize;
-        while off < buf.len() {
-            match WalRecord::decode(&buf[off..]) {
-                Some((found, _, stride)) => {
-                    match found {
-                        WalRecord::Alloc { pid } => {
-                            images.insert(pid.0, IMAGE_ZEROED);
-                        }
-                        WalRecord::PageWrite { pid, .. } => {
-                            images.insert(pid.0, off);
-                        }
-                        _ => {}
+        let mut undone = HashSet::new();
+        let mut preimaged = HashSet::new();
+        for &(tag, seq, off) in &heads {
+            let pid = pid_at(off);
+            match tag {
+                TAG_ALLOC => {
+                    images.insert(pid, IMAGE_ZEROED);
+                    if seq > rec.checkpoint_seq {
+                        preimaged.insert(pid);
                     }
-                    off += stride;
                 }
-                None => break,
+                // Undo rolled the page back past anything written after
+                // its first pre-image.
+                TAG_PAGE_WRITE | TAG_WRITE_BACK if !undone.contains(&pid) => {
+                    images.insert(pid, off);
+                }
+                TAG_PRE_IMAGE if seq > rec.checkpoint_seq => {
+                    if undone.insert(pid) {
+                        images.insert(pid, off);
+                    }
+                    preimaged.insert(pid);
+                }
+                _ => {}
+            }
+        }
+        // Redo rewrote these after undo: what they hold is on the disk.
+        for &(tag, seq, off) in &heads {
+            if tag == TAG_PAGE_WRITE && seq > begin && seq <= committed {
+                images.insert(pid_at(off), off);
             }
         }
         let valid = rec.valid_bytes as usize;
@@ -610,7 +759,7 @@ impl Wal {
             tail_start,
             durable_bytes: valid,
             next_seq: rec.next_seq,
-            preimaged: HashSet::new(),
+            preimaged,
             images,
             stats: WalStats::default(),
         };
@@ -642,6 +791,56 @@ fn read_stream(log: &DiskSim) -> Vec<u8> {
     buf
 }
 
+/// `(tag, seq, offset)` of every record of a prefix [`recover`] already
+/// validated, read from the fixed header and trailer positions without
+/// decoding (or copying) a single image.
+fn headers(buf: &[u8]) -> Vec<(u8, u64, usize)> {
+    let mut out = Vec::new();
+    let mut off = 0usize;
+    while off + HEADER <= buf.len() {
+        let Some(stride) = stride_of(buf[off + 1]).filter(|s| off + s <= buf.len()) else {
+            break;
+        };
+        let seq = u64::from_le_bytes(buf[off + stride - 16..off + stride - 8].try_into().unwrap());
+        out.push((buf[off + 1], seq, off));
+        off += stride;
+    }
+    out
+}
+
+/// One committed B+-tree mutation recovery hands back for re-execution
+/// ([`WalRecovery::tree_ops`]): the entry point and its arguments, as the
+/// log recorded them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TreeRedo {
+    /// Insert or replace `key` with `value` (zero-padded record bytes).
+    Insert {
+        /// The key.
+        key: u128,
+        /// The record value, zero-padded to [`TREE_OP_VALUE_BYTES`].
+        value: [u8; TREE_OP_VALUE_BYTES],
+    },
+    /// Delete `key`.
+    Delete {
+        /// The key.
+        key: u128,
+    },
+    /// Move the record under `old` to `new`.
+    Rekey {
+        /// Key being retired.
+        old: u128,
+        /// Key replacing it.
+        new: u128,
+    },
+    /// Merge one sorted run, in one call.
+    Merge {
+        /// The run's `(key, value)` entries, ascending.
+        entries: Vec<(u128, [u8; TREE_OP_VALUE_BYTES])>,
+    },
+    /// Replace the tree with an empty one.
+    Reset,
+}
+
 /// Everything [`recover`] learned and did, returned to the caller so the
 /// index layer can reattach its trees and the harness can assert on it.
 #[derive(Debug, Clone)]
@@ -653,15 +852,27 @@ pub struct WalRecovery {
     /// Sequence number of the last durable complete checkpoint's
     /// [`WalRecord::CkptEnd`] (0 = none).
     pub checkpoint_seq: u64,
-    /// Newest committed `(tree, root, height)` per tree id, ascending.
+    /// `(tree, root, height)` per tree id, ascending: the trees as the
+    /// last complete checkpoint logged them — where [`WalRecovery::tree_ops`]
+    /// resume from — or, with no complete checkpoint, the newest
+    /// committed registration of each tree.
     pub tree_meta: Vec<(u32, PageId, u32)>,
-    /// Committed [`WalRecord::Rekey`] annotations seen.
+    /// The committed tree operations after that checkpoint, `(tree, op)`
+    /// in log order: what the index re-executes on the reattached trees.
+    pub tree_ops: Vec<(u32, TreeRedo)>,
+    /// Committed [`WalRecord::Rekey`] records seen.
     pub rekeys_noted: u64,
     /// Valid records scanned (before the torn tail, if any).
     pub records_scanned: u64,
-    /// Redo records applied to the data disk.
+    /// Redo records replayed: physical images and allocations applied to
+    /// the data disk, plus the tree-operation records in
+    /// [`WalRecovery::tree_ops`].
     pub records_replayed: u64,
-    /// Undo pre-images applied to the data disk.
+    /// Physical redo records (`Alloc`, `PageWrite`) logged after a tree
+    /// operation of the replayed interval. Replay applies physical redo
+    /// first, so it assumes there are none (the index debug-asserts it).
+    pub physical_after_ops: u64,
+    /// Undo pre-images applied to the data disk (one per page).
     pub preimages_applied: u64,
     /// Physical data-disk writes recovery performed (undo + redo).
     pub data_writes: u64,
@@ -674,15 +885,21 @@ pub struct WalRecovery {
 }
 
 /// Replay the log region `log` against the data disk `data`, restoring
-/// exactly the state as of the last durable commit.
+/// the state of the last complete checkpoint plus the committed physical
+/// redo after it, and returning the committed tree operations the index
+/// must re-execute on top ([`WalRecovery::tree_ops`]).
 ///
 /// The scan validates magic, tag, checksum, and sequence continuity of
 /// every record and stops cleanly at the first failure (torn tail) or at
-/// the zeroed end of the stream. The undo pass applies every pre-image
-/// newer than the last complete checkpoint; the redo pass then applies
-/// every allocation and page image up to the last durable commit, in log
-/// order. Both passes write full page images, so running `recover` twice
-/// over the same inputs leaves `data` byte-identical to running it once.
+/// the zeroed end of the stream. Undo writes the *first* pre-image each
+/// page logged after the checkpoint (later ones, logged after an earlier
+/// recovery resumed the same interval, hold later content); the images a
+/// checkpoint logged for frames it could not flush are redone with the
+/// committed `PageWrite`s after it; and the data disk is cut back to the
+/// page count the checkpoint logged, so re-executed operations allocate
+/// the page ids they allocated before. Every pass writes full page
+/// images from the same checkpoint, so running `recover` twice over the
+/// same inputs leaves `data` byte-identical to running it once.
 pub fn recover(data: &mut DiskSim, log: &DiskSim) -> WalRecovery {
     let stream = read_stream(log);
     let mut records: Vec<(WalRecord, u64)> = Vec::new();
@@ -709,23 +926,29 @@ pub fn recover(data: &mut DiskSim, log: &DiskSim) -> WalRecovery {
         }
     }
     let valid_bytes = off as u64;
+    drop(stream);
 
     let mut last_commit_seq = 0u64;
     let mut commits = 0u64;
     let mut checkpoint_seq = 0u64;
+    let mut begin_seq = 0u64;
     for (rec, seq) in &records {
         match rec {
             WalRecord::Commit { ops } => {
                 last_commit_seq = *seq;
                 commits = *ops;
             }
-            WalRecord::CkptEnd { .. } => checkpoint_seq = *seq,
+            WalRecord::CkptEnd { begin_seq: b } => {
+                checkpoint_seq = *seq;
+                begin_seq = *b;
+            }
             _ => {}
         }
     }
     // A checkpoint only runs at a committed op boundary, so everything up
     // to a durable CkptEnd is committed state even without a later Commit.
     let committed_seq = last_commit_seq.max(checkpoint_seq);
+    let inside_checkpoint = |seq: u64| seq > begin_seq && seq < checkpoint_seq;
 
     let writes_before = data.physical_writes();
     let ensure = |data: &mut DiskSim, pid: PageId| {
@@ -736,37 +959,79 @@ pub fn recover(data: &mut DiskSim, log: &DiskSim) -> WalRecovery {
 
     // Undo: roll every page first-dirtied after the last complete
     // checkpoint back to its checkpointed content (the data disk may hold
-    // uncommitted images — the pool steals dirty frames).
+    // later images — the pool steals dirty frames).
+    let mut undone: HashSet<u32> = HashSet::new();
     let mut preimages_applied = 0u64;
     for (rec, seq) in &records {
         if let WalRecord::PreImage { pid, image } = rec {
-            if *seq > checkpoint_seq {
+            if *seq > checkpoint_seq && undone.insert(pid.0) {
                 ensure(data, *pid);
                 data.write(*pid, image);
                 preimages_applied += 1;
             }
         }
     }
+    // The allocator floor: pages allocated after the checkpoint are
+    // allocated again, in the same order, by the operations that replay.
+    let floor = records.iter().find_map(|(rec, seq)| match rec {
+        WalRecord::DiskPages { pages } if inside_checkpoint(*seq) => Some(*pages as usize),
+        _ => None,
+    });
+    if let Some(pages) = floor {
+        data.truncate(pages);
+    }
 
-    // Redo: reapply the committed tail in log order.
+    // Redo: physical images from the checkpoint on (its own images of
+    // frames it could not flush included), and the committed tree
+    // operations after it, in log order.
     let mut records_replayed = 0u64;
     let mut rekeys_noted = 0u64;
+    let mut physical_after_ops = 0u64;
+    let mut tree_ops: Vec<(u32, TreeRedo)> = Vec::new();
     let mut meta: HashMap<u32, (PageId, u32)> = HashMap::new();
-    for (rec, seq) in &records {
+    for (rec, seq) in records.iter().take_while(|(_, seq)| *seq <= committed_seq) {
+        let (seq, after_checkpoint) = (*seq, *seq > checkpoint_seq);
         match rec {
-            WalRecord::Alloc { pid } if *seq > checkpoint_seq && *seq <= committed_seq => {
+            WalRecord::Alloc { pid } if seq > begin_seq => {
                 ensure(data, *pid);
                 records_replayed += 1;
+                physical_after_ops += u64::from(!tree_ops.is_empty());
             }
-            WalRecord::PageWrite { pid, image }
-                if *seq > checkpoint_seq && *seq <= committed_seq =>
-            {
+            WalRecord::PageWrite { pid, image } if seq > begin_seq => {
                 ensure(data, *pid);
                 data.write(*pid, image);
                 records_replayed += 1;
+                physical_after_ops += u64::from(!tree_ops.is_empty());
             }
-            WalRecord::Rekey { .. } if *seq <= committed_seq => rekeys_noted += 1,
-            WalRecord::TreeMeta { tree, root, height } if *seq <= committed_seq => {
+            WalRecord::Rekey { tree, old, new } => {
+                rekeys_noted += 1;
+                if after_checkpoint {
+                    tree_ops.push((*tree, TreeRedo::Rekey { old: *old, new: *new }));
+                    records_replayed += 1;
+                }
+            }
+            WalRecord::TreeOp { tree, op, key, value } if after_checkpoint => {
+                records_replayed += 1;
+                let redo = match op {
+                    TreeOpKind::Insert => TreeRedo::Insert { key: *key, value: *value },
+                    TreeOpKind::Delete => TreeRedo::Delete { key: *key },
+                    TreeOpKind::Reset => TreeRedo::Reset,
+                    TreeOpKind::Merge => TreeRedo::Merge { entries: Vec::new() },
+                    TreeOpKind::MergeEntry => {
+                        match tree_ops.last_mut() {
+                            Some((t, TreeRedo::Merge { entries })) if t == tree => {
+                                entries.push((*key, *value));
+                            }
+                            _ => debug_assert!(false, "merge entry outside its run at seq {seq}"),
+                        }
+                        continue;
+                    }
+                };
+                tree_ops.push((*tree, redo));
+            }
+            WalRecord::TreeMeta { tree, root, height }
+                if checkpoint_seq == 0 || inside_checkpoint(seq) =>
+            {
                 meta.insert(*tree, (*root, *height));
             }
             _ => {}
@@ -782,9 +1047,11 @@ pub fn recover(data: &mut DiskSim, log: &DiskSim) -> WalRecovery {
         last_commit_seq,
         checkpoint_seq,
         tree_meta,
+        tree_ops,
         rekeys_noted,
         records_scanned: records.len() as u64,
         records_replayed,
+        physical_after_ops,
         preimages_applied,
         data_writes: data.physical_writes() - writes_before,
         torn_tail: torn,
@@ -814,6 +1081,14 @@ mod tests {
             WalRecord::Commit { ops: 17 },
             WalRecord::CkptBegin,
             WalRecord::CkptEnd { begin_seq: 5 },
+            WalRecord::WriteBack { pid: PageId(4), image: page_with(0xBEEF) },
+            WalRecord::TreeOp {
+                tree: 2,
+                op: TreeOpKind::Insert,
+                key: u128::MAX - 1,
+                value: [0x5A; TREE_OP_VALUE_BYTES],
+            },
+            WalRecord::DiskPages { pages: 1234 },
         ];
         for (i, rec) in recs.iter().enumerate() {
             let seq = i as u64 + 1;
@@ -845,6 +1120,22 @@ mod tests {
             bad[1] = tag;
             assert!(WalRecord::decode(&bad).is_none());
         }
+    }
+
+    #[test]
+    fn an_unknown_tree_op_kind_does_not_decode_even_when_sealed() {
+        let rec = WalRecord::TreeOp {
+            tree: 0,
+            op: TreeOpKind::Delete,
+            key: 9,
+            value: [0; TREE_OP_VALUE_BYTES],
+        };
+        let mut bytes = rec.encode(1);
+        bytes[6] = 0x77;
+        let n = bytes.len();
+        let crc = seal64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&crc.to_le_bytes());
+        assert!(WalRecord::decode(&bytes).is_none());
     }
 
     #[test]
@@ -902,6 +1193,7 @@ mod tests {
         wal.append(&WalRecord::PageWrite { pid: PageId(3), image: page_with(7) });
         wal.append(&WalRecord::PreImage { pid: PageId(3), image: page_with(999) });
         wal.append(&WalRecord::PageWrite { pid: PageId(3), image: page_with(8) });
+        wal.append(&WalRecord::Commit { ops: 1 });
         assert_eq!(wal.latest_image(PageId(3)).unwrap().get_u64(0), 8);
 
         // The index survives a flush + resume round trip.
@@ -911,6 +1203,83 @@ mod tests {
         let resumed = Wal::resume(wal.disk().clone(), &rec);
         assert_eq!(resumed.latest_image(PageId(3)).unwrap().get_u64(0), 8);
         assert!(resumed.latest_image(PageId(9)).is_none());
+    }
+
+    #[test]
+    fn write_back_images_feed_repair_and_are_never_replayed() {
+        let mut wal = Wal::new();
+        let mut data = DiskSim::new();
+        let pid = data.allocate();
+        wal.append(&WalRecord::PreImage { pid, image: page_with(1) });
+        wal.append(&WalRecord::WriteBack { pid, image: page_with(2) });
+        assert_eq!(wal.latest_image(pid).unwrap().get_u64(0), 2, "what was written back");
+        wal.append(&WalRecord::Commit { ops: 1 });
+        wal.flush(&mut || {});
+        data.write(pid, &page_with(2));
+        let rec = recover(&mut data, wal.disk());
+        assert_eq!(rec.records_replayed, 0, "a write-back image is not redo");
+        assert_eq!(data.peek(pid).unwrap().get_u64(0), 1, "undone to the pre-image");
+        let resumed = Wal::resume(wal.disk().clone(), &rec);
+        assert_eq!(resumed.latest_image(pid).unwrap().get_u64(0), 1, "repair serves the undo");
+        assert!(resumed.is_preimaged(pid), "the resumed interval keeps its first pre-image");
+    }
+
+    #[test]
+    fn undo_uses_the_first_pre_image_after_the_checkpoint() {
+        let mut wal = Wal::new();
+        let mut data = DiskSim::new();
+        let pid = data.allocate();
+        let begin_seq = wal.next_seq();
+        wal.append(&WalRecord::CkptBegin);
+        wal.append(&WalRecord::CkptEnd { begin_seq });
+        wal.append(&WalRecord::PreImage { pid, image: page_with(10) });
+        // A later pre-image of the same page (logged after a resume)
+        // holds later content; undo must not stop there.
+        wal.append(&WalRecord::PreImage { pid, image: page_with(20) });
+        wal.flush(&mut || {});
+        let rec = recover(&mut data, wal.disk());
+        assert_eq!(rec.preimages_applied, 1);
+        assert_eq!(data.peek(pid).unwrap().get_u64(0), 10);
+    }
+
+    #[test]
+    fn recovery_cuts_the_disk_back_and_returns_the_committed_tree_ops() {
+        let mut wal = Wal::new();
+        let mut data = DiskSim::new();
+        for _ in 0..3 {
+            data.allocate();
+        }
+        let begin_seq = wal.next_seq();
+        wal.append(&WalRecord::CkptBegin);
+        wal.append(&WalRecord::TreeMeta { tree: 0, root: PageId(1), height: 1 });
+        wal.append(&WalRecord::DiskPages { pages: 3 });
+        wal.append(&WalRecord::CkptEnd { begin_seq });
+        let op = |op, key| WalRecord::TreeOp { tree: 0, op, key, value: [key as u8; 32] };
+        wal.append(&op(TreeOpKind::Delete, 4));
+        wal.append(&op(TreeOpKind::Merge, 2));
+        wal.append(&op(TreeOpKind::MergeEntry, 5));
+        wal.append(&op(TreeOpKind::MergeEntry, 6));
+        wal.append(&WalRecord::Rekey { tree: 0, old: 5, new: 7 });
+        wal.append(&WalRecord::Commit { ops: 1 });
+        wal.append(&op(TreeOpKind::Reset, 0));
+        wal.flush(&mut || {});
+        // The crashed run allocated two more pages after the checkpoint.
+        data.allocate();
+        data.allocate();
+
+        let rec = recover(&mut data, wal.disk());
+        assert_eq!(data.num_pages(), 3, "cut back to the checkpoint's page count");
+        assert_eq!(rec.tree_meta, vec![(0, PageId(1), 1)]);
+        assert_eq!(
+            rec.tree_ops,
+            vec![
+                (0, TreeRedo::Delete { key: 4 }),
+                (0, TreeRedo::Merge { entries: vec![(5, [5; 32]), (6, [6; 32])] }),
+                (0, TreeRedo::Rekey { old: 5, new: 7 }),
+            ],
+            "the uncommitted reset is not replayed"
+        );
+        assert_eq!((rec.records_replayed, rec.physical_after_ops), (5, 0));
     }
 
     #[test]
@@ -948,7 +1317,9 @@ mod tests {
         let resumed = Wal::resume(wal.disk().clone(), &rec);
         assert!(resumed.tail.len() < PAGE_SIZE);
         assert_eq!(resumed.end_lsn(), wal.end_lsn());
-        assert_eq!(resumed.latest_image(PageId(4)).unwrap().get_u64(0), 7);
+        // The last image of page 4 was never committed: recovery redid the
+        // committed one, and that is what the resumed log repairs from.
+        assert_eq!(resumed.latest_image(PageId(4)).unwrap().get_u64(0), 104);
     }
 
     #[test]

@@ -2,9 +2,12 @@
 //! recovery is idempotent (replaying the log twice leaves the data disk
 //! and every ledger exactly where one replay left them), and a torn tail
 //! truncated at **every** byte offset of the last record is detected,
-//! never panics, and always recovers to the last complete record.
+//! never panics, and always recovers to the last complete record. Fixed
+//! known-answer vectors pin the byte format of every record tag.
 
-use peb_storage::{recover, DiskSim, Page, PageId, Wal, WalRecord, PAGE_SIZE};
+use peb_storage::{
+    recover, DiskSim, Page, PageId, TreeOpKind, Wal, WalRecord, PAGE_SIZE, TREE_OP_VALUE_BYTES,
+};
 use proptest::prelude::*;
 
 /// A page image with recognizable content: `fill` everywhere plus a
@@ -259,6 +262,165 @@ proptest! {
             prop_assert!(!rec2.torn_tail, "resume left torn bytes in the log");
             prop_assert_eq!(rec2.records_scanned, complete as u64 + 1);
             prop_assert_eq!(rec2.commits, u64::MAX);
+        }
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A page image holding `fill` in every byte.
+fn flat_image(fill: u8) -> Box<Page> {
+    let mut p = Box::new(Page::new());
+    p.bytes_mut(0, PAGE_SIZE).fill(fill);
+    p
+}
+
+fn tree_op(tree: u32, op: TreeOpKind, key: u128, fill: u8) -> WalRecord {
+    WalRecord::TreeOp { tree, op, key, value: [fill; TREE_OP_VALUE_BYTES] }
+}
+
+/// Known answers for every tag. The log is an on-platter format: these
+/// exact bytes decode to these fields at these sequence numbers, and the
+/// fields re-encode to the same bytes. A full-image record pins its
+/// header (magic, tag, page id) and its trailer (sequence number and the
+/// checksum over the whole record); the page bytes sit in between.
+#[test]
+fn known_answer_vectors_for_every_tag() {
+    let small = [
+        (WalRecord::Alloc { pid: PageId(7) }, 1, "a5010700000001000000000000002a6b3e7487041326"),
+        (
+            WalRecord::TreeMeta { tree: 2, root: PageId(9), height: 3 },
+            4,
+            "a5050200000009000000030000000400000000000000ae203ea795aef128",
+        ),
+        (
+            WalRecord::Rekey { tree: 1, old: 0x0123_4567_89ab_cdef, new: u128::MAX - 5 },
+            5,
+            "a50601000000efcdab89674523010000000000000000faffffffffffffffffffffffffffff\
+             ff05000000000000000e68c6fd0aa206bd",
+        ),
+        (WalRecord::Commit { ops: 17 }, 6, "a50711000000000000000600000000000000cd87058717ce574b"),
+        (WalRecord::CkptBegin, 7, "a5080700000000000000235e2fc283f7c067"),
+        (
+            WalRecord::CkptEnd { begin_seq: 7 },
+            8,
+            "a50907000000000000000800000000000000e84a439f339792ee",
+        ),
+        (
+            tree_op(2, TreeOpKind::Insert, 0xfeed, 0x5a),
+            10,
+            "a50b0200000001edfe00000000000000000000000000005a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a\
+             5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a0a00000000000000cdd4915e24eabc2a",
+        ),
+        (
+            tree_op(2, TreeOpKind::Delete, 0xfeed, 0),
+            11,
+            "a50b0200000002edfe000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000b00000000000000c056fe3af004f479",
+        ),
+        (
+            tree_op(0, TreeOpKind::Reset, 0, 0),
+            12,
+            "a50b00000000030000000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000c000000000000000a8674f2731690c5",
+        ),
+        (
+            tree_op(1, TreeOpKind::Merge, 2, 0),
+            13,
+            "a50b01000000040200000000000000000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000d000000000000004f6a5cce59e8019d",
+        ),
+        (
+            tree_op(1, TreeOpKind::MergeEntry, u128::MAX, 0xa5),
+            14,
+            "a50b0100000005ffffffffffffffffffffffffffffffffa5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5\
+             a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a50e000000000000000bcae5f21284487d",
+        ),
+        (WalRecord::DiskPages { pages: 1234 }, 15, "a50cd20400000f00000000000000235f25e3ce382e24"),
+    ];
+    for (rec, seq, want) in small {
+        let bytes = rec.encode(seq);
+        assert_eq!(hex(&bytes), want, "{rec:?} encodes to its known answer");
+        let (back, got_seq, stride) = WalRecord::decode(&bytes).expect("a known answer decodes");
+        assert_eq!((back, got_seq, stride), (rec, seq, bytes.len()));
+    }
+    let images = [
+        (
+            WalRecord::PageWrite { pid: PageId(3), image: flat_image(0x11) },
+            2,
+            "a50203000000",
+            "020000000000000072a0262cb33ec138",
+        ),
+        (
+            WalRecord::PreImage { pid: PageId(3), image: flat_image(0x22) },
+            3,
+            "a50403000000",
+            "030000000000000020e755ffb6d821f3",
+        ),
+        (
+            WalRecord::WriteBack { pid: PageId(4), image: flat_image(0x33) },
+            9,
+            "a50a04000000",
+            "090000000000000080ddb4dd62680054",
+        ),
+    ];
+    for (rec, seq, head, tail) in images {
+        let bytes = rec.encode(seq);
+        assert_eq!(bytes.len(), 6 + PAGE_SIZE + 16, "{rec:?}: one page between header and trailer");
+        assert_eq!((hex(&bytes[..6]), hex(&bytes[6 + PAGE_SIZE..])), (head.into(), tail.into()));
+        let (back, got_seq, stride) = WalRecord::decode(&bytes).expect("a known answer decodes");
+        assert_eq!((back, got_seq, stride), (rec, seq, bytes.len()));
+    }
+}
+
+/// [`torn_tail_detected_at_every_byte_offset`] for logs that end in each
+/// record kind its script does not generate — a write-back image, every
+/// tree-operation kind, a page count — behind a checkpoint, a committed
+/// tree operation and an open merge run.
+#[test]
+fn torn_tail_detected_at_every_byte_offset_of_the_logical_records() {
+    let lasts = [
+        WalRecord::WriteBack { pid: PageId(2), image: image(0x3C) },
+        tree_op(1, TreeOpKind::Insert, 11, 0x11),
+        tree_op(1, TreeOpKind::Delete, 11, 0),
+        tree_op(1, TreeOpKind::Reset, 0, 0),
+        tree_op(1, TreeOpKind::Merge, 0, 0),
+        tree_op(1, TreeOpKind::MergeEntry, 12, 0x12),
+        WalRecord::DiskPages { pages: 12 },
+    ];
+    for last in lasts {
+        let records = vec![
+            WalRecord::CkptBegin,
+            WalRecord::CkptEnd { begin_seq: 1 },
+            tree_op(1, TreeOpKind::Insert, 10, 0x10),
+            WalRecord::Commit { ops: 1 },
+            tree_op(1, TreeOpKind::Merge, 1, 0),
+            last,
+        ];
+        let (stream, strides) = encode_all(&records);
+        let last_stride = *strides.last().unwrap();
+        let whole = stream.len();
+        for cut in (whole - last_stride)..=whole {
+            let log = disk_from_stream(&stream[..cut]);
+            let rec = recover(&mut junk_data_disk(12), &log);
+            let complete = if cut == whole { records.len() } else { records.len() - 1 };
+            let what = format!("{:?} cut at {cut}", records.last().unwrap());
+            assert_eq!(rec.records_scanned, complete as u64, "{what}");
+            let valid = if cut == whole { whole } else { whole - last_stride };
+            assert_eq!(rec.valid_bytes as usize, valid, "{what}");
+            assert_eq!(rec.torn_tail, cut != whole && cut > whole - last_stride, "{what}");
+            assert_eq!(rec.next_seq, complete as u64 + 1, "{what}");
+            assert_eq!(rec.tree_ops.len(), 1, "{what}: only the committed insert replays");
+
+            let mut wal = Wal::resume(log, &rec);
+            wal.append(&WalRecord::Commit { ops: u64::MAX });
+            wal.flush(&mut || {});
+            let rec2 = recover(&mut junk_data_disk(12), &wal.disk().clone());
+            assert!(!rec2.torn_tail, "{what}: resume left torn bytes in the log");
+            assert_eq!(rec2.records_scanned, complete as u64 + 1, "{what}");
+            assert_eq!(rec2.commits, u64::MAX, "{what}");
         }
     }
 }
