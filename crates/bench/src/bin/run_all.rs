@@ -4,8 +4,8 @@
 //! * `--baseline-only` — skip the figures; measure the fixed perf baseline
 //!   (what CI runs) and every per-feature trajectory entry, and write them
 //!   as `BENCH_seed.json`, `BENCH_updates.json`, `BENCH_scans.json`,
-//!   `BENCH_optreads.json`, `BENCH_recovery.json`, `BENCH_faults.json`
-//!   and `BENCH_overload.json` into the output directory. The committed
+//!   `BENCH_recovery.json`, `BENCH_faults.json` and `BENCH_overload.json`
+//!   into the output directory. The committed
 //!   `BENCH_*.json` at the repo root are frozen history (protocol:
 //!   docs/BENCHMARKS.md) and are never written here.
 //! * `--out-dir <dir>` — where `--baseline-only` writes (default
@@ -14,7 +14,6 @@ use std::path::{Path, PathBuf};
 
 use peb_bench::experiments;
 use peb_bench::faults;
-use peb_bench::optreads;
 use peb_bench::overload;
 use peb_bench::recovery;
 use peb_bench::report;
@@ -49,12 +48,6 @@ fn main() {
             "BENCH_scans.json",
             "concurrent-scan trajectory",
             scans::measure_scans().to_json(),
-        );
-        write_entry(
-            &dir,
-            "BENCH_optreads.json",
-            "optimistic-read trajectory",
-            optreads::measure_optreads().to_json(),
         );
         write_entry(
             &dir,
@@ -134,12 +127,6 @@ fn main() {
         "concurrent read qps: single-shard vs sharded buffer pool, 1-8 threads",
     );
     scans::print_table(&scans::measure_scans());
-    println!();
-    report::header(
-        "OptReads",
-        "locks acquired per warm query: locked vs optimistic read path, both engines",
-    );
-    optreads::print_table(&optreads::measure_optreads());
     println!();
     report::header(
         "Recovery",

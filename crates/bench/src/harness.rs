@@ -26,11 +26,6 @@ pub struct RunConfig {
     /// domains change eviction, so I/O counts are only comparable at a
     /// fixed shard count); the concurrent-scan bench raises it.
     pub pool_shards: usize,
-    /// Whether the pool's lock-free versioned read path is active
-    /// (default `true` — the production configuration; I/O counters are
-    /// identical either way). The optimistic-reads experiment builds a
-    /// `false` world as its locked-path comparison point.
-    pub optimistic_reads: bool,
     /// Whether the write-ahead-log durability protocol is on for both
     /// engines. The default of `false` is the paper-exact configuration
     /// every frozen I/O measurement uses (logging adds log-page writes to
@@ -58,7 +53,6 @@ impl Default for RunConfig {
             queries: queries_env(),
             buffer_pages: 50,
             pool_shards: 1,
-            optimistic_reads: true,
             durable: false,
             seed: 0xC0FFEE,
             tq: 30.0,
@@ -130,12 +124,8 @@ impl World {
         let encode_secs = started.elapsed().as_secs_f64();
 
         let part = TimePartitioning::default();
-        let pool = |cfg: &RunConfig| {
-            Arc::new(
-                BufferPool::with_shards(cfg.buffer_pages, cfg.pool_shards)
-                    .optimistic(cfg.optimistic_reads),
-            )
-        };
+        let pool =
+            |cfg: &RunConfig| Arc::new(BufferPool::with_shards(cfg.buffer_pages, cfg.pool_shards));
         let mut peb = PebTree::new(pool(cfg), space, part, cfg.max_speed, Arc::clone(&ctx));
         let mut baseline = SpatialBaseline::new(BxTree::new(pool(cfg), space, part, cfg.max_speed));
         if cfg.durable {

@@ -15,7 +15,6 @@ pub mod baseline;
 pub mod experiments;
 pub mod faults;
 pub mod harness;
-pub mod optreads;
 pub mod overload;
 pub mod recovery;
 pub mod report;

@@ -19,12 +19,11 @@
 //!   separator, as in textbook B+-trees.
 //! * **Sibling-linked leaves.** Range scans descend once and then walk the
 //!   leaf chain, which is what makes the Bx/PEB interval probes cheap.
-//! * **Lock-free optimistic reads.** [`BTree::get`] and every scan
-//!   traverse via the pool's versioned page snapshots (`get` by
-//!   optimistic lock coupling: validate each parent's version after
-//!   following its child pointer, restart from the root on a mismatch)
-//!   and fall back to the locked read path per page or — after bounded
-//!   restarts — wholesale; see the [`tree`] module docs.
+//! * **One read path.** [`BTree::get`] is one root-to-leaf descent
+//!   through the pool's shard-locked reads; a scan also keeps copies of
+//!   the branch pages it routed through for the rest of its walk; see the
+//!   [`tree`] module docs. The pool's lock-free page mirror lost by number
+//!   and was removed (docs/BENCHMARKS.md, "Decided by number (PR 27)").
 //! * **One write path.** [`BTree::try_insert`] / [`BTree::try_delete`]
 //!   take `&mut self`; the index layer serialises writers per partition
 //!   under its shard lock. The per-page-latch alternative lost by number
@@ -39,5 +38,5 @@ pub mod tree;
 pub mod value;
 
 pub use multiscan::{coalesce_intervals, ScanPlan, ScanStats, ScanTermination, Visit};
-pub use tree::{BTree, OlcStats, TreeStats, WriteStats, OPT_MAX_RESTARTS};
+pub use tree::{BTree, OlcStats, TreeStats, WriteStats};
 pub use value::RecordValue;

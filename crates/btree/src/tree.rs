@@ -1,25 +1,16 @@
 //! B+-tree operations: search, insert with split propagation, delete with
 //! borrow/merge rebalancing, and sibling-chain range scans.
 //!
-//! # Optimistic read path
+//! # Read path
 //!
-//! [`BTree::get`] descends the tree through the buffer pool's lock-free
-//! versioned reads ([`BufferPool::read_versioned`]) in the style of
-//! optimistic lock coupling: each page is copied out under no lock with its publication
-//! version validated around the copy, and after following a child pointer
-//! the parent's version is re-checked ([`BufferPool::read_version`]) so a
-//! page that changed underneath the descent restarts it from the root.
-//! Restarts are bounded ([`OPT_MAX_RESTARTS`]); pages that are not
-//! published lock-free (cold pages, mirror-slot collisions) are read
-//! through the ordinary locked path *within* the descent, which keeps the
-//! per-page I/O accounting identical to a fully locked traversal. The
-//! write path ([`BTree::insert`], [`BTree::delete`], bulk loading) is
-//! locked; it requires `&mut self`, so traversals racing a
-//! *tree* writer are excluded by Rust's borrow rules — the version
-//! protocol defends against the page-level churn (evictions, reloads,
-//! cross-tree pool traffic) that shared-pool concurrency can cause.
-//! Scans with writers excluded route through per-level page snapshots
-//! instead ([`BTree::try_scan_plan`]), validated the same way.
+//! Every page read goes through the buffer pool's shard-locked
+//! [`BufferPool::try_read`]: [`BTree::try_get`] is one root-to-leaf
+//! descent. The write path ([`BTree::insert`], [`BTree::delete`], bulk
+//! loading) requires `&mut self`, so no reader ever races a *tree* writer
+//! — Rust's borrow rules (and, one level up, the index's partition locks)
+//! exclude it. That is also what lets a scan keep private copies of the
+//! branch pages it routed through and reuse them for the rest of its walk
+//! ([`BTree::try_scan_plan`]).
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,43 +18,21 @@ use std::sync::Arc;
 
 use peb_common::Deadline;
 use peb_storage::{
-    BufferPool, IoFault, OptimisticRead, Page, PageId, PageSnapshot, RedoScope, TreeOpKind,
-    TreeRedo, WalRecord, TREE_OP_VALUE_BYTES,
+    BufferPool, IoFault, Page, PageId, PageSnapshot, RedoScope, TreeOpKind, TreeRedo, WalRecord,
+    TREE_OP_VALUE_BYTES,
 };
 
 use crate::multiscan::{ScanCounters, ScanPlan, ScanStats, ScanTermination, Visit};
 use crate::node::{self, branch_capacity, leaf_capacity, HEADER};
 use crate::value::RecordValue;
 
-/// Bound on root-restarts of an optimistic descent before it falls back
-/// to the fully locked path. Conflicts need a racing page writer, so on a
-/// quiesced tree the first attempt always succeeds; under churn the bound
-/// keeps the read path from livelocking against a steady writer.
-pub const OPT_MAX_RESTARTS: usize = 3;
-
-/// Signal that an optimistic descent observed a version conflict and must
-/// restart from the root (internal to the read path).
-struct Restart;
-
-/// One cached level of a fused scan's descent path: a versioned snapshot
-/// of the branch page last consulted at this depth. Reused by the next
-/// re-route while [`BufferPool::snapshot_valid`] holds (see
-/// [`BTree::try_multi_range_scan`]); re-read through the pool otherwise.
-#[derive(Default)]
-struct PathLevel {
-    snap: PageSnapshot,
-    /// Whether `snap` has ever been filled this scan.
-    filled: bool,
-}
-
 /// A disk-based B+-tree mapping unique `u128` keys to fixed-size records.
 pub struct BTree<V: RecordValue> {
     pub(crate) pool: Arc<BufferPool>,
-    /// `(root page id << 32) | height`, packed so one atomic load yields a
-    /// *consistent pair*: root growth and root collapse change both, and a
-    /// concurrent traversal that read them separately could pair a new
-    /// root with an old height.
-    top: AtomicU64,
+    /// The root page (changes on root split and collapse).
+    root: PageId,
+    /// Tree height in levels (1 = the root is a leaf).
+    height: u32,
     /// Stored entries.
     len: usize,
     leaf_pages: usize,
@@ -88,33 +57,6 @@ impl<V: RecordValue> BTree<V> {
         let t = BTree::from_raw(pool, root, 1, 0, 1, 1);
         t.writes.bump_leaf_writes(1);
         t
-    }
-
-    // ---- shared structural state (packed top + counters) -------------------
-
-    const fn pack_top(root: PageId, height: u32) -> u64 {
-        ((root.0 as u64) << 32) | height as u64
-    }
-
-    const fn unpack_top(top: u64) -> (PageId, u32) {
-        (PageId((top >> 32) as u32), top as u32)
-    }
-
-    /// One consistent load of the `(root, height)` pair.
-    fn top(&self) -> (PageId, u32) {
-        Self::unpack_top(self.top_raw())
-    }
-
-    /// The raw packed top word, for equality re-validation after a
-    /// descent's first page read (catches root growth/collapse that
-    /// republished the old root underneath the reader).
-    fn top_raw(&self) -> u64 {
-        self.top.load(Ordering::Acquire)
-    }
-
-    /// Publish a new `(root, height)` pair.
-    fn set_top(&self, root: PageId, height: u32) {
-        self.top.store(Self::pack_top(root, height), Ordering::Release);
     }
 
     /// Every value of a registered tree must fit one log record
@@ -154,7 +96,7 @@ impl<V: RecordValue> BTree<V> {
 
     /// Tree height in levels (1 = root is a leaf).
     pub fn height(&self) -> u32 {
-        self.top().1
+        self.height
     }
 
     /// Number of live leaf pages (`Nl` in the paper's cost model).
@@ -184,7 +126,8 @@ impl<V: RecordValue> BTree<V> {
     ) -> Self {
         BTree {
             pool,
-            top: AtomicU64::new(Self::pack_top(root, height)),
+            root,
+            height,
             len,
             leaf_pages,
             total_pages,
@@ -198,7 +141,7 @@ impl<V: RecordValue> BTree<V> {
     /// The root page of this tree (changes on root split/collapse and on
     /// wholesale rebuilds).
     pub fn root(&self) -> PageId {
-        self.top().0
+        self.root
     }
 
     /// Register this tree under `id` in the write-ahead log and log its
@@ -210,8 +153,7 @@ impl<V: RecordValue> BTree<V> {
     /// and recovery re-executes it ([`BTree::try_replay`]).
     pub fn set_tree_id(&mut self, id: u32) {
         self.tree_id = id;
-        let (root, height) = self.top();
-        self.pool.wal_tree_meta(self.tree_id, root, height);
+        self.pool.wal_tree_meta(self.tree_id, self.root, self.height);
     }
 
     /// The redo scope one mutation runs in: `None` unless the pool is
@@ -330,139 +272,25 @@ impl<V: RecordValue> BTree<V> {
 
     // ---- point lookup ------------------------------------------------------
 
-    /// One page read of an optimistic descent: lock-free when the page is
-    /// published, locked otherwise, restarting on version conflicts.
-    /// `prev` carries the `(page, version)` the current `pid` was read
-    /// from; it is re-validated *after* this page is read (the optimistic
-    /// lock coupling handshake — a parent that was rewritten while we
-    /// followed its child pointer invalidates the route) and then
-    /// replaced by this page's version for the next step. A locked read
-    /// yields no version, so the chain restarts from it.
-    ///
-    /// Writers hold `&mut self` (a shard-exclusive lock, one level up), so
-    /// the tree is quiesced on the write side and a parent that merely
-    /// became *unpublished* (evicted or displaced from its mirror slot — its
-    /// content survives on disk unchanged) does **not** restart the
-    /// descent: page contents only change under exclusive tree access, so
-    /// an unpublished parent cannot have rerouted us, and tolerating it
-    /// keeps buffer churn from perturbing the deterministic I/O ledger.
-    /// Only a parent republished at a *different version* — a genuine
-    /// rewrite — forces the restart.
-    fn descend_step<R>(
-        &self,
-        pid: PageId,
-        prev: &mut Option<(PageId, u64)>,
-        f: impl Fn(&Page) -> R,
-    ) -> Result<R, Restart> {
-        let (r, version) = match self.pool.read_versioned(pid, &f) {
-            OptimisticRead::Hit(r, v) => (r, Some(v)),
-            // Not published lock-free (cold page, mirror collision): the
-            // locked read is authoritative and counts the touch exactly
-            // like a fully locked descent would. An unresolvable media
-            // fault here aborts the attempt like a conflict; the caller's
-            // locked fallback re-encounters it and surfaces (or panics,
-            // on the legacy entry points) with full typing.
-            OptimisticRead::Unpublished => match self.pool.try_read(pid, &f) {
-                Ok(r) => (r, None),
-                Err(_) => return Err(Restart),
-            },
-            OptimisticRead::Conflict => return Err(Restart),
-        };
-        if let Some((ppid, pv)) = *prev {
-            if self.pool.read_version(ppid).is_some_and(|v| v != pv) {
-                return Err(Restart);
-            }
-        }
-        *prev = version.map(|v| (pid, v));
-        Ok(r)
-    }
-
-    /// One optimistic root-to-leaf descent for `key`; `Err` means a
-    /// version conflict invalidated the route and the caller restarts.
-    ///
-    /// The packed top is loaded once (a consistent `(root, height)` pair)
-    /// and re-validated after the first page read: a root grow publishes
-    /// the new top *before* shrinking the old root, so a reader that saw
-    /// the shrunk old root — the one image it has no parent version to
-    /// validate against — necessarily sees a changed top and restarts.
-    fn try_get_optimistic(&self, key: u128) -> Result<Option<V>, Restart> {
-        let vsize = Self::vsize();
-        let top = self.top_raw();
-        let (mut pid, height) = Self::unpack_top(top);
-        let mut prev: Option<(PageId, u64)> = None;
-        for level in 1..height {
-            pid = self.descend_step(pid, &mut prev, |p| {
-                node::child_at(p, node::branch_child_index(p, key))
-            })?;
-            if level == 1 && self.top_raw() != top {
-                return Err(Restart);
-            }
-        }
-        let found = self.descend_step(pid, &mut prev, |p| {
-            let i = node::leaf_lower_bound(p, key, vsize);
-            if i < node::count(p) && node::leaf_key(p, i, vsize) == key {
-                Some(V::read(p.bytes(node::leaf_entry_off(i, vsize) + 16, vsize)))
-            } else {
-                None
-            }
-        })?;
-        if height == 1 && self.top_raw() != top {
-            return Err(Restart);
-        }
-        Ok(found)
-    }
-
-    /// The fully locked point lookup — the universal fallback of
-    /// [`BTree::get`] and the reference behavior the optimistic descent
-    /// is tested against.
-    fn get_locked(&self, key: u128) -> Result<Option<V>, IoFault> {
-        let (mut pid, height) = self.top();
-        for _ in 1..height {
-            pid =
-                self.pool.try_read(pid, |p| node::child_at(p, node::branch_child_index(p, key)))?;
-        }
-        self.pool.try_read(pid, |p| {
-            let i = node::leaf_lower_bound(p, key, Self::vsize());
-            if i < node::count(p) && node::leaf_key(p, i, Self::vsize()) == key {
-                Some(V::read(p.bytes(node::leaf_entry_off(i, Self::vsize()) + 16, Self::vsize())))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Exact-key lookup.
-    ///
-    /// Descends optimistically — lock-free versioned page snapshots with a
-    /// parent-after-child version validation chain — and transparently
-    /// falls back to the locked read path, per page when a page is not published
-    /// lock-free and wholesale after [`OPT_MAX_RESTARTS`] version
-    /// conflicts. Both paths return the same answer and count the same
-    /// I/O; only the pool's [`peb_storage::LockStats`] can tell them
-    /// apart:
+    /// Exact-key lookup: one root-to-leaf descent, one page read per
+    /// level.
     ///
     /// ```
     /// use std::sync::Arc;
     /// use peb_btree::BTree;
     /// use peb_storage::BufferPool;
     ///
-    /// let optimistic = Arc::new(BufferPool::new(32));
-    /// let locked = Arc::new(BufferPool::with_shards(32, 1).optimistic(false));
-    /// let mut a: BTree<u64> = BTree::new(Arc::clone(&optimistic));
-    /// let mut b: BTree<u64> = BTree::new(locked);
+    /// let pool = Arc::new(BufferPool::new(32));
+    /// let mut t: BTree<u64> = BTree::new(Arc::clone(&pool));
     /// for k in 0..2_000u128 {
-    ///     a.insert(k * 3, k as u64);
-    ///     b.insert(k * 3, k as u64);
+    ///     t.insert(k * 3, k as u64);
     /// }
-    /// // The fallback contract: the optimistic tree answers exactly like
-    /// // the locked-only tree, present keys and misses alike...
-    /// for probe in [0u128, 1, 2_997, 2_998, 5_997, 9_000] {
-    ///     assert_eq!(a.get(probe), b.get(probe));
-    /// }
-    /// // ...and on a warm tree it did so without acquiring any lock.
-    /// optimistic.reset_stats();
-    /// assert_eq!(a.get(2_997), Some(999));
-    /// assert_eq!(optimistic.lock_stats().lock_acquisitions, 0);
+    /// assert_eq!(t.get(2_997), Some(999));
+    /// assert_eq!(t.get(2_998), None);
+    /// // A lookup costs one logical page read per level.
+    /// pool.reset_stats();
+    /// t.get(5_997);
+    /// assert_eq!(pool.stats().logical_reads, u64::from(t.height()));
     /// ```
     pub fn get(&self, key: u128) -> Option<V> {
         self.try_get(key).unwrap_or_else(|e| panic!("unresolved I/O fault: {e}"))
@@ -471,17 +299,22 @@ impl<V: RecordValue> BTree<V> {
     /// Fallible [`BTree::get`]: identical descent and I/O accounting, but
     /// an unresolvable media fault (transient retries exhausted, permanent
     /// bad sector, unrepairable corruption) comes back as a typed
-    /// [`IoFault`] instead of a panic. The optimistic fast path reads only
-    /// mirror-published pages — images that were checksum-verified when
-    /// faulted in — so faults can only arise in the locked fallback's
-    /// device fetch.
+    /// [`IoFault`] instead of a panic.
     pub fn try_get(&self, key: u128) -> Result<Option<V>, IoFault> {
-        for _ in 0..OPT_MAX_RESTARTS {
-            if let Ok(found) = self.try_get_optimistic(key) {
-                return Ok(found);
-            }
+        let vsize = Self::vsize();
+        let mut pid = self.root;
+        for _ in 1..self.height {
+            pid =
+                self.pool.try_read(pid, |p| node::child_at(p, node::branch_child_index(p, key)))?;
         }
-        self.get_locked(key)
+        self.pool.try_read(pid, |p| {
+            let i = node::leaf_lower_bound(p, key, vsize);
+            if i < node::count(p) && node::leaf_key(p, i, vsize) == key {
+                Some(V::read(p.bytes(node::leaf_entry_off(i, vsize) + 16, vsize)))
+            } else {
+                None
+            }
+        })
     }
 
     /// Whether `key` is present.
@@ -513,7 +346,7 @@ impl<V: RecordValue> BTree<V> {
 
     /// [`BTree::try_insert`] without the log record.
     pub(crate) fn insert_core(&mut self, key: u128, value: &V) -> Result<Option<V>, IoFault> {
-        let (root, height) = self.top();
+        let (root, height) = (self.root, self.height);
         Ok(match self.insert_rec(root, height - 1, key, value)? {
             InsertOutcome::Replaced(old) => Some(old),
             InsertOutcome::Done => {
@@ -528,7 +361,7 @@ impl<V: RecordValue> BTree<V> {
                     node::init_branch(p, root);
                     node::branch_insert_entry(p, 0, sep, right);
                 })?;
-                self.set_top(new_root, height + 1);
+                (self.root, self.height) = (new_root, height + 1);
                 self.len += 1;
                 None
             }
@@ -699,7 +532,7 @@ impl<V: RecordValue> BTree<V> {
 
     /// [`BTree::try_delete`] without the log record.
     fn delete_core(&mut self, key: u128) -> Result<Option<V>, IoFault> {
-        let (root, height) = self.top();
+        let (root, height) = (self.root, self.height);
         let removed = self.delete_rec(root, height - 1, key)?;
         if removed.is_some() {
             self.len -= 1;
@@ -708,7 +541,7 @@ impl<V: RecordValue> BTree<V> {
                 let (n, first_child) =
                     self.pool.try_read(root, |p| (node::count(p), node::leftmost_child(p)))?;
                 if n == 0 {
-                    self.set_top(first_child, height - 1);
+                    (self.root, self.height) = (first_child, height - 1);
                     self.total_pages -= 1;
                 }
             }
@@ -1003,35 +836,32 @@ impl<V: RecordValue> BTree<V> {
     // ---- fused multi-interval scans -----------------------------------------
 
     /// Route from the root to the leaf that would contain `key`, reusing
-    /// the still-valid cached branch pages of `path` (one slot per branch
-    /// level, root first). Returns the leaf's page id and its **fence
-    /// key** — the exclusive upper bound of keys the leaf can hold,
-    /// derived from the tightest separator along the path (`u128::MAX`
-    /// when the leaf tops the key space).
+    /// the branch pages cached in `path` (one copy per branch level, root
+    /// first). Returns the leaf's page id and its **fence key** — the
+    /// exclusive upper bound of keys the leaf can hold, derived from the
+    /// tightest separator along the path (`u128::MAX` when the leaf tops
+    /// the key space).
     ///
-    /// Each branch level is served from the cache when its snapshot still
-    /// names the page the route wants *and* the pool still publishes that
-    /// page at the snapshot's version ([`BufferPool::snapshot_valid`] —
-    /// the PR 4 versioned-page machinery); a reused level costs no pool
-    /// traffic at all. Any other level is re-read through
-    /// [`BufferPool::try_read_snapshot`], which counts one logical read
-    /// (lock-free when published, locked fallback otherwise). Routing
-    /// through a cached copy is sound because page contents of this tree
-    /// cannot change under `&self` (writers need `&mut`), so a validated
-    /// copy is bit-identical to the live page; a copy whose page was
-    /// evicted or republished since merely fails validation and is
-    /// re-read — the conservative fallback, never a wrong route.
-    fn descend_cached(&self, key: u128, path: &mut [PathLevel]) -> Result<(PageId, u128), IoFault> {
-        let mut pid = self.root();
+    /// A level is served from its copy whenever the copy names the page
+    /// the route wants, at no pool traffic at all; any other level is
+    /// re-read through [`BufferPool::try_read_snapshot`] (one logical
+    /// read). No pool check is needed: the copies live only as long as one
+    /// [`BTree::scan_plan_leaves`] call, which holds `&self` throughout,
+    /// and page contents of this tree change only under `&mut self`. A
+    /// copy is therefore bit-identical to its page for its whole life,
+    /// whether or not the pool has evicted the page since.
+    fn descend_cached(
+        &self,
+        key: u128,
+        path: &mut [PageSnapshot],
+    ) -> Result<(PageId, u128), IoFault> {
+        let mut pid = self.root;
         let mut fence = u128::MAX;
         for (depth, level) in path.iter_mut().enumerate() {
-            let cached =
-                level.filled && level.snap.pid() == pid && self.pool.snapshot_valid(&level.snap);
-            if cached {
+            if level.pid() == pid {
                 self.scans.bump_cached();
             } else {
-                self.pool.try_read_snapshot(pid, &mut level.snap)?;
-                level.filled = true;
+                self.pool.try_read_snapshot(pid, level)?;
                 if depth == 0 {
                     // Only a route that had to fetch the root through the
                     // pool counts as a descent; a re-route served from the
@@ -1039,7 +869,7 @@ impl<V: RecordValue> BTree<V> {
                     self.scans.bump_descent();
                 }
             }
-            let p = level.snap.page();
+            let p = level.page();
             let j = node::branch_child_index(p, key);
             if j < node::count(p) {
                 fence = node::branch_key(p, j);
@@ -1105,9 +935,7 @@ impl<V: RecordValue> BTree<V> {
     /// order; the typed [`ScanTermination`] tells the caller whether the
     /// plan ran out, the visitor stopped it, or the budget did.
     ///
-    /// Leaves are read from lock-free versioned snapshots when published
-    /// and from the locked page otherwise; entries are handed to `visit`
-    /// with no page borrow or lock held.
+    /// Entries are handed to `visit` with no page borrow or lock held.
     pub fn try_scan_plan(
         &self,
         plan: &ScanPlan,
@@ -1145,10 +973,11 @@ impl<V: RecordValue> BTree<V> {
     /// returning `false` ends the scan like a visitor's `Stop`. Returns
     /// whether the plan ran out.
     ///
-    /// Leaves are read from lock-free versioned snapshots when published
-    /// and from the locked page otherwise, and once entries have reached
-    /// the visitor the walk never restarts. Exact because writers are
-    /// excluded (`&mut self` / the shard lock).
+    /// Leaves are read through the pool, and once entries have reached
+    /// the visitor the walk never restarts. Exact because writers
+    /// are excluded (`&mut self` / the shard lock) — which is also what
+    /// keeps the branch copies of the descent cache current for the whole
+    /// walk ([`BTree::descend_cached`]).
     fn scan_plan_leaves(
         &self,
         plan: &ScanPlan,
@@ -1157,7 +986,7 @@ impl<V: RecordValue> BTree<V> {
     ) -> Result<bool, IoFault> {
         let (runs, rows) = (plan.run_count(), plan.rows());
         let vsize = Self::vsize();
-        let mut path: Vec<PathLevel> = (1..self.height()).map(|_| PathLevel::default()).collect();
+        let mut path: Vec<PageSnapshot> = (1..self.height).map(|_| PageSnapshot::new()).collect();
         // `i`: first run not yet consumed; `r`: first row reaching the
         // frontier; `frontier`: smallest key not yet dealt with —
         // everything below was emitted, lies in no row, or was skipped.
@@ -1211,12 +1040,7 @@ impl<V: RecordValue> BTree<V> {
                     let last_key = if n > 0 { Some(node::leaf_key(p, n - 1, vsize)) } else { None };
                     (batch, node::right_sibling(p), last_key)
                 };
-                let (batch, next, last_key) = match self.pool.read_versioned(pid, read_leaf) {
-                    OptimisticRead::Hit(leaf, _) => leaf,
-                    OptimisticRead::Unpublished | OptimisticRead::Conflict => {
-                        self.pool.try_read(pid, read_leaf)?
-                    }
-                };
+                let (batch, next, last_key) = self.pool.try_read(pid, read_leaf)?;
                 for (k, v) in batch {
                     if k < frontier {
                         continue; // the rest of a row the visitor skipped
@@ -1288,7 +1112,7 @@ impl<V: RecordValue> BTree<V> {
     /// Check every structural invariant; returns a description of the first
     /// violation. Used by tests and debug assertions.
     pub fn validate(&self) -> Result<(), String> {
-        let (root, height) = self.top();
+        let (root, height) = (self.root, self.height);
         let mut leaves_seen = 0usize;
         let mut entries_seen = 0usize;
         self.validate_node(
@@ -1652,95 +1476,6 @@ mod proptests {
             let want: Vec<u128> = keys.range(lo..=hi).copied().collect();
             prop_assert_eq!(got, want);
         }
-    }
-}
-
-#[cfg(test)]
-mod optimistic_tests {
-    use super::*;
-
-    /// Two structurally identical trees, one over a pool with the
-    /// lock-free read path on and one with it off.
-    fn twin_trees(cap: usize, n: u128) -> (BTree<u64>, BTree<u64>) {
-        let mut opt: BTree<u64> = BTree::new(Arc::new(BufferPool::new(cap)));
-        let mut locked: BTree<u64> =
-            BTree::new(Arc::new(BufferPool::with_shards(cap, 1).optimistic(false)));
-        for i in 0..n {
-            let k = (i * 2_654_435_761) % (1 << 24);
-            opt.insert(k, i as u64);
-            locked.insert(k, i as u64);
-        }
-        for i in (0..n).step_by(5) {
-            let k = (i * 2_654_435_761) % (1 << 24);
-            opt.delete(k);
-            locked.delete(k);
-        }
-        (opt, locked)
-    }
-
-    #[test]
-    fn quiesced_optimistic_reads_converge_to_locked_reads() {
-        // The equivalence half of the acceptance bar: on a quiesced tree
-        // the optimistic get/range answers are exactly the locked ones.
-        let (opt, locked) = twin_trees(64, 8_000);
-        assert_eq!(opt.len(), locked.len());
-        for probe in (0..1 << 24).step_by(97_003) {
-            assert_eq!(opt.get(probe), locked.get(probe), "get({probe})");
-        }
-        for (lo, hi) in [(0u128, 1 << 24), (12_345, 999_999), (1 << 20, (1 << 20) + 50_000)] {
-            assert_eq!(opt.range(lo, hi), locked.range(lo, hi), "range({lo}, {hi})");
-        }
-    }
-
-    #[test]
-    fn io_ledger_is_identical_with_and_without_optimistic_reads() {
-        // The frozen-I/O property at unit scale: same inserts, same
-        // reads, same thrashing 8-frame pool — the IoStats ledgers must
-        // agree counter for counter even though one side reads lock-free.
-        let (opt, locked) = twin_trees(8, 4_000);
-        for t in [&opt, &locked] {
-            t.pool().flush_all();
-            t.pool().clear();
-            t.pool().reset_stats();
-        }
-        let probe = |t: &BTree<u64>| {
-            for k in (0..1 << 24).step_by(131_071) {
-                t.get(k);
-            }
-            let mut n = 0usize;
-            t.range_scan(1 << 20, (1 << 20) + 200_000, |_, _| {
-                n += 1;
-                true
-            });
-            n
-        };
-        assert_eq!(probe(&opt), probe(&locked));
-        assert_eq!(opt.pool().stats(), locked.pool().stats(), "ledgers diverged");
-        // And the optimistic side really did exercise the lock-free path
-        // once pages warmed up.
-        assert!(opt.pool().lock_stats().optimistic_hits > 0);
-        assert_eq!(locked.pool().lock_stats().optimistic_attempts(), 0);
-    }
-
-    #[test]
-    fn warm_tree_reads_acquire_no_locks() {
-        // Pool large enough to hold the whole tree: after one warming
-        // pass every path page is published and reads go fully lock-free.
-        let pool = Arc::new(BufferPool::new(256));
-        let mut t: BTree<u64> = BTree::new(Arc::clone(&pool));
-        for k in 0..10_000u128 {
-            t.insert(k, k as u64);
-        }
-        assert!(t.height() >= 2);
-        t.get(5_000);
-        t.range(2_000, 2_200);
-        pool.reset_stats();
-        assert_eq!(t.get(5_000), Some(5_000));
-        assert_eq!(t.range(2_000, 2_200).len(), 201);
-        let locks = pool.lock_stats();
-        assert_eq!(locks.lock_acquisitions, 0, "warm reads must not touch a mutex");
-        assert!(locks.optimistic_hits as u32 >= t.height(), "every page touch was optimistic");
-        assert!(pool.stats().logical_reads > 0, "touches still land on the I/O ledger");
     }
 }
 

@@ -367,31 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_pknn_runs_lock_free() {
-        // PkNN's incremental window enlargement issues many small
-        // interval scans; warm, every one of them must ride the
-        // optimistic read path instead of serializing on pool mutexes.
-        let mut store = PolicyStore::new();
-        for f in 1..=20u64 {
-            store.add(UserId(0), Policy::new(UserId(f), RoleId::FRIEND, WHOLE, ALWAYS));
-        }
-        let t = build(store, 21);
-        for f in 1..=20u64 {
-            t.upsert(still(f, 500.0 + 11.0 * f as f64, 480.0 + 7.0 * f as f64));
-        }
-        let pool = Arc::clone(t.pool());
-        pool.flush_all();
-        pool.clear();
-        let cold = t.pknn(UserId(0), Point::new(500.0, 500.0), 3, 10.0);
-        pool.reset_stats();
-        let warm = t.pknn(UserId(0), Point::new(500.0, 500.0), 3, 10.0);
-        assert_eq!(cold, warm, "read path must not change results");
-        let locks = t.lock_stats();
-        assert_eq!(locks.lock_acquisitions, 0, "warm PkNN must not touch a pool mutex");
-        assert!(locks.optimistic_hits > 0);
-    }
-
-    #[test]
     fn fused_pknn_is_identical_and_cheaper() {
         // Provenance: the per-interval leg (one B+-tree scan per cell
         // flank) on this exact world and query, last measured at commit

@@ -245,35 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_prq_runs_lock_free() {
-        // The point of the optimistic read path: a PRQ over a warm pool
-        // answers without acquiring a single pool mutex, and the answer
-        // matches the one produced while pages were still being faulted
-        // in through the locked path.
-        let mut store = PolicyStore::new();
-        for o in 1..40u64 {
-            store.add(UserId(0), Policy::new(UserId(o), RoleId::FRIEND, WHOLE, ALWAYS));
-        }
-        let t = build(store, 40);
-        for o in 1..40u64 {
-            t.upsert(still(o, (o as f64 * 131.0) % 1000.0, (o as f64 * 47.0) % 1000.0));
-        }
-        let pool = Arc::clone(t.pool());
-        pool.flush_all();
-        pool.clear(); // cold start: nothing resident, nothing published
-        let cold = t.prq(UserId(0), &WHOLE, 10.0);
-        assert!(pool.lock_stats().lock_acquisitions > 0, "cold pass faults pages in");
-
-        pool.reset_stats();
-        let warm = t.prq(UserId(0), &WHOLE, 10.0);
-        assert_eq!(cold, warm, "read path must not change results");
-        let locks = t.lock_stats();
-        assert_eq!(locks.lock_acquisitions, 0, "warm PRQ must not touch a pool mutex");
-        assert!(locks.optimistic_hits > 0, "page touches went through the lock-free path");
-        assert!(t.pool().stats().logical_reads > 0, "touches still land on the I/O ledger");
-    }
-
-    #[test]
     fn fused_prq_is_identical_and_cheaper() {
         // The plan returns the oracle's result set while spending fewer
         // logical page accesses and at most half the descents of the

@@ -298,9 +298,8 @@ impl<L: KeyLayout> ShardedMovingIndex<L> {
     }
 
     /// Locking counters of the shared pool ([`BufferPool::lock_stats`]):
-    /// how many page touches went lock-free vs through a shard mutex —
-    /// the deterministic companion of [`ShardedMovingIndex::io_stats`]
-    /// for the optimistic read path.
+    /// how many shard mutexes the page touches took — the deterministic
+    /// companion of [`ShardedMovingIndex::io_stats`].
     pub fn lock_stats(&self) -> LockStats {
         self.pool.lock_stats()
     }

@@ -14,6 +14,8 @@
 //!   query answers are **identical to a fault-free twin**;
 //! * a fault escaping mid-migration leaves the scan epoch balanced, so
 //!   later scans neither hang nor spin;
+//! * a failed call fetches the bad page once: the fault ladder runs, and
+//!   is ledgered, exactly once per call;
 //! * the whole battery is deterministic run-to-run.
 
 use std::sync::Arc;
@@ -118,6 +120,35 @@ fn scorched_media_surfaces_typed_errors_and_service_recovers() {
     assert_eq!(idx.try_get(UserId(7)).expect("healed"), want_get);
     assert_eq!(scan_all(&idx).expect("healed"), want_scan);
     assert!(pool.fault_stats().surfaced_errors >= 4, "each failure was ledgered");
+}
+
+fn is_bad_sector<T>(r: &Result<T, IndexError>) -> bool {
+    matches!(r, Err(IndexError::Io(IoFault::BadSector { .. })))
+}
+
+#[test]
+fn a_failed_call_walks_the_fault_ladder_once() {
+    // Non-durable, so nothing repairs: every device fetch of a bad sector
+    // is one `bad_sector_reads` and one `surfaced_errors`. A descent that
+    // fails must not fetch the page again on a second path.
+    let (pool, idx) = make(false);
+    populate(&idx);
+    pool.flush_all();
+    pool.clear();
+    scorch_the_media(&pool);
+    let calls: [(&str, &dyn Fn() -> bool); 4] = [
+        ("try_get", &|| is_bad_sector(&idx.try_get(UserId(7)))),
+        ("try_scan_keys", &|| is_bad_sector(&scan_all(&idx))),
+        ("try_upsert", &|| is_bad_sector(&idx.try_upsert(still(7, 500.0, 500.0, 11.0)))),
+        ("try_remove", &|| is_bad_sector(&idx.try_remove(UserId(9)))),
+    ];
+    for (what, call) in calls {
+        let before = pool.fault_stats();
+        assert!(call(), "{what} must fail typed on scorched media");
+        let after = pool.fault_stats();
+        assert_eq!(after.bad_sector_reads - before.bad_sector_reads, 1, "{what}: device fetches");
+        assert_eq!(after.surfaced_errors - before.surfaced_errors, 1, "{what}: surfaced errors");
+    }
 }
 
 /// One deterministic read/update/scan battery; every outcome recorded.

@@ -144,7 +144,7 @@ struct PointRun {
 }
 
 /// The allowed Served-past-deadline overshoot for a plan: one page-visit
-/// epsilon (2 ticks: versioned-read fallback) when clean; fault plans add
+/// epsilon (2 ticks) when clean; fault plans add
 /// the pool's worst in-flight transient backoff (2+4+8 ticks) and up to
 /// four latency spikes of 6 ticks landing inside the final page visit.
 fn overshoot_eps(plan: Plan) -> u64 {

@@ -14,12 +14,9 @@
 //! summing one exact pool-wide ledger; [`pool::BufferPool::new`] pins a
 //! single shard — the paper-exact configuration every frozen benchmark
 //! uses — and [`pool::BufferPool::sharded`] enables the concurrent
-//! configuration. On top of the shards sits a lock-free **versioned read
-//! path**: every resident page can be published in a seqlock-style mirror
-//! and copied out by [`pool::BufferPool::try_read_optimistic`] without
-//! touching any mutex, with the [`pool::LockStats`] ledger counting how
-//! much locking the read path avoided. See the [`pool`] module docs for
-//! the lock ordering, versioning, and determinism contract.
+//! configuration. Every page access takes its shard's mutex, and the
+//! [`pool::LockStats`] ledger counts them. See the [`pool`] module docs
+//! for the lock ordering and determinism contract.
 //!
 //! The device itself is allowed to lie: every physical write seals the
 //! page with a checksum ([`page::Page::seal`]), every physical read
@@ -44,8 +41,8 @@ pub use disk::{
 };
 pub use page::{seal64, Page, PageId, ReadOutcome, PAGE_SIZE, PAGE_WORDS};
 pub use pool::{
-    default_shard_count, BufferPool, FaultStats, IoStats, LockStats, OptimisticRead, PageSnapshot,
-    RedoScope, TRANSIENT_RETRIES,
+    default_shard_count, BufferPool, FaultStats, IoStats, LockStats, PageSnapshot, RedoScope,
+    TRANSIENT_RETRIES,
 };
 pub use wal::{
     recover, CrashInjector, CrashPoint, TreeOpKind, TreeRedo, Wal, WalRecord, WalRecovery,

@@ -20,8 +20,7 @@ impl PageId {
     }
 }
 
-/// Number of machine words ([`u64`]) in a page; the versioned-read mirror
-/// copies pages word-at-a-time through atomics at this granularity.
+/// Number of machine words ([`u64`]) in a page ([`Page::word`]).
 pub const PAGE_WORDS: usize = PAGE_SIZE / 8;
 
 /// Lane multiplier of [`seal64`] (2⁶⁴ / φ, odd — so multiplying by it is a
@@ -215,11 +214,10 @@ impl Page {
 
     /// Word `i` of the page in native endianness (`i < `[`PAGE_WORDS`]).
     ///
-    /// Words are an opaque transport format for whole-page copies (the
-    /// versioned-read mirror stores pages as atomic words); they round-trip
-    /// through [`Page::set_word`] bit-exactly on any platform but carry no
-    /// cross-platform meaning of their own — use the little-endian scalar
-    /// accessors for field access.
+    /// Words are an opaque transport format for whole-page images; they
+    /// round-trip through [`Page::set_word`] bit-exactly on any platform
+    /// but carry no cross-platform meaning of their own — use the
+    /// little-endian scalar accessors for field access.
     #[inline]
     pub fn word(&self, i: usize) -> u64 {
         u64::from_ne_bytes(self.data[i * 8..i * 8 + 8].try_into().unwrap())
@@ -229,19 +227,6 @@ impl Page {
     #[inline]
     pub fn set_word(&mut self, i: usize, w: u64) {
         self.data[i * 8..i * 8 + 8].copy_from_slice(&w.to_ne_bytes());
-    }
-
-    /// Fill the whole page from an atomic word image of length
-    /// [`PAGE_WORDS`] (relaxed loads — callers supply the fences, see the
-    /// pool's mirror). The bulk loop is what makes a 4 KB optimistic copy
-    /// cheap; per-word [`Page::set_word`] calls cost an order of magnitude
-    /// more in unoptimized builds.
-    #[inline]
-    pub fn load_atomic_words(&mut self, words: &[std::sync::atomic::AtomicU64]) {
-        debug_assert_eq!(words.len(), PAGE_WORDS);
-        for (chunk, w) in self.data.chunks_exact_mut(8).zip(words) {
-            chunk.copy_from_slice(&w.load(std::sync::atomic::Ordering::Relaxed).to_ne_bytes());
-        }
     }
 
     /// [`seal64`] of the full 4 KB content — the page's **seal**: any
@@ -263,17 +248,6 @@ impl Page {
     #[inline]
     pub fn verify(&self, seal: u64) -> bool {
         self.seal() == seal
-    }
-
-    /// Publish the whole page into an atomic word image of length
-    /// [`PAGE_WORDS`] (relaxed stores — callers supply the fences).
-    #[inline]
-    pub fn store_atomic_words(&self, words: &[std::sync::atomic::AtomicU64]) {
-        debug_assert_eq!(words.len(), PAGE_WORDS);
-        for (chunk, w) in self.data.chunks_exact(8).zip(words) {
-            let v = u64::from_ne_bytes(chunk.try_into().unwrap());
-            w.store(v, std::sync::atomic::Ordering::Relaxed);
-        }
     }
 }
 

@@ -1,25 +1,13 @@
-//! Sharded LRU buffer pool with a lock-free optimistic read path in front
-//! of the simulated disk.
+//! Sharded LRU buffer pool in front of the simulated disk.
 //!
-//! The pool is the unit both indexes talk to, and — since the index cores
-//! went lock-per-partition — it is the hottest shared state in the system:
-//! every page touch, even a buffer hit, must update LRU recency and the
-//! I/O counters. Two mechanisms keep that off the global critical path:
-//!
-//! 1. **Lock sharding** (PR 3): a [`PageId`] hashes to one of N lock
-//!    shards (N a power of two), each owning its own frame table (its
-//!    slice of the frame budget), its own LRU clock, and its own slice of
-//!    the [`IoStats`] ledger. A locked hit takes exactly one mutex — the
-//!    owning shard's — and hits on different shards never contend.
-//! 2. **Versioned pages** (this PR): beside each shard's mutex sits a
-//!    lock-free *mirror* of its resident pages, each published
-//!    under a seqlock-style version counter (even = stable, odd = write
-//!    in progress; bumped by [`BufferPool::write`] and eviction).
-//!    [`BufferPool::try_read_optimistic`] copies a page out **under no
-//!    lock**, validating the version before and after the copy, so a
-//!    warm read-mostly workload stops acquiring mutexes at all; the
-//!    locked [`BufferPool::read`] remains the universal fallback. The
-//!    [`LockStats`] ledger counts how often each path ran.
+//! The pool is the unit both indexes talk to: every page touch, even a
+//! buffer hit, updates LRU recency and the I/O counters. **Lock sharding**
+//! keeps that off a global critical path: a [`PageId`] hashes to one of N
+//! lock shards (N a power of two), each owning its own frame table (its
+//! slice of the frame budget), its own LRU clock, and its own slice of the
+//! [`IoStats`] ledger. Every page access — hit or miss, read or write —
+//! takes exactly one mutex, the owning shard's, and accesses to different
+//! shards never contend. [`LockStats`] counts the acquisitions.
 //!
 //! Only a **miss** (or a dirty eviction) additionally takes the shared
 //! disk lock, mirroring the real-world cost structure where hits are
@@ -34,27 +22,15 @@
 //! one shard lock (the log owns its own disk region and never touches
 //! shards or the data disk), so the hierarchy is acyclic and
 //! deadlock-free. (Index-level locks sit *above* all three: index shard →
-//! pool shard → wal → disk.) The optimistic path acquires nothing, so it
-//! cannot participate in a cycle.
+//! pool shard → wal → disk.)
 //!
 //! # Determinism and the paper's I/O ledger
 //!
-//! [`BufferPool::stats`] sums the per-shard counters (locked and
-//! optimistic), so the paper's single I/O ledger stays exact regardless
-//! of the shard count or the read path taken: a successful optimistic
-//! read counts one logical read and zero physical reads — exactly what
-//! the locked read of the same resident page would have counted — and a
-//! failed attempt counts nothing (the locked fallback that follows does
-//! the counting). That makes any single-threaded execution ledger-
-//! identical to its locked-only equivalent. Under *concurrent* page
-//! writers a traversal that restarts after a mid-descent version
-//! conflict legitimately re-counts the pages it re-reads — those touches
-//! really happen — so logical counts can exceed a hypothetical
-//! conflict-free serial replay; physical counts still reflect actual
-//! disk traffic. Optimistic touches also advance the shard's LRU clock
-//! and record their recency in the mirror, which eviction folds back in,
-//! so the single-shard default configuration makes byte-for-byte the
-//! same eviction decisions as the seed single-mutex pool
+//! [`BufferPool::stats`] sums the per-shard counters, so the paper's
+//! single I/O ledger stays exact regardless of the shard count. Every
+//! touch takes a distinct tick of its shard's LRU clock, so the
+//! single-shard default configuration makes byte-for-byte the same
+//! eviction decisions as the seed single-mutex pool
 //! (`crates/bench/tests/frozen_io.rs` pins this). Across *different*
 //! shard counts the counters legitimately differ — N shards are N
 //! independent LRU domains — which is why the frozen benchmark
@@ -68,21 +44,18 @@
 //! remainder goes to the lowest-numbered shards). The shard count is
 //! clamped so every shard owns at least one frame.
 
-mod mirror;
 mod shard;
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use peb_common::clock::TickClock;
 
 use crate::disk::{DiskSim, FaultInjector, IoFault, LatencyInjector};
 use crate::page::{Page, PageId};
 use crate::wal::{CrashInjector, CrashPoint, Wal, WalRecord, WalStats};
-use mirror::{Mirror, TryRead};
 use shard::{Frame, PoolShard};
 
 /// How many times a transient device error is retried before it surfaces
@@ -103,7 +76,7 @@ pub struct IoStats {
     pub physical_reads: u64,
     /// Dirty pages written back on eviction or flush.
     pub physical_writes: u64,
-    /// All page requests, hits included (locked and optimistic alike).
+    /// All page requests, hits included.
     pub logical_reads: u64,
 }
 
@@ -145,29 +118,23 @@ impl IoStats {
     }
 }
 
-/// Locking counters accumulated by a [`BufferPool`] — the machine-
-/// independent signal of how much locking the read path avoids (wall-clock
-/// scaling needs cores; these counters are exact on any box).
-///
-/// Successful optimistic reads and shard-mutex acquisitions are mutually
-/// exclusive events: a page touch is either an `optimistic_hit` (zero
-/// locks) or part of a `lock_acquisitions` (one shard mutex). Failed
-/// optimistic attempts are classified as `optimistic_retries` (version
-/// conflict — a writer raced the copy) or `locked_fallbacks` (the page was
-/// not published, e.g. not resident) and are always followed by a locked
-/// access that does the I/O accounting.
+/// Locking counters accumulated by a [`BufferPool`]: how many shard
+/// mutexes the data path took (exact on any box, unlike wall-clock
+/// contention).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStats {
-    /// Successful lock-free page reads (no mutex touched).
+    /// Shim, always 0: the lock-free read path is gone.
+    /// `e2e/src/adapter.rs` is the only reader; the next `benchmark` PR
+    /// deletes this field.
     pub optimistic_hits: u64,
-    /// Optimistic attempts aborted by a concurrent version change.
+    /// Shim, always 0, as above.
     pub optimistic_retries: u64,
-    /// Optimistic attempts that found the page unpublished and deferred
-    /// to the locked path.
+    /// Shim, always 0, as above.
     pub locked_fallbacks: u64,
     /// Shard-mutex acquisitions by the data path ([`BufferPool::read`],
-    /// [`BufferPool::write`], [`BufferPool::allocate`]); administrative
-    /// sweeps (`stats`, `flush_all`, `clear`, …) are not counted.
+    /// [`BufferPool::write`], [`BufferPool::allocate`],
+    /// [`BufferPool::try_read_snapshot`]); administrative sweeps (`stats`,
+    /// `flush_all`, `clear`, …) are not counted.
     pub lock_acquisitions: u64,
     /// Shim, always 0: the page latches are gone. `e2e/src/adapter.rs` is
     /// the only reader; the next `benchmark` PR deletes this field.
@@ -180,27 +147,9 @@ impl LockStats {
     /// Element-wise sum of two counter sets (shard aggregation).
     pub fn merged(&self, other: &LockStats) -> LockStats {
         LockStats {
-            optimistic_hits: self.optimistic_hits + other.optimistic_hits,
-            optimistic_retries: self.optimistic_retries + other.optimistic_retries,
-            locked_fallbacks: self.locked_fallbacks + other.locked_fallbacks,
             lock_acquisitions: self.lock_acquisitions + other.lock_acquisitions,
             ..LockStats::default()
         }
-    }
-
-    /// All optimistic attempts, successful or not.
-    pub fn optimistic_attempts(&self) -> u64 {
-        self.optimistic_hits + self.optimistic_retries + self.locked_fallbacks
-    }
-
-    /// Fraction of optimistic attempts that succeeded (`1.0` when none
-    /// were made, mirroring [`IoStats::hit_ratio`]'s convention).
-    pub fn optimistic_hit_rate(&self) -> f64 {
-        let attempts = self.optimistic_attempts();
-        if attempts == 0 {
-            return 1.0;
-        }
-        self.optimistic_hits as f64 / attempts as f64
     }
 }
 
@@ -277,37 +226,17 @@ impl FaultCounters {
     }
 }
 
-/// Outcome of a versioned lock-free read attempt
-/// ([`BufferPool::read_versioned`]).
-pub enum OptimisticRead<R> {
-    /// The closure ran on a consistent snapshot published at this (even)
-    /// version; re-check it later with [`BufferPool::read_version`] to
-    /// detect intervening writes (optimistic lock coupling).
-    Hit(R, u64),
-    /// The page is not published lock-free (not resident, displaced from
-    /// its mirror slot by a colliding page, or optimistic reads are
-    /// disabled on this pool). Fall back to [`BufferPool::read`].
-    Unpublished,
-    /// A concurrent writer raced the copy; retry or fall back.
-    Conflict,
-}
-
-/// A cached copy of one page plus the mirror version it was published
-/// at — the unit a descent-path cursor caches and revalidates
-/// ([`BufferPool::try_read_snapshot`] / [`BufferPool::snapshot_valid`]).
+/// A private copy of one page — the unit a descent-path cursor caches
+/// ([`BufferPool::try_read_snapshot`]).
 ///
 /// Fused multi-interval scans keep one snapshot per B+-tree level so that
 /// re-routing to a nearby key can reuse the upper-level pages already in
-/// hand: as long as [`BufferPool::snapshot_valid`] holds, the cached copy
-/// is bit-identical to the published page and consulting it costs no pool
-/// traffic at all (no lock, no logical read). A snapshot taken through
-/// the locked fallback carries no version and is never revalidatable —
-/// it is good for the single use it was taken for.
+/// hand: consulting the copy costs no pool traffic at all (no lock, no
+/// logical read). The pool never revalidates a copy; the caller decides
+/// how long one stays current (a scan's copies do for as long as the scan
+/// excludes the tree's writers).
 pub struct PageSnapshot {
     pid: PageId,
-    /// Publication version the copy was validated at; `None` when the
-    /// copy came from the locked path (cannot be revalidated later).
-    version: Option<u64>,
     page: Page,
 }
 
@@ -315,7 +244,7 @@ impl PageSnapshot {
     /// An empty snapshot (refers to no page until filled by
     /// [`BufferPool::try_read_snapshot`]).
     pub fn new() -> Self {
-        PageSnapshot { pid: PageId::INVALID, version: None, page: Page::new() }
+        PageSnapshot { pid: PageId::INVALID, page: Page::new() }
     }
 
     /// The page this snapshot copied (`PageId::INVALID` before first use).
@@ -324,16 +253,9 @@ impl PageSnapshot {
     }
 
     /// The cached page image. Only meaningful after a successful
-    /// [`BufferPool::try_read_snapshot`], and only trustworthy for *reuse*
-    /// while [`BufferPool::snapshot_valid`] holds.
+    /// [`BufferPool::try_read_snapshot`].
     pub fn page(&self) -> &Page {
         &self.page
-    }
-
-    /// Whether the copy was taken lock-free with a publication version
-    /// (the precondition for ever passing [`BufferPool::snapshot_valid`]).
-    pub fn is_versioned(&self) -> bool {
-        self.version.is_some()
     }
 }
 
@@ -370,74 +292,16 @@ impl Drop for RedoScope {
     }
 }
 
-/// One lock shard: the mutex-protected half plus the lock-free half.
-struct ShardState {
-    /// Frame table and locked-path I/O counters.
-    shard: Mutex<PoolShard>,
-    /// The shard's LRU clock. Atomic (not inside the mutex) because
-    /// optimistic hits advance it without locking; every touch — locked
-    /// or optimistic — gets a distinct tick, which keeps eviction
-    /// deterministic.
-    tick: AtomicU64,
-    /// The versioned page mirror optimistic reads copy from.
-    mirror: Mirror,
-    /// Logical reads performed by successful optimistic reads (summed
-    /// into [`IoStats::logical_reads`] by `stats()`).
-    opt_logical: AtomicU64,
-    /// [`LockStats::optimistic_hits`] slice.
-    opt_hits: AtomicU64,
-    /// [`LockStats::optimistic_retries`] slice.
-    opt_conflicts: AtomicU64,
-    /// [`LockStats::locked_fallbacks`] slice.
-    opt_fallbacks: AtomicU64,
-    /// [`LockStats::lock_acquisitions`] slice.
-    lock_acqs: AtomicU64,
-}
-
-impl ShardState {
-    fn new(capacity: usize, shard_bits: u32) -> Self {
-        ShardState {
-            shard: Mutex::new(PoolShard::new(capacity)),
-            tick: AtomicU64::new(0),
-            mirror: Mirror::new(capacity, shard_bits),
-            opt_logical: AtomicU64::new(0),
-            opt_hits: AtomicU64::new(0),
-            opt_conflicts: AtomicU64::new(0),
-            opt_fallbacks: AtomicU64::new(0),
-            lock_acqs: AtomicU64::new(0),
-        }
-    }
-
-    fn lock_stats(&self) -> LockStats {
-        LockStats {
-            optimistic_hits: self.opt_hits.load(Ordering::Relaxed),
-            optimistic_retries: self.opt_conflicts.load(Ordering::Relaxed),
-            locked_fallbacks: self.opt_fallbacks.load(Ordering::Relaxed),
-            lock_acquisitions: self.lock_acqs.load(Ordering::Relaxed),
-            ..LockStats::default()
-        }
-    }
-}
-
-thread_local! {
-    /// Reusable per-thread scratch page for optimistic copies, so the
-    /// lock-free hot path allocates nothing.
-    static SCRATCH: RefCell<Page> = RefCell::new(Page::new());
-}
-
 /// The shared buffer manager: a sharded LRU page cache over a
-/// [`DiskSim`]. See the [module docs](self) for the sharding, locking,
-/// versioned-read, and determinism contract.
+/// [`DiskSim`]. See the [module docs](self) for the sharding, locking
+/// and determinism contract.
 pub struct BufferPool {
     /// The lock shards; length is always a power of two.
-    shards: Box<[ShardState]>,
+    shards: Box<[Mutex<PoolShard>]>,
     /// `shards.len() - 1`, used to mask a page id onto its shard.
     shard_mask: usize,
     /// Total frame budget across all shards.
     total_capacity: usize,
-    /// Whether the lock-free read path is active (it is by default;
-    /// [`BufferPool::optimistic`] opts out for A/B measurements).
-    optimistic_reads: bool,
     /// The simulated disk, behind its own lock **below** every shard lock.
     disk: Mutex<DiskSim>,
     /// Whether the write-ahead-log protocol is active. An atomic flag so
@@ -522,10 +386,9 @@ impl BufferPool {
         while n > capacity {
             n >>= 1;
         }
-        let shard_bits = n.trailing_zeros();
         let (base, rem) = (capacity / n, capacity % n);
-        let shards: Box<[ShardState]> =
-            (0..n).map(|i| ShardState::new(base + usize::from(i < rem), shard_bits)).collect();
+        let shards: Box<[Mutex<PoolShard>]> =
+            (0..n).map(|i| Mutex::new(PoolShard::new(base + usize::from(i < rem)))).collect();
         let clock = TickClock::new();
         let mut disk = DiskSim::new();
         disk.set_clock(clock.clone());
@@ -533,7 +396,6 @@ impl BufferPool {
             shards,
             shard_mask: n - 1,
             total_capacity: capacity,
-            optimistic_reads: true,
             disk: Mutex::new(disk),
             durable: AtomicBool::new(false),
             wal: Mutex::new(None),
@@ -543,23 +405,6 @@ impl BufferPool {
             faults: FaultCounters::default(),
             clock,
         }
-    }
-
-    /// Toggle the lock-free read path (builder-style, before the pool is
-    /// shared). With optimistic reads off, [`BufferPool::read_versioned`]
-    /// always reports [`OptimisticRead::Unpublished`] without counting any
-    /// optimistic traffic, so every read takes the locked path — the
-    /// configuration the `BENCH_optreads.json` experiment compares
-    /// against. I/O counters are identical either way; only [`LockStats`]
-    /// differs.
-    pub fn optimistic(mut self, enabled: bool) -> Self {
-        self.optimistic_reads = enabled;
-        self
-    }
-
-    /// Whether the lock-free read path is active on this pool.
-    pub fn optimistic_reads_enabled(&self) -> bool {
-        self.optimistic_reads
     }
 
     /// The shard a page id maps to: the id's low bits. Pages are
@@ -591,13 +436,11 @@ impl BufferPool {
                 wal.mark_preimaged(pid);
             }
         }
-        let state = &self.shards[self.shard_of(pid)];
-        state.lock_acqs.fetch_add(1, Ordering::Relaxed);
-        let s = &mut *state.shard.lock();
+        let s = &mut *self.lock_shard(pid);
         if s.table.is_full() {
-            self.evict_one(state, s);
+            self.evict_one(s);
         }
-        let tick = state.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let tick = s.next_tick();
         s.table.insert(
             pid,
             Frame {
@@ -609,16 +452,20 @@ impl BufferPool {
                 pinned: false,
             },
         );
-        if self.optimistic_reads {
-            Self::publish_locked(state, s, pid, true, tick);
-        }
         pid
     }
 
+    /// Lock `pid`'s shard for a data-path access, counting the
+    /// acquisition in [`LockStats::lock_acquisitions`].
+    fn lock_shard(&self, pid: PageId) -> MutexGuard<'_, PoolShard> {
+        let mut s = self.shards[self.shard_of(pid)].lock();
+        s.lock_acquisitions += 1;
+        s
+    }
+
     /// Read access to a page through the buffer, taking the owning
-    /// shard's lock (a hit touches nothing else). This is the universal
-    /// fallback of the lock-free [`BufferPool::try_read_optimistic`] and
-    /// the only read path that can fault a page in from disk.
+    /// shard's lock (a hit touches nothing else); a miss faults the page
+    /// in from disk.
     ///
     /// Panics if the fetch hits a media fault the retry/repair machinery
     /// cannot resolve — use [`BufferPool::try_read`] where a typed error
@@ -633,12 +480,10 @@ impl BufferPool {
     /// durable mode, and anything unresolvable comes back as a typed
     /// [`IoFault`] instead of a panic.
     pub fn try_read<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, IoFault> {
-        self.try_with_page(pid, false, |page| f(page))
+        Ok(self.try_with_page(pid, false, |page| f(page))?.0)
     }
 
-    /// Write access to a page through the buffer; marks the frame dirty
-    /// and republishes the page's mirror image under a bumped version, so
-    /// in-flight optimistic readers of the old image fail validation.
+    /// Write access to a page through the buffer; marks the frame dirty.
     ///
     /// Panics on an unresolvable media fault (see [`BufferPool::read`]);
     /// [`BufferPool::try_write`] is the fallible form.
@@ -649,68 +494,14 @@ impl BufferPool {
     /// Fallible [`BufferPool::write`] (the fault can only arise while
     /// faulting the page *in* — the write-back itself is asynchronous).
     pub fn try_write<R>(&self, pid: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R, IoFault> {
-        self.try_with_page(pid, true, f)
+        Ok(self.try_with_page(pid, true, f)?.0)
     }
 
-    /// Lock-free versioned read: run `f` on a consistent copy of `pid`
-    /// without acquiring any lock, returning the copy's publication
-    /// version for later revalidation ([`BufferPool::read_version`]) —
-    /// the primitive optimistic lock coupling builds on.
-    ///
-    /// On [`OptimisticRead::Hit`] the touch is accounted exactly like a
-    /// locked buffer hit (one logical read, LRU recency advanced); failed
-    /// attempts count nothing toward [`IoStats`] so the locked fallback's
-    /// accounting keeps the ledger identical to a locked-only execution.
-    pub fn read_versioned<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> OptimisticRead<R> {
-        if !self.optimistic_reads {
-            return OptimisticRead::Unpublished;
-        }
-        let state = &self.shards[self.shard_of(pid)];
-        let outcome = SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => Self::attempt(state, pid, &mut scratch, f),
-            // `f` of an outer optimistic read is itself reading
-            // optimistically; give the nested copy its own page instead
-            // of aliasing the scratch buffer.
-            Err(_) => Self::attempt(state, pid, &mut Page::new(), f),
-        });
-        match outcome {
-            OptimisticRead::Hit(..) => {
-                let tick = state.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                state.mirror.touch(pid, tick);
-                state.opt_logical.fetch_add(1, Ordering::Relaxed);
-                state.opt_hits.fetch_add(1, Ordering::Relaxed);
-                self.clock.advance(1);
-            }
-            OptimisticRead::Unpublished => {
-                state.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-            OptimisticRead::Conflict => {
-                state.opt_conflicts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        outcome
-    }
-
-    fn attempt<R>(
-        state: &ShardState,
-        pid: PageId,
-        scratch: &mut Page,
-        f: impl FnOnce(&Page) -> R,
-    ) -> OptimisticRead<R> {
-        match state.mirror.try_read(pid, scratch) {
-            TryRead::Hit(version) => OptimisticRead::Hit(f(scratch), version),
-            TryRead::Unpublished => OptimisticRead::Unpublished,
-            TryRead::Conflict => OptimisticRead::Conflict,
-        }
-    }
-
-    /// Fill `snap` with a consistent copy of `pid` — the read primitive of
-    /// descent-path cursors. Tries the lock-free versioned path first
-    /// (retrying a transient conflict once) and falls back to the locked
-    /// read; either way the touch lands on the I/O ledger exactly like any
-    /// other page read. Returns `true` when the copy carries a publication
-    /// version, i.e. it can later pass [`BufferPool::snapshot_valid`] and
-    /// be *reused* without further pool traffic.
+    /// Fill `snap` with a copy of `pid`, taken under the shard lock — the
+    /// read primitive of descent-path cursors. The touch lands on the I/O
+    /// ledger exactly like any other page read; reusing the copy later
+    /// costs nothing. Returns whether the read was a buffer hit (`false`:
+    /// the page was faulted in from the device).
     ///
     /// ```
     /// use peb_storage::{BufferPool, PageSnapshot};
@@ -720,81 +511,16 @@ impl BufferPool {
     /// pool.write(pid, |p| p.put_u64(0, 7));
     ///
     /// let mut snap = PageSnapshot::new();
-    /// assert!(pool.try_read_snapshot(pid, &mut snap).unwrap(), "resident page is published");
-    /// assert_eq!(snap.page().get_u64(0), 7);
-    /// assert!(pool.snapshot_valid(&snap), "nothing changed: reuse is free");
+    /// assert!(pool.try_read_snapshot(pid, &mut snap).unwrap(), "resident: a hit");
+    /// assert_eq!((snap.pid(), snap.page().get_u64(0)), (pid, 7));
     /// pool.write(pid, |p| p.put_u64(0, 8));
-    /// assert!(!pool.snapshot_valid(&snap), "a write invalidates the cached copy");
+    /// assert_eq!(snap.page().get_u64(0), 7, "a private copy: writes do not reach it");
     /// ```
-    ///
-    /// The lock-free attempt never touches the device (the mirror only
-    /// ever publishes verified, frame-resident pages), so a fault can only
-    /// arise in the locked fallback's fetch — and surfaces typed.
     pub fn try_read_snapshot(&self, pid: PageId, snap: &mut PageSnapshot) -> Result<bool, IoFault> {
-        snap.pid = pid;
-        snap.version = None;
-        if self.optimistic_reads {
-            let state = &self.shards[self.shard_of(pid)];
-            // A conflict needs a writer mid-publication; one retry rides
-            // out the transient, then the locked path settles it.
-            for _ in 0..2 {
-                match state.mirror.try_read(pid, &mut snap.page) {
-                    TryRead::Hit(version) => {
-                        let tick = state.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                        state.mirror.touch(pid, tick);
-                        state.opt_logical.fetch_add(1, Ordering::Relaxed);
-                        state.opt_hits.fetch_add(1, Ordering::Relaxed);
-                        self.clock.advance(1);
-                        snap.version = Some(version);
-                        return Ok(true);
-                    }
-                    TryRead::Unpublished => {
-                        state.opt_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    TryRead::Conflict => {
-                        state.opt_conflicts.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
         let copy = &mut snap.page;
-        self.try_read(pid, |p| copy.clone_from(p))?;
-        Ok(false)
-    }
-
-    /// Whether `snap`'s cached copy is still current: the page is still
-    /// published at the very version the copy was taken at. A locked
-    /// (version-less) snapshot never validates, nor does a page that was
-    /// evicted, displaced from its mirror slot, or rewritten since — the
-    /// cursor must then re-read through the pool.
-    pub fn snapshot_valid(&self, snap: &PageSnapshot) -> bool {
-        match snap.version {
-            Some(v) => self.read_version(snap.pid) == Some(v),
-            None => false,
-        }
-    }
-
-    /// Lock-free read without version plumbing: `Some(r)` when a
-    /// consistent snapshot was read (validated before use), `None` when
-    /// the caller must retry or fall back to the locked
-    /// [`BufferPool::read`].
-    pub fn try_read_optimistic<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> Option<R> {
-        match self.read_versioned(pid, f) {
-            OptimisticRead::Hit(r, _) => Some(r),
-            OptimisticRead::Unpublished | OptimisticRead::Conflict => None,
-        }
-    }
-
-    /// The stable version `pid` is currently published at, or `None` if
-    /// it is unpublished, mid-write, or optimistic reads are disabled.
-    /// Lock-free; used to revalidate a parent page after following a
-    /// child pointer read from its snapshot.
-    pub fn read_version(&self, pid: PageId) -> Option<u64> {
-        if !self.optimistic_reads {
-            return None;
-        }
-        self.shards[self.shard_of(pid)].mirror.version_of(pid)
+        let (_, hit) = self.try_with_page(pid, false, |p| copy.clone_from(p))?;
+        snap.pid = pid;
+        Ok(hit)
     }
 
     /// Fetch one page from the device, absorbing what the fault layer can:
@@ -891,8 +617,9 @@ impl BufferPool {
     /// mode a dirtying access logs the page's pre-image (first write since
     /// the last checkpoint only) before `f` and, unless a
     /// [`RedoScope`] is open, its full post-image after, stamping the
-    /// frame — and the mirror — with the LSN the log must reach before the
-    /// frame may be written back.
+    /// frame with the LSN the log must reach before the frame may be
+    /// written back. Returns `f`'s result and whether the access was a
+    /// buffer hit.
     ///
     /// A miss goes through [`BufferPool::fetch_verified`]; an
     /// unresolvable media fault aborts before any frame state changes
@@ -903,17 +630,15 @@ impl BufferPool {
         pid: PageId,
         mark_dirty: bool,
         f: impl FnOnce(&mut Page) -> R,
-    ) -> Result<R, IoFault> {
-        let state = &self.shards[self.shard_of(pid)];
-        state.lock_acqs.fetch_add(1, Ordering::Relaxed);
-        let s = &mut *state.shard.lock();
-        let tick = state.tick.fetch_add(1, Ordering::Relaxed) + 1;
+    ) -> Result<(R, bool), IoFault> {
+        let s = &mut *self.lock_shard(pid);
+        let tick = s.next_tick();
         s.stats.logical_reads += 1;
         self.clock.advance(1);
-        let mut content_changed = mark_dirty;
-        if !s.table.contains(pid) {
+        let hit = s.table.contains(pid);
+        if !hit {
             if s.table.is_full() {
-                self.evict_one(state, s);
+                self.evict_one(s);
             }
             let (page, pinned) = self.fetch_verified(pid)?;
             // One physical read on the pool ledger regardless of how many
@@ -923,7 +648,6 @@ impl BufferPool {
                 pid,
                 Frame { page, dirty: false, last_used: 0, lsn: 0, imaged: false, pinned },
             );
-            content_changed = true;
         }
         let frame = s
             .table
@@ -933,8 +657,7 @@ impl BufferPool {
         if mark_dirty {
             frame.dirty = true;
         }
-        let durable = mark_dirty && self.durable.load(Ordering::Relaxed);
-        let r = if durable {
+        let r = if mark_dirty && self.durable.load(Ordering::Relaxed) {
             // Shard lock is held; the wal lock nests under it (see the
             // field docs). Log-before-page: the pre-image (and a physical
             // post-image) are in the log stream before the frame can ever
@@ -960,57 +683,20 @@ impl BufferPool {
         } else {
             f(&mut frame.page)
         };
-        if self.optimistic_reads {
-            let lsn = frame.lsn;
-            Self::publish_locked(state, s, pid, content_changed, tick);
-            if durable {
-                state.mirror.set_lsn(pid, lsn);
-            }
-        }
-        Ok(r)
-    }
-
-    /// Publish `pid`'s current frame contents to the shard mirror (caller
-    /// holds the shard lock). `force` republishes even when the slot
-    /// already holds `pid` (required after any content change); otherwise
-    /// an already-published page is left at its current version so
-    /// concurrent optimistic readers are not needlessly invalidated. When
-    /// the slot was occupied by a different page, that page's optimistic
-    /// recency is folded back into its frame so eviction keeps seeing it.
-    fn publish_locked(state: &ShardState, s: &mut PoolShard, pid: PageId, force: bool, tick: u64) {
-        if !force && state.mirror.holds(pid) {
-            return;
-        }
-        let displaced = {
-            // Invariant, not fault-reachable: every caller publishes a pid
-            // it just inserted or touched under this same shard lock.
-            let page = &s.table.get(pid).expect("published page resident").page;
-            state.mirror.publish(pid, page, tick)
-        };
-        if let Some((old_pid, recency)) = displaced {
-            if let Some(frame) = s.table.get_mut(old_pid) {
-                frame.last_used = frame.last_used.max(recency);
-            }
-        }
+        Ok((r, hit))
     }
 
     /// Evict the shard's LRU frame, writing it back (counted) if dirty.
     /// Caller holds the shard lock; the wal and disk locks are taken
-    /// below it ([`BufferPool::write_back`]). Victim selection folds in
-    /// optimistic-touch recency from the mirror so lock-free hits protect
-    /// hot pages exactly like locked hits.
-    fn evict_one(&self, state: &ShardState, s: &mut PoolShard) {
-        let mirror = &state.mirror;
-        let Some((vpid, mut frame)) =
-            s.table.take_victim_by(|pid, f| f.last_used.max(mirror.recency_of(pid).unwrap_or(0)))
-        else {
+    /// below it ([`BufferPool::write_back`]).
+    fn evict_one(&self, s: &mut PoolShard) {
+        let Some((vpid, mut frame)) = s.table.take_victim() else {
             // Reachable under faults: every resident frame is pinned
             // (quarantined), so there is nothing safe to evict — the
             // caller's insert transiently exceeds the shard budget
             // instead of dropping a page whose disk sector is bad.
             return;
         };
-        mirror.invalidate(vpid);
         if frame.dirty {
             self.write_back(&mut s.stats, vpid, &mut frame);
         }
@@ -1042,9 +728,8 @@ impl BufferPool {
     }
 
     /// Write every dirty frame back to disk (counted), keeping residency;
-    /// returns how many pages were flushed. Page contents do not change,
-    /// so mirror versions are left alone and concurrent optimistic readers
-    /// stay valid. Frames flush in ascending page-id order per shard, so
+    /// returns how many pages were flushed. Frames flush in ascending
+    /// page-id order per shard, so
     /// the write sequence is deterministic. In durable mode each data
     /// write is preceded by forcing the log durable up to the frame's LSN.
     ///
@@ -1064,8 +749,8 @@ impl BufferPool {
     /// ```
     pub fn flush_all(&self) -> usize {
         let mut flushed = 0;
-        for state in self.shards.iter() {
-            let s = &mut *state.shard.lock();
+        for shard in self.shards.iter() {
+            let s = &mut *shard.lock();
             for pid in s.table.sorted_pids() {
                 // Invariant, not fault-reachable: sorted_pids listed this
                 // pid under the same shard lock we still hold.
@@ -1086,20 +771,17 @@ impl BufferPool {
     /// disk yet, across all shards — the work [`BufferPool::flush_all`]
     /// (and therefore a checkpoint) would have to do right now.
     pub fn dirty_page_count(&self) -> usize {
-        self.shards.iter().map(|st| st.shard.lock().table.dirty_count()).sum()
+        self.shards.iter().map(|s| s.lock().table.dirty_count()).sum()
     }
 
     /// Drop every unpinned frame (writing back dirty ones, in ascending
     /// page-id order). Used by experiments to cold-start the buffer
-    /// between measurement rounds. Every mirror slot is unpublished and
-    /// its version forced to a fresh even value, so no slot can stay
-    /// poisoned for future optimistic readers. Quarantined (pinned)
-    /// frames stay resident: their disk sector holds bad bytes, so the
+    /// between measurement rounds. Quarantined (pinned) frames stay
+    /// resident: their disk sector holds bad bytes, so the
     /// in-memory copy is the page.
     pub fn clear(&self) {
-        for state in self.shards.iter() {
-            let s = &mut *state.shard.lock();
-            state.mirror.reset();
+        for shard in self.shards.iter() {
+            let s = &mut *shard.lock();
             let mut frames = s.table.drain_evictable();
             frames.sort_unstable_by_key(|(pid, _)| *pid);
             for (pid, mut frame) in frames {
@@ -1146,8 +828,8 @@ impl BufferPool {
                     *wal = Some(Wal::new());
                 }
             }
-            for state in self.shards.iter() {
-                let s = &mut *state.shard.lock();
+            for shard in self.shards.iter() {
+                let s = &mut *shard.lock();
                 for pid in s.table.sorted_pids() {
                     let frame = s.table.get_mut(pid).expect("listed frame resident");
                     if !frame.dirty {
@@ -1168,7 +850,6 @@ impl BufferPool {
                     };
                     frame.lsn = lsn;
                     frame.imaged = true;
-                    state.mirror.set_lsn(pid, lsn);
                 }
             }
         }
@@ -1235,17 +916,9 @@ impl BufferPool {
     /// read-repair), ascending across shards.
     pub fn quarantined_pages(&self) -> Vec<PageId> {
         let mut pids: Vec<PageId> =
-            self.shards.iter().flat_map(|st| st.shard.lock().table.pinned_pids()).collect();
+            self.shards.iter().flat_map(|s| s.lock().table.pinned_pids()).collect();
         pids.sort_unstable();
         pids
-    }
-
-    /// The page LSN published for `pid` in its shard mirror, if any —
-    /// lock-free, exact when quiesced: how far the log must be durable
-    /// before the page may be written back. `Some(0)` means the page is
-    /// published and nothing in the log has to precede its write-back.
-    pub fn page_lsn(&self, pid: PageId) -> Option<u64> {
-        self.shards[self.shard_of(pid)].mirror.lsn_of(pid)
     }
 
     /// Take a fuzzy checkpoint: log `CkptBegin`, one `TreeMeta` per entry
@@ -1289,8 +962,8 @@ impl BufferPool {
             begin_seq
         };
         let flushed = self.flush_all();
-        for state in self.shards.iter() {
-            let s = &mut *state.shard.lock();
+        for shard in self.shards.iter() {
+            let s = &mut *shard.lock();
             for pid in s.table.pinned_pids() {
                 let frame = s.table.get_mut(pid).expect("listed frame resident");
                 if frame.dirty {
@@ -1379,8 +1052,7 @@ impl BufferPool {
     /// A durable pool resuming from recovered state: `data` is the data
     /// disk after [`crate::wal::recover`] replayed the log tail, `wal` is
     /// the resumed log ([`Wal::resume`]). The pool starts cold (no
-    /// resident frames) with durability on; chain with
-    /// [`BufferPool::optimistic`] as usual.
+    /// resident frames) with durability on.
     pub fn from_recovered(capacity: usize, shards: usize, data: DiskSim, wal: Wal) -> Self {
         let pool = BufferPool::with_shards(capacity, shards);
         let mut data = data;
@@ -1392,12 +1064,10 @@ impl BufferPool {
     }
 
     /// The pool-wide I/O ledger: the element-wise sum of every shard's
-    /// counters — locked-path counters plus the logical reads performed
-    /// optimistically — so the paper's single set of numbers survives
-    /// both sharding and the lock-free read path. Shards are read one
-    /// lock at a time, so under concurrent traffic this is a
-    /// read-committed aggregate, exact once accesses quiesce (any
-    /// single-threaded measurement reads exact totals).
+    /// counters, so the paper's single set of numbers survives sharding.
+    /// Shards are read one lock at a time, so under concurrent traffic
+    /// this is a read-committed aggregate, exact once accesses quiesce
+    /// (any single-threaded measurement reads exact totals).
     ///
     /// ```
     /// use peb_storage::BufferPool;
@@ -1417,25 +1087,17 @@ impl BufferPool {
     /// assert_eq!(s.hit_ratio(), 0.5); // 1 hit out of 2 logical reads
     /// ```
     pub fn stats(&self) -> IoStats {
-        self.shards.iter().fold(IoStats::default(), |acc, s| acc.merged(&Self::shard_io(s)))
-    }
-
-    fn shard_io(state: &ShardState) -> IoStats {
-        let mut io = state.shard.lock().stats;
-        io.logical_reads += state.opt_logical.load(Ordering::Relaxed);
-        io
+        self.shard_stats().iter().fold(IoStats::default(), |acc, s| acc.merged(s))
     }
 
     /// Each shard's local I/O counters, in shard order. `stats()` is
     /// exactly the element-wise sum of these.
     pub fn shard_stats(&self) -> Vec<IoStats> {
-        self.shards.iter().map(Self::shard_io).collect()
+        self.shards.iter().map(|s| s.lock().stats).collect()
     }
 
-    /// The pool-wide locking ledger: optimistic hit/retry/fallback counts
-    /// and shard-mutex acquisitions, summed across shards. Deterministic
-    /// for a fixed single-threaded workload — the machine-independent
-    /// measure of read-path decontention.
+    /// The pool-wide locking ledger: shard-mutex acquisitions summed
+    /// across shards. Deterministic for a fixed single-threaded workload.
     ///
     /// ```
     /// use peb_storage::BufferPool;
@@ -1443,44 +1105,32 @@ impl BufferPool {
     /// let pool = BufferPool::new(4);
     /// let pid = pool.allocate();
     /// pool.reset_stats();
-    ///
-    /// // Resident and published: the lock-free path succeeds.
-    /// assert!(pool.try_read_optimistic(pid, |p| p.get_u64(0)).is_some());
-    /// let s = pool.lock_stats();
-    /// assert_eq!(s.optimistic_hits, 1);
-    /// assert_eq!(s.lock_acquisitions, 0, "no mutex on the optimistic path");
-    ///
-    /// // The locked path counts an acquisition instead.
     /// pool.read(pid, |_| ());
-    /// assert_eq!(pool.lock_stats().lock_acquisitions, 1);
+    /// pool.write(pid, |p| p.put_u64(0, 1));
+    /// assert_eq!(pool.lock_stats().lock_acquisitions, 2, "one shard mutex per access");
     /// ```
     pub fn lock_stats(&self) -> LockStats {
-        self.shards.iter().fold(LockStats::default(), |acc, s| acc.merged(&s.lock_stats()))
+        self.shard_lock_stats().iter().fold(LockStats::default(), |acc, s| acc.merged(s))
     }
 
     /// Each shard's locking counters, in shard order ([`BufferPool::lock_stats`]
     /// is the element-wise sum). The per-shard `lock_acquisitions` column
     /// is what the acquired-lock hot-share metric is computed from.
     pub fn shard_lock_stats(&self) -> Vec<LockStats> {
-        self.shards.iter().map(ShardState::lock_stats).collect()
+        let acquisitions = |s: &Mutex<PoolShard>| s.lock().lock_acquisitions;
+        self.shards
+            .iter()
+            .map(|s| LockStats { lock_acquisitions: acquisitions(s), ..LockStats::default() })
+            .collect()
     }
 
-    /// Zero every shard's I/O and locking counters. Also repairs any
-    /// mirror slot whose version is odd (none should be — publishers
-    /// complete under the shard lock — but a poisoned slot would silently
-    /// disable optimistic reads of its page forever, so the reset is
-    /// defensive about it). Published pages stay published: resetting
-    /// counters must not cool the cache.
+    /// Zero every shard's I/O and locking counters. Resident pages stay
+    /// resident: resetting counters must not cool the cache.
     pub fn reset_stats(&self) {
-        for state in self.shards.iter() {
-            let s = &mut *state.shard.lock();
+        for shard in self.shards.iter() {
+            let s = &mut *shard.lock();
             s.stats = IoStats::default();
-            state.mirror.repair();
-            state.opt_logical.store(0, Ordering::Relaxed);
-            state.opt_hits.store(0, Ordering::Relaxed);
-            state.opt_conflicts.store(0, Ordering::Relaxed);
-            state.opt_fallbacks.store(0, Ordering::Relaxed);
-            state.lock_acqs.store(0, Ordering::Relaxed);
+            s.lock_acquisitions = 0;
         }
     }
 
@@ -1498,13 +1148,13 @@ impl BufferPool {
     /// [`BufferPool::capacity`] (see the remainder rule in the module
     /// docs).
     pub fn shard_capacities(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.shard.lock().table.capacity()).collect()
+        self.shards.iter().map(|s| s.lock().table.capacity()).collect()
     }
 
     /// Frames currently resident across all shards; never exceeds
     /// [`BufferPool::capacity`].
     pub fn resident_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.shard.lock().table.len()).sum()
+        self.shards.iter().map(|s| s.lock().table.len()).sum()
     }
 }
 
@@ -1533,24 +1183,6 @@ mod tests {
         let b = pool.allocate(); // pool now holds {a, b}
         pool.read(a, |_| ()); // a is now more recent than b
         let c = pool.allocate(); // must evict b
-        pool.reset_stats();
-        pool.read(a, |_| ());
-        pool.read(c, |_| ());
-        assert_eq!(pool.stats().physical_reads, 0, "a and c stayed resident");
-        pool.read(b, |_| ());
-        assert_eq!(pool.stats().physical_reads, 1, "b was the LRU victim");
-    }
-
-    #[test]
-    fn optimistic_touches_protect_pages_from_eviction() {
-        // Same shape as `lru_evicts_least_recently_used`, but the
-        // recency-refreshing touch of `a` is optimistic: eviction must
-        // still pick `b`, proving lock-free hits feed the LRU clock.
-        let pool = BufferPool::new(2);
-        let a = pool.allocate();
-        let b = pool.allocate();
-        assert!(pool.try_read_optimistic(a, |_| ()).is_some());
-        let c = pool.allocate(); // must evict b, not a
         pool.reset_stats();
         pool.read(a, |_| ());
         pool.read(c, |_| ());
@@ -1697,105 +1329,21 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_read_sees_written_data_without_locks() {
-        let pool = BufferPool::new(4);
-        let pid = pool.allocate();
-        pool.write(pid, |p| p.put_u64(8, 4242));
-        pool.reset_stats();
-        assert_eq!(pool.try_read_optimistic(pid, |p| p.get_u64(8)), Some(4242));
-        let locks = pool.lock_stats();
-        assert_eq!(locks.optimistic_hits, 1);
-        assert_eq!(locks.lock_acquisitions, 0);
-        // The hit is a normal logical read on the I/O ledger.
-        let io = pool.stats();
-        assert_eq!(io.logical_reads, 1);
-        assert_eq!(io.physical_reads, 0);
-    }
-
-    #[test]
-    fn optimistic_read_of_cold_page_reports_unpublished() {
-        let pool = BufferPool::new(2);
-        let pid = pool.allocate();
-        pool.clear(); // evicted: no longer published
-        pool.reset_stats();
-        assert!(pool.try_read_optimistic(pid, |_| ()).is_none());
-        let locks = pool.lock_stats();
-        assert_eq!(locks.locked_fallbacks, 1);
-        assert_eq!(locks.optimistic_hits, 0);
-        // Failed attempts count nothing on the I/O ledger.
-        assert_eq!(pool.stats().logical_reads, 0);
-        // The locked fallback faults it in and republishes it.
-        pool.read(pid, |_| ());
-        assert!(pool.try_read_optimistic(pid, |_| ()).is_some());
-    }
-
-    #[test]
-    fn write_bumps_version_and_read_version_tracks_it() {
-        let pool = BufferPool::new(4);
-        let pid = pool.allocate();
-        let v1 = pool.read_version(pid).expect("allocate publishes");
-        assert_eq!(v1 & 1, 0, "published versions are even");
-        pool.write(pid, |p| p.put_u64(0, 1));
-        let v2 = pool.read_version(pid).expect("still published");
-        assert!(v2 > v1, "a write must advance the version");
-        // A plain locked read leaves the version alone.
-        pool.read(pid, |_| ());
-        assert_eq!(pool.read_version(pid), Some(v2));
-    }
-
-    #[test]
-    fn disabled_pool_never_reads_optimistically() {
-        let pool = BufferPool::with_shards(4, 1).optimistic(false);
-        assert!(!pool.optimistic_reads_enabled());
-        let pid = pool.allocate();
-        assert!(pool.try_read_optimistic(pid, |_| ()).is_none());
-        assert_eq!(pool.read_version(pid), None);
-        // Disabled pools report no optimistic traffic at all.
-        let locks = pool.lock_stats();
-        assert_eq!(locks.optimistic_attempts(), 0);
-        assert!(locks.lock_acquisitions > 0, "allocate still took the shard lock");
-    }
-
-    #[test]
-    fn clear_and_reset_stats_leave_versions_usable() {
-        // Regression for the poisoning bug class: after clear() every
-        // slot must be unpublished at an even version, and reset_stats()
-        // must keep already-published pages readable optimistically.
-        let pool = BufferPool::new(4);
-        let pids: Vec<PageId> = (0..4).map(|_| pool.allocate()).collect();
-        pool.clear();
-        for pid in &pids {
-            assert_eq!(pool.read_version(*pid), None, "clear unpublishes everything");
-        }
-        pool.read(pids[0], |_| ()); // fault in + publish
-        pool.reset_stats();
-        assert!(
-            pool.try_read_optimistic(pids[0], |_| ()).is_some(),
-            "reset_stats must not cool the published cache"
-        );
-        assert_eq!(pool.lock_stats().optimistic_hits, 1, "counters restarted from zero");
-    }
-
-    #[test]
     fn snapshot_reads_count_like_any_other_touch() {
         let pool = BufferPool::new(4);
         let pid = pool.allocate();
         pool.write(pid, |p| p.put_u64(0, 99));
         pool.reset_stats();
         let mut snap = PageSnapshot::new();
-        assert!(
-            pool.try_read_snapshot(pid, &mut snap).unwrap(),
-            "published page snapshots lock-free"
-        );
-        assert!(snap.is_versioned());
+        assert!(pool.try_read_snapshot(pid, &mut snap).unwrap(), "resident page: a hit");
         assert_eq!(snap.pid(), pid);
         assert_eq!(snap.page().get_u64(0), 99);
         let io = pool.stats();
         assert_eq!(io.logical_reads, 1, "one snapshot = one logical read");
-        assert_eq!(pool.lock_stats().lock_acquisitions, 0, "taken without a mutex");
-        // Validation and reuse cost nothing further.
-        assert!(pool.snapshot_valid(&snap));
-        assert_eq!(pool.stats(), io, "revalidation is free on the ledger");
+        assert_eq!(pool.lock_stats().lock_acquisitions, 1, "taken under the shard mutex");
+        // Consulting the copy costs nothing further.
+        assert_eq!(snap.page().get_u64(0), 99);
+        assert_eq!(pool.stats(), io, "reuse is free on the ledger");
     }
 
     #[test]
@@ -1804,40 +1352,25 @@ mod tests {
         let pid = pool.allocate();
         pool.write(pid, |p| p.put_u64(0, 123));
         pool.flush_all();
-        pool.clear(); // unpublished: the snapshot must go through the lock
+        pool.clear(); // cold: the snapshot must fault the page in
         pool.reset_stats();
         let mut snap = PageSnapshot::new();
-        assert!(
-            !pool.try_read_snapshot(pid, &mut snap).unwrap(),
-            "cold page needs the locked path"
-        );
-        assert!(!snap.is_versioned());
-        assert_eq!(snap.page().get_u64(0), 123, "the locked copy is still exact");
-        assert!(!pool.snapshot_valid(&snap), "locked snapshots are single-use");
+        assert!(!pool.try_read_snapshot(pid, &mut snap).unwrap(), "cold page: a miss");
+        assert_eq!(snap.page().get_u64(0), 123, "the copy is exact");
         let io = pool.stats();
         assert_eq!(io.logical_reads, 1);
         assert_eq!(io.physical_reads, 1, "faulted in once");
-        // Eviction invalidates a versioned snapshot too.
-        let mut warm = PageSnapshot::new();
-        assert!(pool.try_read_snapshot(pid, &mut warm).unwrap(), "resident again after the fault");
+        // Nothing revalidates a copy: eviction and writes leave it as taken.
+        pool.write(pid, |p| p.put_u64(0, 124));
         pool.clear();
-        assert!(!pool.snapshot_valid(&warm), "eviction unpublishes the page");
-    }
-
-    #[test]
-    fn disabled_pool_snapshots_through_the_lock() {
-        let pool = BufferPool::with_shards(4, 1).optimistic(false);
-        let pid = pool.allocate();
-        let mut snap = PageSnapshot::new();
-        assert!(!pool.try_read_snapshot(pid, &mut snap).unwrap());
-        assert!(!pool.snapshot_valid(&snap));
-        assert_eq!(pool.lock_stats().optimistic_attempts(), 0);
+        assert_eq!(snap.page().get_u64(0), 123);
+        assert!(pool.try_read_snapshot(pid, &mut snap).is_ok());
+        assert_eq!(snap.page().get_u64(0), 124, "a fresh snapshot sees the write");
     }
 
     #[test]
     fn identical_traces_give_identical_lock_stats() {
-        // LockStats is deterministic for a fixed single-threaded trace —
-        // the property the BENCH_optreads trajectory entry relies on.
+        // LockStats is deterministic for a fixed single-threaded trace.
         let run = || {
             let pool = BufferPool::new(4);
             let pids: Vec<PageId> = (0..8).map(|_| pool.allocate()).collect();
@@ -1845,7 +1378,7 @@ mod tests {
                 for (i, pid) in pids.iter().enumerate() {
                     if (i + round) % 3 == 0 {
                         pool.write(*pid, |p| p.put_u64(0, round as u64));
-                    } else if pool.try_read_optimistic(*pid, |_| ()).is_none() {
+                    } else {
                         pool.read(*pid, |_| ());
                     }
                 }
@@ -1853,55 +1386,6 @@ mod tests {
             (pool.lock_stats(), pool.stats())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn colliding_pages_share_a_mirror_set_without_stealing() {
-        // Two resident pages whose indexes collide (capacity 4, pids 0 and
-        // 4: same set) used to fight over one direct-mapped slot — every
-        // alternating read stole it back, so the optimistic path fell back
-        // on every touch. With 2-way sets both stay published.
-        let pool = BufferPool::new(4);
-        let pids: Vec<PageId> = (0..8).map(|_| pool.allocate()).collect();
-        let (a, b) = (pids[0], pids[4]);
-        pool.read(a, |_| ());
-        pool.read(b, |_| ());
-        pool.reset_stats();
-        for _ in 0..16 {
-            assert!(pool.try_read_optimistic(a, |_| ()).is_some());
-            assert!(pool.try_read_optimistic(b, |_| ()).is_some());
-        }
-        let s = pool.lock_stats();
-        assert_eq!(s.optimistic_hits, 32, "both ways of the set stay published");
-        // The BENCH_optreads-shaped check: the alternating-collision trace
-        // must not regress the fallback rate (direct mapping scored 1.0).
-        assert_eq!(s.locked_fallbacks, 0);
-        assert_eq!(s.optimistic_hit_rate(), 1.0);
-        assert_eq!(s.lock_acquisitions, 0, "no mutex on the optimistic path");
-    }
-
-    #[test]
-    fn third_collider_steals_the_least_recently_touched_way() {
-        // Three pages of one set over two ways: publishing the third
-        // steals the cold way, and the victim's recency folds back into
-        // its frame (eviction order below proves no LRU signal was lost).
-        let pool = BufferPool::new(4);
-        let pids: Vec<PageId> = (0..12).map(|_| pool.allocate()).collect();
-        let (a, b, c) = (pids[0], pids[4], pids[8]); // all in set 0
-        pool.clear();
-        pool.read(a, |_| ());
-        pool.read(b, |_| ());
-        // Touch `b` optimistically so `a` is the set's cold way.
-        assert!(pool.try_read_optimistic(b, |_| ()).is_some());
-        pool.read(c, |_| ());
-        assert!(pool.try_read_optimistic(b, |_| ()).is_some(), "warm way survives");
-        assert!(pool.try_read_optimistic(c, |_| ()).is_some(), "new page published");
-        assert!(
-            pool.try_read_optimistic(a, |_| ()).is_none(),
-            "cold way was stolen; its reads fall back"
-        );
-        // The displaced page is still resident and correct via the lock.
-        pool.read(a, |_| ());
     }
 
     #[test]

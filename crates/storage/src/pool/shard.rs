@@ -1,18 +1,11 @@
-//! Shard-local state of the sharded buffer pool: the frame table and its
-//! LRU bookkeeping.
+//! Shard-local state of the sharded buffer pool: the frame table, its
+//! LRU clock and the shard's counters.
 //!
 //! One [`PoolShard`] lives behind each of the pool's lock shards. Nothing
 //! in this module takes a lock — [`super::BufferPool`] owns all locking
 //! and the shard ↔ disk interplay — so the types here are plain mutable
 //! state and their methods are trivially deterministic: given the same
 //! sequence of calls, a shard makes the same eviction decisions.
-//!
-//! The shard's LRU *clock* does not live here: it is an atomic beside the
-//! mutex (see `ShardState` in the parent module) because optimistic reads
-//! advance it without taking the lock. A frame's `last_used` records only
-//! the page's most recent **locked** touch; optimistic touches land in
-//! the shard's lock-free mirror and are folded in by
-//! [`FrameTable::take_victim_by`]'s caller-supplied recency function.
 
 use std::collections::HashMap;
 
@@ -26,8 +19,7 @@ pub(super) struct Frame {
     /// Whether the cached contents differ from the disk copy. A dirty
     /// frame is written back (and counted) on eviction, flush, or clear.
     pub(super) dirty: bool,
-    /// Shard clock value of the frame's most recent *locked* touch (see
-    /// the module docs for where optimistic touches live).
+    /// Shard clock value of the frame's most recent touch.
     pub(super) last_used: u64,
     /// LSN the log must be durable up to before the frame may reach the
     /// data disk — the log-before-page rule: its pre-image, or its
@@ -50,11 +42,10 @@ pub(super) struct Frame {
 /// selection.
 ///
 /// The table never holds more than `capacity` frames: callers evict via
-/// [`FrameTable::take_victim_by`] while [`FrameTable::is_full`] before
+/// [`FrameTable::take_victim`] while [`FrameTable::is_full`] before
 /// inserting. Victim selection is deterministic because every resident
-/// frame carries a distinct effective recency (the owning shard's clock
-/// advances on every touch, locked or optimistic), so the minimum is
-/// unique.
+/// frame carries a distinct recency (the owning shard's clock advances on
+/// every touch), so the minimum is unique.
 pub(super) struct FrameTable {
     frames: HashMap<PageId, Frame>,
     capacity: usize,
@@ -87,11 +78,6 @@ impl FrameTable {
         self.frames.contains_key(&pid)
     }
 
-    /// Shared access to a resident frame.
-    pub(super) fn get(&self, pid: PageId) -> Option<&Frame> {
-        self.frames.get(&pid)
-    }
-
     /// Mutable access to a resident frame.
     pub(super) fn get_mut(&mut self, pid: PageId) -> Option<&mut Frame> {
         self.frames.get_mut(&pid)
@@ -110,19 +96,15 @@ impl FrameTable {
         self.frames.insert(pid, frame);
     }
 
-    /// Remove and return the unpinned frame with the lowest recency as
-    /// computed by `recency` (the caller folds in optimistic touches from
-    /// the mirror). Pinned (quarantined) frames are never victims. The
-    /// caller writes the victim back to disk when dirty.
-    pub(super) fn take_victim_by(
-        &mut self,
-        recency: impl Fn(PageId, &Frame) -> u64,
-    ) -> Option<(PageId, Frame)> {
+    /// Remove and return the least recently used unpinned frame. Pinned
+    /// (quarantined) frames are never victims. The caller writes the
+    /// victim back to disk when dirty.
+    pub(super) fn take_victim(&mut self) -> Option<(PageId, Frame)> {
         let victim = self
             .frames
             .iter()
             .filter(|(_, f)| !f.pinned)
-            .min_by_key(|(pid, f)| recency(**pid, f))
+            .min_by_key(|(_, f)| f.last_used)
             .map(|(pid, _)| *pid)?;
         let frame = self.frames.remove(&victim).expect("victim resident");
         Some((victim, frame))
@@ -172,25 +154,39 @@ impl FrameTable {
     }
 }
 
-/// Everything one lock shard's **mutex** protects: its slice of the frame
-/// budget and its local slice of the I/O ledger. (The shard clock, the
-/// versioned page mirror, and the lock-statistics counters sit beside the
-/// mutex as atomics — see `ShardState` in the parent module.)
+/// Everything one lock shard's mutex protects: its slice of the frame
+/// budget, its LRU clock, and its local slices of the I/O and locking
+/// ledgers.
 ///
-/// Keeping the counters shard-local is what makes the buffer-hit locked
-/// path touch *only* this shard's lock; [`super::BufferPool::stats`]
-/// reconstitutes the pool-wide ledger by summing the per-shard counters.
+/// Keeping the counters shard-local is what makes a buffer hit touch
+/// *only* this shard's lock; [`super::BufferPool::stats`] reconstitutes
+/// the pool-wide ledger by summing the per-shard counters.
 pub(super) struct PoolShard {
     /// The shard's resident pages.
     pub(super) table: FrameTable,
-    /// Shard-local I/O counters for *locked* accesses (summed with the
-    /// shard's atomic optimistic counters by `stats()`).
+    /// Shard-local I/O counters.
     pub(super) stats: IoStats,
+    /// Data-path acquisitions of this shard's mutex
+    /// ([`super::LockStats::lock_acquisitions`]).
+    pub(super) lock_acquisitions: u64,
+    /// The LRU clock: the last tick handed out.
+    tick: u64,
 }
 
 impl PoolShard {
     /// An empty shard owning `capacity` frames of the pool's budget.
     pub(super) fn new(capacity: usize) -> Self {
-        PoolShard { table: FrameTable::new(capacity), stats: IoStats::default() }
+        PoolShard {
+            table: FrameTable::new(capacity),
+            stats: IoStats::default(),
+            lock_acquisitions: 0,
+            tick: 0,
+        }
+    }
+
+    /// Advance the LRU clock: every touch gets a distinct tick.
+    pub(super) fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
     }
 }
