@@ -29,7 +29,7 @@ use peb_workload::queries::RangeQuerySpec;
 use peb_workload::{DatasetBuilder, QueryGenerator};
 use pebtree::{PebTree, PrivacyContext};
 
-use crate::harness::{clone_store, RunConfig};
+use crate::harness::RunConfig;
 
 /// Everything the clean and faulted batteries measured.
 #[derive(Debug, Clone, Copy)]
@@ -158,7 +158,7 @@ pub fn measure_faults_with(cfg: &RunConfig, read_density: u64) -> FaultBenchRepo
         .build();
     let space = dataset.space;
     let ctx = Arc::new(PrivacyContext::build(
-        clone_store(&dataset.store),
+        dataset.store.clone(),
         space,
         dataset.users.len(),
         cfg.sv_params,

@@ -113,10 +113,10 @@ impl World {
     pub fn from_dataset(dataset: Dataset, cfg: &RunConfig) -> World {
         let space = dataset.space;
         let started = Instant::now();
-        // PrivacyContext::build consumes the store; rebuild one for the
-        // baseline's filtering (shared policies, separate ownership).
+        // PrivacyContext::build consumes the store; the dataset keeps its
+        // own copy for the baseline's filtering.
         let ctx = Arc::new(PrivacyContext::build(
-            clone_store(&dataset.store),
+            dataset.store.clone(),
             space,
             dataset.users.len(),
             cfg.sv_params,
@@ -195,16 +195,6 @@ pub fn run(cfg: &RunConfig) -> Measured {
     World::build(cfg).measure(cfg)
 }
 
-/// The policy store has no `Clone` (it owns indexes); experiments need two
-/// logical copies (PEB context + baseline filter), so rebuild pair-by-pair.
-pub fn clone_store(store: &peb_policy::PolicyStore) -> peb_policy::PolicyStore {
-    let mut out = peb_policy::PolicyStore::new();
-    for (_, viewer, policy) in store.iter() {
-        out.add(viewer, policy.clone());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,17 +249,5 @@ mod tests {
                 .collect();
             assert_eq!(a, b, "engines disagree on a harness-generated kNN query");
         }
-    }
-
-    #[test]
-    fn clone_store_is_faithful() {
-        let cfg = tiny_cfg();
-        let ds = DatasetBuilder::default()
-            .num_users(cfg.num_users)
-            .policies_per_user(cfg.policies_per_user)
-            .seed(cfg.seed)
-            .build();
-        let copy = clone_store(&ds.store);
-        assert_eq!(copy.len(), ds.store.len());
     }
 }

@@ -47,7 +47,7 @@ use peb_storage::BufferPool;
 use peb_workload::{DatasetBuilder, QueryGenerator};
 use pebtree::{PebTree, PrivacyContext};
 
-use crate::harness::{clone_store, RunConfig};
+use crate::harness::RunConfig;
 
 /// One page-visit epsilon: how far past its effective deadline a served
 /// query may finish (the engines check the deadline at page and entry
@@ -203,7 +203,7 @@ fn sweep(
         .build();
     let space = dataset.space;
     let ctx = Arc::new(PrivacyContext::build(
-        clone_store(&dataset.store),
+        dataset.store.clone(),
         space,
         dataset.users.len(),
         cfg.sv_params,

@@ -29,7 +29,7 @@ use peb_storage::BufferPool;
 use peb_workload::{DatasetBuilder, UpdateStream};
 use pebtree::{PebTree, PrivacyContext};
 
-use crate::harness::{clone_store, RunConfig};
+use crate::harness::RunConfig;
 
 /// Everything the durable run and its recovery measured.
 #[derive(Debug, Clone, Copy)]
@@ -124,7 +124,7 @@ pub fn measure_recovery_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> R
         .build();
     let space = dataset.space;
     let ctx = Arc::new(PrivacyContext::build(
-        clone_store(&dataset.store),
+        dataset.store.clone(),
         space,
         dataset.users.len(),
         cfg.sv_params,

@@ -25,7 +25,7 @@ use peb_storage::BufferPool;
 use peb_workload::{Dataset, DatasetBuilder, UpdateStream};
 use pebtree::{PebTree, PrivacyContext};
 
-use crate::harness::{clone_store, RunConfig};
+use crate::harness::RunConfig;
 
 /// One variant's measurement.
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +99,7 @@ pub fn measure_updates_with(cfg: &RunConfig, rounds: usize, fraction: f64) -> Up
         .seed(cfg.seed)
         .build();
     let ctx = Arc::new(PrivacyContext::build(
-        clone_store(&dataset.store),
+        dataset.store.clone(),
         dataset.space,
         dataset.users.len(),
         cfg.sv_params,

@@ -107,8 +107,12 @@ pub fn alpha(p12: Option<&Policy>, p21: Option<&Policy>, space: &SpaceConfig) ->
 /// included in each other's query results"); non-mutual pairs at or below
 /// 0.5; unrelated pairs at exactly 0.
 pub fn compatibility(store: &PolicyStore, space: &SpaceConfig, u1: UserId, u2: UserId) -> f64 {
-    let p12 = store.policies(u1, u2);
-    let p21 = store.policies(u2, u1);
+    compatibility_of(store.policies(u1, u2), store.policies(u2, u1), space)
+}
+
+/// Eq. 4 over a pair's policies in each direction: `p12` are u1's
+/// policies toward u2, `p21` u2's toward u1.
+pub(crate) fn compatibility_of(p12: &[Policy], p21: &[Policy], space: &SpaceConfig) -> f64 {
     let a = alpha_multi(p12, p21, space);
     match classify_multi(p12, p21) {
         Relation::Mutual => 0.5 * (1.0 + a),
@@ -331,7 +335,7 @@ mod multi_policy_tests {
         assert!(s.permits(UserId(1), UserId(2), &inside, 550.0), "second policy window");
         assert!(!s.permits(UserId(1), UserId(2), &inside, 300.0), "between windows");
         assert_eq!(s.len(), 2);
-        assert_eq!(s.num_pairs(), 1);
+        assert_eq!(s.row(UserId(2)).len(), 2, "both in the one row");
     }
 
     #[test]

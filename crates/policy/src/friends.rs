@@ -9,6 +9,7 @@
 
 use peb_common::UserId;
 
+use crate::lpp::Policy;
 use crate::seqval::SequenceValues;
 use crate::store::PolicyStore;
 
@@ -29,15 +30,14 @@ pub struct FriendIndex {
 impl FriendIndex {
     /// Build every user's friend list from the policy store: the friends of
     /// `q` are the *owners* of policies toward `q` (only they can ever
-    /// appear in `q`'s query results).
+    /// appear in `q`'s query results), read off `q`'s row. Users outside
+    /// `0..num_users` have no list and are on none.
     pub fn build(store: &PolicyStore, sv: &SequenceValues, num_users: usize) -> Self {
         let mut lists: Vec<Vec<FriendEntry>> = vec![Vec::new(); num_users];
-        for (viewer, list) in lists.iter_mut().enumerate() {
-            let viewer = UserId(viewer as u64);
-            for &owner in store.granters_of(viewer) {
-                list.push(FriendEntry { sv_code: sv.code(owner), uid: owner });
+        for (viewer, row) in store.rows() {
+            if let Some(list) = lists.get_mut(viewer.as_index()) {
+                *list = entries(row, sv);
             }
-            list.sort_by_key(|e| (e.sv_code, e.uid));
         }
         FriendIndex { lists }
     }
@@ -64,15 +64,26 @@ impl FriendIndex {
     }
 
     /// Re-derive one user's list after a policy update ("a user is blocked
-    /// by a previous friend or adds a new friend").
-    pub fn refresh_user(&mut self, store: &PolicyStore, sv: &SequenceValues, uid: UserId) {
-        let list = &mut self.lists[uid.as_index()];
-        list.clear();
-        for &owner in store.granters_of(uid) {
-            list.push(FriendEntry { sv_code: sv.code(owner), uid: owner });
-        }
-        list.sort_by_key(|e| (e.sv_code, e.uid));
+    /// by a previous friend or adds a new friend"). Returns whether `uid`
+    /// has a list to refresh: a uid outside the population has none.
+    pub fn refresh_user(&mut self, store: &PolicyStore, sv: &SequenceValues, uid: UserId) -> bool {
+        let Some(list) = self.lists.get_mut(uid.as_index()) else { return false };
+        *list = entries(store.row(uid), sv);
+        true
     }
+}
+
+/// A viewer's friend list from its owner-sorted row: one entry per owner
+/// inside the encoded population, SV-ascending.
+fn entries(row: &[Policy], sv: &SequenceValues) -> Vec<FriendEntry> {
+    let mut list: Vec<FriendEntry> = row
+        .chunk_by(|a, b| a.owner == b.owner)
+        .map(|run| run[0].owner)
+        .filter(|owner| owner.as_index() < sv.num_users())
+        .map(|owner| FriendEntry { sv_code: sv.code(owner), uid: owner })
+        .collect();
+    list.sort_unstable_by_key(|e| (e.sv_code, e.uid));
+    list
 }
 
 #[cfg(test)]
@@ -137,6 +148,33 @@ mod tests {
         let (lo, hi) = idx.sv_bounds(UserId(0)).unwrap();
         assert!(lo <= hi);
         assert_eq!(idx.sv_bounds(UserId(2)), None);
+    }
+
+    #[test]
+    fn refreshing_a_uid_outside_the_population_is_refused() {
+        let (store, sv) = fixture();
+        let mut idx = FriendIndex::build(&store, &sv, 4);
+        assert!(!idx.refresh_user(&store, &sv, UserId(4)));
+        assert!(!idx.refresh_user(&store, &sv, UserId(u64::MAX)));
+        assert!(idx.friends(UserId(u64::MAX)).is_empty());
+        assert!(idx.refresh_user(&store, &sv, UserId(0)));
+        assert_eq!(idx.friends(UserId(0)).len(), 3);
+    }
+
+    #[test]
+    fn owners_outside_the_population_are_on_no_list() {
+        let (mut store, sv) = fixture();
+        let region = Rect::new(0.0, 500.0, 0.0, 500.0);
+        let when = TimeInterval::new(0.0, 500.0);
+        store.add(UserId(1), Policy::new(UserId(9), RoleId::FRIEND, region, when));
+        store.add(UserId(1), Policy::new(UserId(u64::MAX), RoleId::FRIEND, region, when));
+        let mut idx = FriendIndex::build(&store, &sv, 4);
+        let ids = |idx: &FriendIndex| -> Vec<u64> {
+            idx.friends(UserId(1)).iter().map(|e| e.uid.0).collect()
+        };
+        assert_eq!(ids(&idx), vec![3]);
+        assert!(idx.refresh_user(&store, &sv, UserId(1)));
+        assert_eq!(ids(&idx), vec![3]);
     }
 
     #[test]

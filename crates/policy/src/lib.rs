@@ -12,8 +12,9 @@
 //!    every user to a *sequence value* `SV` such that users with compatible
 //!    policies receive nearby values ([`seqval`]).
 //!
-//! [`store::PolicyStore`] holds the pair-wise policies (the paper's
-//! experiments assume one policy per ordered user pair), and
+//! [`store::PolicyStore`] holds the policies, one owner-sorted row per
+//! viewer (the paper's experiments assume one policy per ordered user
+//! pair), and
 //! [`friends::FriendIndex`] materializes, per user, the SV-sorted list of
 //! users who have a policy mentioning them — the "friend list" every query
 //! starts from.
@@ -21,13 +22,11 @@
 pub mod compat;
 pub mod friends;
 pub mod lpp;
-pub mod roles;
 pub mod seqval;
 pub mod store;
 
 pub use compat::{alpha, alpha_multi, compatibility, Relation};
 pub use friends::FriendIndex;
 pub use lpp::{Policy, RoleId};
-pub use roles::{materialize, RolePolicy, RoleRegistry};
 pub use seqval::{SequenceValues, SvAssignmentParams};
 pub use store::PolicyStore;

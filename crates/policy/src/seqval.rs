@@ -12,7 +12,8 @@
 
 use peb_common::{SpaceConfig, UserId};
 
-use crate::compat::compatibility;
+use crate::compat::compatibility_of;
+use crate::lpp::Policy;
 use crate::store::PolicyStore;
 
 /// Tunables of the assignment: the paper's example uses `initial = 2`,
@@ -43,21 +44,53 @@ pub struct SequenceValues {
 impl SequenceValues {
     /// Run Fig. 5 over the policy store: build the compatibility graph,
     /// sort by group size, and assign values.
+    ///
+    /// The population is `0..num_users`. A policy naming a user outside it
+    /// is not encoded (that user has no SV; see [`SequenceValues::value`]),
+    /// so no id the store names sizes anything here.
     pub fn assign(
         store: &PolicyStore,
         space: &SpaceConfig,
         num_users: usize,
         params: SvAssignmentParams,
     ) -> Self {
-        // Compatibility graph: only pairs connected by some policy can have
-        // C > 0, so it suffices to score `connected_pairs`.
-        let mut graph: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_users];
-        for (a, b) in store.connected_pairs() {
-            let c = compatibility(store, space, a, b);
-            if c > 0.0 {
-                graph[a.as_index()].push((b.as_index(), c));
-                graph[b.as_index()].push((a.as_index(), c));
+        let member = |u: UserId| (u.0 < num_users as u64).then(|| u32::try_from(u.0).ok())?;
+        // One entry per directed pair inside the population, keyed by its
+        // unordered pair `(min, max)` so both directions sort side by side.
+        let mut grants: Vec<(u64, &[Policy])> = Vec::new();
+        for (viewer, row) in store.rows() {
+            let Some(v) = member(viewer) else { continue };
+            for run in row.chunk_by(|a, b| a.owner == b.owner) {
+                if let Some(o) = member(run[0].owner) {
+                    grants.push(((o.min(v) as u64) << 32 | o.max(v) as u64, run));
+                }
             }
+        }
+        grants.sort_unstable_by_key(|&(key, _)| key);
+
+        // Compatibility graph: only pairs connected by some policy can have
+        // C > 0, so each connected pair is scored once, from its one or two
+        // directions.
+        let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+        let mut degree = vec![0usize; num_users];
+        for pair in grants.chunk_by(|a, b| a.0 == b.0) {
+            let (lo, hi) = ((pair[0].0 >> 32) as u32, pair[0].0 as u32);
+            let direction = |from: u32| {
+                pair.iter().find(|(_, run)| run[0].owner.0 == from as u64).map_or(&[][..], |g| g.1)
+            };
+            let c = compatibility_of(direction(lo), direction(hi), space);
+            if c > 0.0 {
+                edges.push((lo, hi, c));
+                degree[lo as usize] += 1;
+                degree[hi as usize] += 1;
+            }
+        }
+        drop(grants);
+        let mut graph: Vec<Vec<(usize, f64)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for (a, b, c) in edges {
+            graph[a as usize].push((b as usize, c));
+            graph[b as usize].push((a as usize, c));
         }
         Self::assign_from_graph(&graph, params)
     }
@@ -97,14 +130,17 @@ impl SequenceValues {
         self.values.len()
     }
 
-    /// The (fractional) sequence value of a user.
+    /// The (fractional) sequence value of a user; NaN for a uid outside
+    /// the encoded population, which has none.
     pub fn value(&self, uid: UserId) -> f64 {
-        self.values[uid.as_index()]
+        self.values.get(uid.as_index()).copied().unwrap_or(f64::NAN)
     }
 
-    /// Fixed-point encoding of a user's SV, as embedded in PEB keys.
+    /// Fixed-point encoding of a user's SV, as embedded in PEB keys. A uid
+    /// outside the encoded population gets code 0, below every assigned
+    /// code (Fig. 5's values start above 1).
     pub fn code(&self, uid: UserId) -> u64 {
-        self.encode(self.value(uid))
+        self.values.get(uid.as_index()).map_or(0, |&v| self.encode(v))
     }
 
     /// Fixed-point encoding of an arbitrary SV.
@@ -223,6 +259,49 @@ mod tests {
         assert_eq!(sv.value(UserId(0)), 2.0);
         assert_eq!(sv.value(UserId(1)), 2.0, "C=1 pair shares the anchor value");
         assert_eq!(sv.value(UserId(2)), 4.0, "isolated user lands one δ later");
+    }
+}
+
+#[cfg(test)]
+mod population_tests {
+    use super::*;
+    use crate::lpp::RoleId;
+    use peb_common::{Rect, TimeInterval};
+
+    fn grant(store: &mut PolicyStore, owner: u64, viewer: u64) {
+        let whole = Rect::new(0.0, 1000.0, 0.0, 1000.0);
+        let always = TimeInterval::new(0.0, 1000.0);
+        store.add(UserId(viewer), Policy::new(UserId(owner), RoleId::FRIEND, whole, always));
+    }
+
+    #[test]
+    fn grants_naming_users_outside_the_population_are_not_encoded() {
+        let space = SpaceConfig::new(1000.0, 10, 1000.0);
+        let params = SvAssignmentParams::default();
+        let mut inside = PolicyStore::new();
+        grant(&mut inside, 1, 0);
+        grant(&mut inside, 0, 2);
+        let mut named = inside.clone();
+        grant(&mut named, 7, 0);
+        grant(&mut named, 0, u64::MAX);
+        grant(&mut named, u64::MAX, 1);
+        let sv = SequenceValues::assign(&named, &space, 3, params);
+        let want = SequenceValues::assign(&inside, &space, 3, params);
+        assert_eq!(sv.num_users(), 3, "no id the store names sizes the encoding");
+        for u in 0..3 {
+            assert_eq!(sv.value(UserId(u)).to_bits(), want.value(UserId(u)).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_uid_outside_the_population_has_no_value_and_code_zero() {
+        let sv =
+            SequenceValues::assign_from_graph(&[vec![], vec![]], SvAssignmentParams::default());
+        for uid in [UserId(2), UserId(u64::MAX)] {
+            assert!(sv.value(uid).is_nan());
+            assert_eq!(sv.code(uid), 0);
+        }
+        assert!(sv.code(UserId(0)) > 0 && sv.code(UserId(1)) > 0, "assigned codes are above 0");
     }
 }
 

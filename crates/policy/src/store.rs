@@ -1,11 +1,18 @@
-//! Pair-wise policy storage with forward and reverse indexes.
+//! Policy storage: one owner-sorted row of policies per viewer.
 //!
-//! The engine needs two lookups: *"does `owner` have a policy toward
-//! `viewer`?"* (query refinement) and *"who has a policy toward `viewer`?"*
-//! (the friend list driving PRQ/PkNN search ranges). Both are O(1)/O(k)
-//! here. Policy updates are rare in the paper's setting ("updated only
-//! rarely, e.g., when a user is blocked by a previous friend"), so this
-//! store optimizes reads.
+//! The engine needs two lookups: *"which policies does `owner` grant
+//! `viewer`?"* (query refinement) and *"who grants `viewer` anything?"*
+//! (the friend list driving PRQ/PkNN search ranges). Both read one row:
+//! every policy granted to a viewer sits in one contiguous `Vec`, sorted
+//! by owner, so a pair's policies are a bisection away and a viewer's
+//! granters are the row itself. Each policy is held exactly once; there is
+//! no per-pair allocation and no reverse index. Policy updates are rare in
+//! the paper's setting ("updated only rarely, e.g., when a user is blocked
+//! by a previous friend") and cost one row's worth of shifting.
+//!
+//! The rows are keyed by viewer id in a map rather than in an array
+//! indexed by it: ids are supplied by callers, and an array would let one
+//! absurd id size an allocation.
 
 use std::collections::HashMap;
 
@@ -13,22 +20,19 @@ use peb_common::{Point, Timestamp, UserId};
 
 use crate::lpp::Policy;
 
-/// All location-privacy policies in the system, indexed by ordered pair.
+/// All location-privacy policies in the system, one row per viewer.
 ///
 /// The paper's experiments assume one policy per ordered pair, but Sec 8
 /// names multi-policy pairs as future work; this store supports both
 /// ([`PolicyStore::add`] replaces, [`PolicyStore::add_additional`] appends,
 /// and [`PolicyStore::permits`] grants if *any* of the pair's policies
 /// does).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PolicyStore {
-    /// `(owner, viewer) → policies`: `owner` grants `viewer` conditional
-    /// visibility under any of these.
-    by_pair: HashMap<(UserId, UserId), Vec<Policy>>,
-    /// Forward index: users each owner has policies toward.
-    granted_by: HashMap<UserId, Vec<UserId>>,
-    /// Reverse index: owners who have a policy toward each viewer.
-    granters_of: HashMap<UserId, Vec<UserId>>,
+    /// `viewer → policies granted to viewer`, sorted by owner; a pair's
+    /// policies are adjacent, in the order they were added. No row is
+    /// empty.
+    rows: HashMap<UserId, Vec<Policy>>,
 }
 
 impl PolicyStore {
@@ -36,53 +40,72 @@ impl PolicyStore {
         Self::default()
     }
 
-    /// Register `policy` as governing what `viewer` may see of
-    /// `policy.owner`. Replaces any previous policies for the pair.
-    pub fn add(&mut self, viewer: UserId, policy: Policy) {
-        let owner = policy.owner;
-        assert_ne!(owner, viewer, "a policy toward oneself is meaningless");
-        if self.by_pair.insert((owner, viewer), vec![policy]).is_none() {
-            self.granted_by.entry(owner).or_default().push(viewer);
-            self.granters_of.entry(viewer).or_default().push(owner);
+    /// A store from finished rows: `rows[v]` holds the policies granted to
+    /// viewer `v`. Each row is sorted by owner (stably, so a pair keeps
+    /// its policies' order); a policy toward its own owner is dropped, as
+    /// [`PolicyStore::add`] would refuse it.
+    pub fn from_rows(rows: Vec<Vec<Policy>>) -> Self {
+        let mut store = PolicyStore::new();
+        for (viewer, mut row) in rows.into_iter().enumerate() {
+            let viewer = UserId(viewer as u64);
+            row.retain(|p| p.owner != viewer);
+            if !row.is_empty() {
+                row.sort_by_key(|p| p.owner);
+                store.rows.insert(viewer, row);
+            }
         }
+        store
+    }
+
+    /// Register `policy` as governing what `viewer` may see of
+    /// `policy.owner`, replacing any previous policies for the pair.
+    /// Returns whether it was stored: a policy toward oneself is
+    /// meaningless and is refused.
+    pub fn add(&mut self, viewer: UserId, policy: Policy) -> bool {
+        if policy.owner == viewer {
+            return false;
+        }
+        let row = self.rows.entry(viewer).or_default();
+        let run = run_of(row, policy.owner);
+        row.splice(run, [policy]);
+        true
     }
 
     /// Append an additional policy for the pair (Sec 8's multi-policy
     /// extension): the owner is visible whenever *any* of the pair's
-    /// policies permits.
-    pub fn add_additional(&mut self, viewer: UserId, policy: Policy) {
-        let owner = policy.owner;
-        assert_ne!(owner, viewer, "a policy toward oneself is meaningless");
-        match self.by_pair.get_mut(&(owner, viewer)) {
-            Some(v) => v.push(policy),
-            None => self.add(viewer, policy),
+    /// policies permits. Returns whether it was stored, as for
+    /// [`PolicyStore::add`].
+    pub fn add_additional(&mut self, viewer: UserId, policy: Policy) -> bool {
+        if policy.owner == viewer {
+            return false;
         }
+        let row = self.rows.entry(viewer).or_default();
+        let end = run_of(row, policy.owner).end;
+        row.insert(end, policy);
+        true
     }
 
     /// Remove every policy of `owner` toward `viewer` ("blocking a
     /// previous friend").
     pub fn remove(&mut self, owner: UserId, viewer: UserId) -> Option<Vec<Policy>> {
-        let removed = self.by_pair.remove(&(owner, viewer));
-        if removed.is_some() {
-            if let Some(v) = self.granted_by.get_mut(&owner) {
-                v.retain(|u| *u != viewer);
-            }
-            if let Some(v) = self.granters_of.get_mut(&viewer) {
-                v.retain(|u| *u != owner);
-            }
+        let row = self.rows.get_mut(&viewer)?;
+        let removed: Vec<Policy> = row.drain(run_of(row, owner)).collect();
+        if row.is_empty() {
+            self.rows.remove(&viewer);
         }
-        removed
+        (!removed.is_empty()).then_some(removed)
     }
 
     /// The first policy `owner` has toward `viewer`, if any (the paper's
     /// one-policy-per-pair view).
     pub fn policy(&self, owner: UserId, viewer: UserId) -> Option<&Policy> {
-        self.by_pair.get(&(owner, viewer)).and_then(|v| v.first())
+        self.policies(owner, viewer).first()
     }
 
     /// All policies `owner` has toward `viewer` (multi-policy extension).
     pub fn policies(&self, owner: UserId, viewer: UserId) -> &[Policy] {
-        self.by_pair.get(&(owner, viewer)).map_or(&[], Vec::as_slice)
+        let row = self.row(viewer);
+        &row[run_of(row, owner)]
     }
 
     /// Definition 2's full policy check: may `viewer` see `owner`, located
@@ -92,50 +115,38 @@ impl PolicyStore {
         self.policies(owner, viewer).iter().any(|p| p.permits(owner_pos, t))
     }
 
-    /// Users `owner` has a policy toward.
-    pub fn granted_by(&self, owner: UserId) -> &[UserId] {
-        self.granted_by.get(&owner).map_or(&[], Vec::as_slice)
+    /// Every policy granted to `viewer`, sorted by owner: the raw friend
+    /// list of a query issuer, with each friend's policies inline.
+    pub fn row(&self, viewer: UserId) -> &[Policy] {
+        self.rows.get(&viewer).map_or(&[], Vec::as_slice)
     }
 
-    /// Owners who have a policy toward `viewer` — the raw friend list of a
-    /// query issuer.
-    pub fn granters_of(&self, viewer: UserId) -> &[UserId] {
-        self.granters_of.get(&viewer).map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether any policy connects the unordered pair.
-    pub fn are_connected(&self, a: UserId, b: UserId) -> bool {
-        self.by_pair.contains_key(&(a, b)) || self.by_pair.contains_key(&(b, a))
+    /// Every non-empty row with its viewer, in no particular order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (UserId, &[Policy])> {
+        self.rows.iter().map(|(v, row)| (*v, row.as_slice()))
     }
 
     /// Total number of (directed) policies across all pairs.
     pub fn len(&self) -> usize {
-        self.by_pair.values().map(Vec::len).sum()
-    }
-
-    /// Number of connected ordered pairs.
-    pub fn num_pairs(&self) -> usize {
-        self.by_pair.len()
+        self.rows.values().map(Vec::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.by_pair.is_empty()
+        self.rows.is_empty()
     }
 
     /// Iterate over every `(owner, viewer, policy)` triple.
     pub fn iter(&self) -> impl Iterator<Item = (UserId, UserId, &Policy)> {
-        self.by_pair.iter().flat_map(|((o, v), ps)| ps.iter().map(move |p| (*o, *v, p)))
+        self.rows().flat_map(|(v, row)| row.iter().map(move |p| (p.owner, v, p)))
     }
+}
 
-    /// All unordered pairs `{a, b}` connected by at least one policy, each
-    /// reported once. Drives the pair-wise compatibility computation.
-    pub fn connected_pairs(&self) -> Vec<(UserId, UserId)> {
-        let mut pairs: Vec<(UserId, UserId)> =
-            self.by_pair.keys().map(|&(o, v)| if o <= v { (o, v) } else { (v, o) }).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
+/// The index range of `owner`'s policies in an owner-sorted row (empty, at
+/// the insertion point, when there are none).
+fn run_of(row: &[Policy], owner: UserId) -> std::ops::Range<usize> {
+    let start = row.partition_point(|p| p.owner < owner);
+    let len = row[start..].partition_point(|p| p.owner == owner);
+    start..start + len
 }
 
 #[cfg(test)]
@@ -153,16 +164,22 @@ mod tests {
         )
     }
 
+    fn lasting(owner: u64, end: f64) -> Policy {
+        Policy { tint: TimeInterval::new(0.0, end), ..policy(owner) }
+    }
+
+    fn owners(s: &PolicyStore, viewer: u64) -> Vec<u64> {
+        s.row(UserId(viewer)).iter().map(|p| p.owner.0).collect()
+    }
+
     #[test]
     fn add_and_lookup() {
         let mut s = PolicyStore::new();
-        s.add(UserId(2), policy(1));
+        assert!(s.add(UserId(2), policy(1)));
         assert!(s.policy(UserId(1), UserId(2)).is_some());
         assert!(s.policy(UserId(2), UserId(1)).is_none(), "policies are directed");
-        assert_eq!(s.granted_by(UserId(1)), &[UserId(2)]);
-        assert_eq!(s.granters_of(UserId(2)), &[UserId(1)]);
-        assert!(s.are_connected(UserId(1), UserId(2)));
-        assert!(s.are_connected(UserId(2), UserId(1)));
+        assert_eq!(owners(&s, 2), vec![1]);
+        assert!(s.row(UserId(1)).is_empty());
         assert_eq!(s.len(), 1);
     }
 
@@ -170,9 +187,23 @@ mod tests {
     fn replace_does_not_duplicate_indexes() {
         let mut s = PolicyStore::new();
         s.add(UserId(2), policy(1));
-        s.add(UserId(2), policy(1));
+        s.add(UserId(2), lasting(1, 50.0));
         assert_eq!(s.len(), 1);
-        assert_eq!(s.granted_by(UserId(1)).len(), 1);
+        assert_eq!(s.policies(UserId(1), UserId(2)), &[lasting(1, 50.0)]);
+    }
+
+    #[test]
+    fn rows_stay_owner_sorted_under_any_insertion_order() {
+        let mut s = PolicyStore::new();
+        for o in [7u64, 3, 9, 1, 5] {
+            s.add(UserId(0), policy(o));
+        }
+        s.add_additional(UserId(0), lasting(3, 10.0));
+        s.add_additional(UserId(0), lasting(3, 20.0));
+        assert_eq!(owners(&s, 0), vec![1, 3, 3, 3, 5, 7, 9]);
+        let ends: Vec<f64> = s.policies(UserId(3), UserId(0)).iter().map(|p| p.tint.end).collect();
+        assert_eq!(ends, vec![100.0, 10.0, 20.0], "a pair keeps its policies in added order");
+        assert!(s.policies(UserId(4), UserId(0)).is_empty());
     }
 
     #[test]
@@ -181,9 +212,9 @@ mod tests {
         s.add(UserId(2), policy(1));
         assert!(s.remove(UserId(1), UserId(2)).is_some());
         assert!(s.remove(UserId(1), UserId(2)).is_none());
-        assert!(s.granted_by(UserId(1)).is_empty());
-        assert!(s.granters_of(UserId(2)).is_empty());
-        assert!(!s.are_connected(UserId(1), UserId(2)));
+        assert!(s.remove(UserId(5), UserId(9)).is_none(), "no row, nothing removed");
+        assert!(s.row(UserId(2)).is_empty());
+        assert!(s.is_empty(), "an emptied row goes");
     }
 
     #[test]
@@ -199,20 +230,47 @@ mod tests {
     }
 
     #[test]
-    fn connected_pairs_dedupes_directions() {
+    fn a_self_policy_is_refused() {
         let mut s = PolicyStore::new();
-        s.add(UserId(2), policy(1)); // 1 -> 2
-        let mut p2 = policy(2);
-        p2.owner = UserId(2);
-        s.add(UserId(1), p2); // 2 -> 1
-        s.add(UserId(3), policy(1)); // 1 -> 3
-        assert_eq!(s.connected_pairs(), vec![(UserId(1), UserId(2)), (UserId(1), UserId(3))]);
+        assert!(!s.add(UserId(1), policy(1)));
+        assert!(!s.add_additional(UserId(1), policy(1)));
+        assert!(s.is_empty());
+        let from_rows = PolicyStore::from_rows(vec![vec![], vec![policy(1), policy(0)]]);
+        assert_eq!(owners(&from_rows, 1), vec![0], "from_rows drops it too");
     }
 
     #[test]
-    #[should_panic]
-    fn self_policy_rejected() {
+    fn absurd_ids_are_stored_without_sizing_anything() {
         let mut s = PolicyStore::new();
-        s.add(UserId(1), policy(1));
+        assert!(s.add(UserId(u64::MAX), policy(u64::MAX - 1)));
+        assert!(s.add(UserId(3), policy(u64::MAX)));
+        assert!(s.policy(UserId(u64::MAX - 1), UserId(u64::MAX)).is_some());
+        assert_eq!(owners(&s, 3), vec![u64::MAX]);
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn a_clone_keeps_every_policy_of_a_multi_policy_pair() {
+        let mut s = PolicyStore::new();
+        s.add(UserId(2), policy(1));
+        s.add_additional(UserId(2), lasting(1, 10.0));
+        s.add_additional(UserId(2), lasting(1, 20.0));
+        s.add(UserId(1), policy(2));
+        let copy = s.clone();
+        assert_eq!(copy.len(), 4);
+        assert_eq!(copy.policies(UserId(1), UserId(2)), s.policies(UserId(1), UserId(2)));
+        assert_eq!(copy.policies(UserId(1), UserId(2)).len(), 3);
+        assert_eq!(copy.policies(UserId(2), UserId(1)), &[policy(2)]);
+    }
+
+    #[test]
+    fn from_rows_sorts_each_row_stably() {
+        let rows = vec![vec![lasting(4, 1.0), policy(2), lasting(4, 2.0)], vec![], vec![policy(0)]];
+        let s = PolicyStore::from_rows(rows);
+        assert_eq!(owners(&s, 0), vec![2, 4, 4]);
+        let ends: Vec<f64> = s.policies(UserId(4), UserId(0)).iter().map(|p| p.tint.end).collect();
+        assert_eq!(ends, vec![1.0, 2.0]);
+        assert_eq!(s.rows().count(), 2, "no empty rows");
+        assert_eq!(s.len(), 4);
     }
 }

@@ -145,6 +145,38 @@ mod tests {
         assert_eq!(d.network.as_ref().unwrap().len(), 200);
     }
 
+    /// FNV-1a over every `(owner, viewer, policy)` of a fixed small seed,
+    /// in `(owner, viewer)` order. Pinned from the generator's output, so a
+    /// change to the order in which it draws random numbers fails here.
+    #[test]
+    fn policies_of_a_fixed_seed_are_pinned() {
+        let d = DatasetBuilder::default().num_users(300).policies_per_user(7).seed(11).build();
+        let mut grants: Vec<[u64; 9]> = d
+            .store
+            .iter()
+            .map(|(o, v, p)| {
+                [
+                    o.0,
+                    v.0,
+                    u64::from(p.role.0),
+                    p.locr.xl.to_bits(),
+                    p.locr.xu.to_bits(),
+                    p.locr.yl.to_bits(),
+                    p.locr.yu.to_bits(),
+                    p.tint.start.to_bits(),
+                    p.tint.end.to_bits(),
+                ]
+            })
+            .collect();
+        grants.sort_unstable();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in grants.iter().flatten().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(grants.len(), 300 * 7);
+        assert_eq!(h, 0xa263_418b_356d_a059, "the generator's draw order changed");
+    }
+
     #[test]
     fn same_seed_same_dataset() {
         let a = DatasetBuilder::default().num_users(100).policies_per_user(3).seed(7).build();

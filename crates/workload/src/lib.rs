@@ -23,7 +23,6 @@ pub mod dataset;
 pub mod network;
 pub mod policies;
 pub mod queries;
-pub mod trace;
 pub mod uniform;
 pub mod updates;
 

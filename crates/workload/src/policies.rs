@@ -54,8 +54,8 @@ impl PolicyGenConfig {
 ///
 /// Each user owns `Np` policies toward distinct viewers ("each user has
 /// only one location privacy policy with respect to a particular user").
-pub fn generate(
-    rng: &mut impl Rng,
+pub fn generate<R: Rng + Clone>(
+    rng: &mut R,
     space: &SpaceConfig,
     n: usize,
     cfg: &PolicyGenConfig,
@@ -75,29 +75,38 @@ pub fn generate(
         groups.push(chunk.to_vec());
     }
 
-    let mut store = PolicyStore::new();
-    for owner in 0..n as u64 {
-        let my_group = &groups[group_of[owner as usize]];
-        let np = cfg.policies_per_user.min(n - 1);
-        let mut targets: Vec<u64> = Vec::with_capacity(np);
-        let mut attempts = 0;
-        while targets.len() < np && attempts < np * 20 {
-            attempts += 1;
-            let in_group = rng.gen_bool(cfg.grouping_factor);
-            let candidate = if in_group && my_group.len() > 1 {
-                my_group[rng.gen_range(0..my_group.len())]
-            } else {
-                rng.gen_range(0..n as u64)
-            };
-            if candidate != owner && !targets.contains(&candidate) {
-                targets.push(candidate);
+    // Every owner's targets, then one policy per target, in owner order.
+    let draw = |rng: &mut R, grant: &mut dyn FnMut(usize, Policy)| {
+        for owner in 0..n as u64 {
+            let my_group = &groups[group_of[owner as usize]];
+            let np = cfg.policies_per_user.min(n - 1);
+            let mut targets: Vec<u64> = Vec::with_capacity(np);
+            let mut attempts = 0;
+            while targets.len() < np && attempts < np * 20 {
+                attempts += 1;
+                let in_group = rng.gen_bool(cfg.grouping_factor);
+                let candidate = if in_group && my_group.len() > 1 {
+                    my_group[rng.gen_range(0..my_group.len())]
+                } else {
+                    rng.gen_range(0..n as u64)
+                };
+                if candidate != owner && !targets.contains(&candidate) {
+                    targets.push(candidate);
+                }
+            }
+            for viewer in targets {
+                grant(viewer as usize, random_policy(rng, space, UserId(owner), cfg));
             }
         }
-        for viewer in targets {
-            store.add(UserId(viewer), random_policy(rng, space, UserId(owner), cfg));
-        }
-    }
-    store
+    };
+    // A dry run on a copy of the generator counts each viewer's grants, so
+    // every row is allocated once at its final size; owners draw in
+    // ascending order, so each row fills owner-sorted.
+    let mut in_degree = vec![0usize; n];
+    draw(&mut rng.clone(), &mut |viewer, _| in_degree[viewer] += 1);
+    let mut rows: Vec<Vec<Policy>> = in_degree.into_iter().map(Vec::with_capacity).collect();
+    draw(rng, &mut |viewer, policy| rows[viewer].push(policy));
+    PolicyStore::from_rows(rows)
 }
 
 /// One random policy: a region with side in `cfg.region_side` placed
@@ -153,9 +162,11 @@ mod tests {
         let cfg = PolicyGenConfig { policies_per_user: 10, group_size: 32, ..Default::default() };
         let store = generate(&mut rng, &SpaceConfig::default(), 200, &cfg);
         assert_eq!(store.len(), 200 * 10);
-        for u in 0..200u64 {
-            assert_eq!(store.granted_by(UserId(u)).len(), 10, "owner u{u}");
+        let mut granted = vec![0usize; 200];
+        for (owner, _, _) in store.iter() {
+            granted[owner.as_index()] += 1;
         }
+        assert!(granted.iter().all(|&g| g == 10), "every owner grants 10: {granted:?}");
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn main() {
     );
 
     let ctx = Arc::new(PrivacyContext::build(
-        clone_store(&dataset.store),
+        dataset.store.clone(),
         space,
         dataset.users.len(),
         SvAssignmentParams::default(),
@@ -107,12 +107,4 @@ fn reset(p: &PebTree) -> u64 {
 
 fn reset_b(b: &SpatialBaseline) -> u64 {
     b.pool().stats().total_io()
-}
-
-fn clone_store(store: &peb_repro::policy::PolicyStore) -> peb_repro::policy::PolicyStore {
-    let mut out = peb_repro::policy::PolicyStore::new();
-    for (_, viewer, p) in store.iter() {
-        out.add(viewer, p.clone());
-    }
-    out
 }

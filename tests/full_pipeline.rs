@@ -8,20 +8,12 @@ use peb_repro::bx::{BxTree, TimePartitioning};
 use peb_repro::common::{Point, Rect, UserId};
 use peb_repro::pebtree::oracle::{oracle_pknn, oracle_prq};
 use peb_repro::pebtree::{PebTree, PrivacyContext, SpatialBaseline};
-use peb_repro::policy::{PolicyStore, SvAssignmentParams};
+use peb_repro::policy::SvAssignmentParams;
 use peb_repro::storage::BufferPool;
 use peb_repro::workload::{DatasetBuilder, Distribution, QueryGenerator, UpdateStream};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn clone_store(store: &PolicyStore) -> PolicyStore {
-    let mut out = PolicyStore::new();
-    for (_, viewer, p) in store.iter() {
-        out.add(viewer, p.clone());
-    }
-    out
-}
 
 struct Rig {
     users: Vec<peb_repro::common::MovingPoint>,
@@ -39,7 +31,7 @@ fn rig(n: usize, np: usize, theta: f64, dist: Distribution, seed: u64) -> Rig {
         .seed(seed)
         .build();
     let ctx = Arc::new(PrivacyContext::build(
-        clone_store(&ds.store),
+        ds.store.clone(),
         ds.space,
         n,
         SvAssignmentParams::default(),
